@@ -1,11 +1,11 @@
 // Zone-map data skipping: wall-clock for filters over a range-partitioned
 // fact table whose rows are loaded in ascending filter-column order (so the
 // per-chunk min/max synopses are tight), swept across selectivities, with
-// skipping on vs off in both the row-at-a-time and vectorized paths.
-// Identical-result checks ride along with every measurement — skipping may
-// only change the skip counters of ExecStats, never rows or the logical
-// scan/motion counters — and chunks_skipped proves the skips actually
-// happened. An unclustered control column (chunk ranges span the whole
+// skipping on vs off. Identical-result checks ride along with every
+// measurement — skipping may only change the skip counters of ExecStats,
+// never rows or the logical scan/motion counters, and a parallel run must
+// make exactly the serial run's skips — and chunks_skipped proves the skips
+// actually happened. An unclustered control column (chunk ranges span the whole
 // domain, so nothing can be skipped) bounds the overhead of consulting
 // synopses when they cannot help.
 //
@@ -48,26 +48,24 @@ BenchSizes SmokeSizes() {
   return sizes;
 }
 
-/// Measures `plan` with data skipping off and on, in the row and vectorized
-/// paths, checks that skipping changes nothing but the skip counters, and
-/// appends a JSON entry named `name`. `expect_skips` asserts that the zone
-/// maps actually pruned chunks (or, for the control, that they provably
-/// could not).
+/// Measures `plan` with data skipping off and on, checks that skipping
+/// changes nothing but the skip counters (and that a parallel run skips
+/// exactly the same chunks), and appends a JSON entry named `name`.
+/// `expect_skips` asserts that the zone maps actually pruned chunks (or, for
+/// the control, that they provably could not).
 void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan,
                       int iterations, bool expect_skips,
                       std::vector<benchutil::BenchJsonEntry>* entries) {
-  Executor row_off(&db->catalog(), &db->storage(),
-                   Executor::Options{.data_skipping = false});
-  Executor row_on(&db->catalog(), &db->storage());
-  Executor vec_off(&db->catalog(), &db->storage(),
-                   Executor::Options{.vectorized = true, .data_skipping = false});
-  Executor vec_on(&db->catalog(), &db->storage(),
-                  Executor::Options{.vectorized = true});
+  Executor off(&db->catalog(), &db->storage(),
+               Executor::Options{.data_skipping = false});
+  Executor on(&db->catalog(), &db->storage());
+  Executor parallel_on(&db->catalog(), &db->storage(),
+                       Executor::Options{.parallel = true});
 
-  Result<std::vector<Row>> baseline = row_off.Execute(plan);
+  Result<std::vector<Row>> baseline = off.Execute(plan);
   MPPDB_CHECK(baseline.ok());
-  const ExecStats baseline_stats = row_off.stats();
-  for (Executor* exec : {&row_on, &vec_off, &vec_on}) {
+  const ExecStats baseline_stats = off.stats();
+  for (Executor* exec : {&on, &parallel_on}) {
     Result<std::vector<Row>> result = exec->Execute(plan);
     MPPDB_CHECK(result.ok());
     MPPDB_CHECK(*result == *baseline);
@@ -77,9 +75,9 @@ void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan
     stats.units_skipped = 0;
     MPPDB_CHECK(stats == baseline_stats);
   }
-  // The two skipping paths must agree on the skips themselves, too.
-  MPPDB_CHECK(row_on.stats() == vec_on.stats());
-  const ExecStats skip_stats = row_on.stats();
+  // Serial and parallel must agree on the skips themselves, too.
+  MPPDB_CHECK(on.stats() == parallel_on.stats());
+  const ExecStats skip_stats = on.stats();
   MPPDB_CHECK(skip_stats.chunks_total > 0);
   if (expect_skips) {
     MPPDB_CHECK(skip_stats.chunks_skipped > 0);
@@ -87,26 +85,19 @@ void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan
     MPPDB_CHECK(skip_stats.chunks_skipped == 0);
   }
 
-  benchutil::TimingStats row_off_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_off.Execute(plan).ok()); });
-  benchutil::TimingStats row_on_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_on.Execute(plan).ok()); });
-  benchutil::TimingStats vec_off_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_off.Execute(plan).ok()); });
-  benchutil::TimingStats vec_on_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_on.Execute(plan).ok()); });
+  benchutil::TimingStats off_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(off.Execute(plan).ok()); });
+  benchutil::TimingStats on_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(on.Execute(plan).ok()); });
 
   double survival =
       static_cast<double>(skip_stats.chunks_total - skip_stats.chunks_skipped) /
       static_cast<double>(skip_stats.chunks_total);
-  double row_speedup = row_off_t.median_ms / row_on_t.median_ms;
-  double vec_speedup = vec_off_t.median_ms / vec_on_t.median_ms;
-  std::printf("%-16s %8zu %6zu/%-6zu %6.1f%% %8.2f %8.2f %6.2fx %8.2f %8.2f %6.2fx\n",
-              name.c_str(), baseline->size(),
-              skip_stats.chunks_total - skip_stats.chunks_skipped,
-              skip_stats.chunks_total, survival * 100, row_off_t.median_ms,
-              row_on_t.median_ms, row_speedup, vec_off_t.median_ms,
-              vec_on_t.median_ms, vec_speedup);
+  double speedup = off_t.median_ms / on_t.median_ms;
+  std::printf("%-16s %8zu %6zu/%-6zu %6.1f%% %8.2f %8.2f %6.2fx\n", name.c_str(),
+              baseline->size(), skip_stats.chunks_total - skip_stats.chunks_skipped,
+              skip_stats.chunks_total, survival * 100, off_t.median_ms,
+              on_t.median_ms, speedup);
   entries->push_back(
       {name,
        {{"rows_out", static_cast<double>(baseline->size())},
@@ -114,19 +105,15 @@ void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan
         {"chunks_skipped", static_cast<double>(skip_stats.chunks_skipped)},
         {"units_skipped", static_cast<double>(skip_stats.units_skipped)},
         {"chunk_survival", survival},
-        {"row_off_ms", row_off_t.median_ms},
-        {"row_on_ms", row_on_t.median_ms},
-        {"row_speedup", row_speedup},
-        {"vec_off_ms", vec_off_t.median_ms},
-        {"vec_on_ms", vec_on_t.median_ms},
-        {"vec_speedup", vec_speedup}}});
+        {"off_ms", off_t.median_ms},
+        {"on_ms", on_t.median_ms},
+        {"speedup", speedup}}});
 }
 
 void PrintColumns() {
-  std::printf("%-16s %8s %13s %7s %8s %8s %7s %8s %8s %7s\n", "workload", "out",
-              "chunks", "surv", "row-off", "row-on", "spd", "vec-off", "vec-on",
-              "spd");
-  benchutil::Rule(102);
+  std::printf("%-16s %8s %13s %7s %8s %8s %7s\n", "workload", "out", "chunks",
+              "surv", "off-ms", "on-ms", "spd");
+  benchutil::Rule(75);
 }
 
 int RunBenchmark(bool smoke) {

@@ -3,15 +3,15 @@
 // Motion publishes the cross-segment bloom + min/max summary and the fact
 // scan consumes it *below* the probe-side Redistribute, rejecting
 // non-joining rows before they are exchanged. Swept across probe-survival
-// fractions with filters on vs off, in the row-at-a-time and vectorized
-// paths. The fact table is loaded in ascending key order, so the build-side
-// min/max composes with the chunk zone maps and skips whole chunks; the
-// bloom kernel handles the survivors.
+// fractions with filters on vs off. The fact table is loaded in ascending
+// key order, so the build-side min/max composes with the chunk zone maps and
+// skips whole chunks; the bloom kernel handles the survivors.
 //
 // Identical-result checks ride along with every measurement: filters may
 // only change the joinfilter_* counters of ExecStats, never rows or any
 // pre-existing counter (rows_moved stays logical; the physical exchange
-// savings are reported in joinfilter_motion_rows_saved).
+// savings are reported in joinfilter_motion_rows_saved), and a parallel run
+// must reach exactly the serial run's filter verdicts.
 //
 // Emits BENCH_joinfilter.json with per-selectivity timings, speedups, and
 // the rows-exchanged-over-Motion reduction. `--smoke` shrinks the data and
@@ -100,28 +100,26 @@ PhysPtr FilteredJoinPlan(Database* db, const std::string& dim_table,
                                       std::vector<ColRefId>{}, join);
 }
 
-/// Measures `plan` with join filters off and on, in the row and vectorized
-/// paths, checks the transparency invariant (identical rows; identical
-/// ExecStats once the joinfilter_* counters are masked), and appends a JSON
-/// entry named `name`. `expect_filtering` asserts the filters actually
-/// rejected rows below the Motion.
+/// Measures `plan` with join filters off and on, checks the transparency
+/// invariant (identical rows; identical ExecStats once the joinfilter_*
+/// counters are masked; identical verdicts serial vs parallel), and appends
+/// a JSON entry named `name`. `expect_filtering` asserts the filters
+/// actually rejected rows below the Motion.
 void CompareFilterModes(const std::string& name, Database* db,
                         const PhysPtr& plan, int iterations,
                         bool expect_filtering,
                         std::vector<benchutil::BenchJsonEntry>* entries) {
-  Executor row_off(&db->catalog(), &db->storage(),
-                   Executor::Options{.join_filters = false});
-  Executor row_on(&db->catalog(), &db->storage());
-  Executor vec_off(&db->catalog(), &db->storage(),
-                   Executor::Options{.vectorized = true, .join_filters = false});
-  Executor vec_on(&db->catalog(), &db->storage(),
-                  Executor::Options{.vectorized = true});
+  Executor off(&db->catalog(), &db->storage(),
+               Executor::Options{.join_filters = false});
+  Executor on(&db->catalog(), &db->storage());
+  Executor parallel_on(&db->catalog(), &db->storage(),
+                       Executor::Options{.parallel = true});
 
-  Result<std::vector<Row>> baseline = row_off.Execute(plan);
+  Result<std::vector<Row>> baseline = off.Execute(plan);
   MPPDB_CHECK(baseline.ok());
-  const ExecStats baseline_stats = row_off.stats();
+  const ExecStats baseline_stats = off.stats();
   MPPDB_CHECK(baseline_stats.joinfilter_built == 0);
-  for (Executor* exec : {&row_on, &vec_off, &vec_on}) {
+  for (Executor* exec : {&on, &parallel_on}) {
     Result<std::vector<Row>> result = exec->Execute(plan);
     MPPDB_CHECK(result.ok());
     MPPDB_CHECK(*result == *baseline);
@@ -129,9 +127,9 @@ void CompareFilterModes(const std::string& name, Database* db,
     ZeroJoinFilterCounters(&stats);
     MPPDB_CHECK(stats == baseline_stats);
   }
-  // The two filtering paths must agree on every filter verdict, too.
-  MPPDB_CHECK(row_on.stats() == vec_on.stats());
-  const ExecStats filter_stats = row_on.stats();
+  // Serial and parallel must agree on every filter verdict, too.
+  MPPDB_CHECK(on.stats() == parallel_on.stats());
+  const ExecStats filter_stats = on.stats();
   MPPDB_CHECK(filter_stats.joinfilter_built == 1);
   if (expect_filtering) {
     MPPDB_CHECK(filter_stats.joinfilter_rows_rejected +
@@ -140,27 +138,20 @@ void CompareFilterModes(const std::string& name, Database* db,
     MPPDB_CHECK(filter_stats.joinfilter_motion_rows_saved > 0);
   }
 
-  benchutil::TimingStats row_off_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_off.Execute(plan).ok()); });
-  benchutil::TimingStats row_on_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_on.Execute(plan).ok()); });
-  benchutil::TimingStats vec_off_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_off.Execute(plan).ok()); });
-  benchutil::TimingStats vec_on_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_on.Execute(plan).ok()); });
+  benchutil::TimingStats off_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(off.Execute(plan).ok()); });
+  benchutil::TimingStats on_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(on.Execute(plan).ok()); });
 
-  const double row_speedup = row_off_t.median_ms / row_on_t.median_ms;
-  const double vec_speedup = vec_off_t.median_ms / vec_on_t.median_ms;
+  const double speedup = off_t.median_ms / on_t.median_ms;
   const double moved = static_cast<double>(filter_stats.rows_moved);
   const double saved =
       static_cast<double>(filter_stats.joinfilter_motion_rows_saved);
-  std::printf(
-      "%-12s %8zu %9zu %9zu %9zu %8.0f %8.2f %8.2f %6.2fx %8.2f %8.2f %6.2fx\n",
-      name.c_str(), baseline->size(), filter_stats.joinfilter_rows_rejected,
-      filter_stats.joinfilter_chunks_skipped,
-      filter_stats.joinfilter_motion_rows_saved, moved - saved,
-      row_off_t.median_ms, row_on_t.median_ms, row_speedup,
-      vec_off_t.median_ms, vec_on_t.median_ms, vec_speedup);
+  std::printf("%-12s %8zu %9zu %9zu %9zu %8.0f %8.2f %8.2f %6.2fx\n",
+              name.c_str(), baseline->size(), filter_stats.joinfilter_rows_rejected,
+              filter_stats.joinfilter_chunks_skipped,
+              filter_stats.joinfilter_motion_rows_saved, moved - saved,
+              off_t.median_ms, on_t.median_ms, speedup);
   entries->push_back(
       {name,
        {{"rows_out", static_cast<double>(baseline->size())},
@@ -172,19 +163,16 @@ void CompareFilterModes(const std::string& name, Database* db,
         {"motion_rows_saved", saved},
         {"rows_moved_logical", moved},
         {"rows_exchanged_with_filters", moved - saved},
-        {"row_off_ms", row_off_t.median_ms},
-        {"row_on_ms", row_on_t.median_ms},
-        {"row_speedup", row_speedup},
-        {"vec_off_ms", vec_off_t.median_ms},
-        {"vec_on_ms", vec_on_t.median_ms},
-        {"vec_speedup", vec_speedup}}});
+        {"off_ms", off_t.median_ms},
+        {"on_ms", on_t.median_ms},
+        {"speedup", speedup}}});
 }
 
 void PrintColumns() {
-  std::printf("%-12s %8s %9s %9s %9s %8s %8s %8s %7s %8s %8s %7s\n", "survival",
-              "out", "rejected", "chk-skip", "mot-save", "exchngd", "row-off",
-              "row-on", "spd", "vec-off", "vec-on", "spd");
-  benchutil::Rule(112);
+  std::printf("%-12s %8s %9s %9s %9s %8s %8s %8s %7s\n", "survival", "out",
+              "rejected", "chk-skip", "mot-save", "exchngd", "off-ms", "on-ms",
+              "spd");
+  benchutil::Rule(85);
 }
 
 int RunBenchmark(bool smoke) {

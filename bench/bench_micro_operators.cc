@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <future>
-
 #include "catalog/partition_scheme.h"
 #include "common/macros.h"
 #include "common/random.h"
@@ -109,9 +107,8 @@ void BM_OptimizeStarJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeStarJoin);
 
-// Row-at-a-time vs vectorized filter-over-scan at the selectivity given by
-// state.range(0) (percent). One shared database; the two benchmarks differ
-// only in Executor::Options::vectorized.
+// Fused filter-over-scan at the selectivity given by state.range(0)
+// (percent), over one shared database.
 Database* FilterBenchDb() {
   static Database* db = [] {
     auto* database = new Database(4);
@@ -145,7 +142,7 @@ PhysPtr FilterBenchPlan(Database* db, int64_t threshold) {
                                       filter);
 }
 
-void BM_FilterScanRow(benchmark::State& state) {
+void BM_FilterScan(benchmark::State& state) {
   Database* db = FilterBenchDb();
   PhysPtr plan = FilterBenchPlan(db, state.range(0));
   Executor exec(&db->catalog(), &db->storage());
@@ -155,20 +152,7 @@ void BM_FilterScanRow(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_FilterScanRow)->Arg(1)->Arg(10)->Arg(50);
-
-void BM_FilterScanVectorized(benchmark::State& state) {
-  Database* db = FilterBenchDb();
-  PhysPtr plan = FilterBenchPlan(db, state.range(0));
-  Executor exec(&db->catalog(), &db->storage(),
-                Executor::Options{.vectorized = true});
-  for (auto _ : state) {
-    auto result = exec.Execute(plan);
-    MPPDB_CHECK(result.ok());
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_FilterScanVectorized)->Arg(1)->Arg(10)->Arg(50);
+BENCHMARK(BM_FilterScan)->Arg(1)->Arg(10)->Arg(50);
 
 void BM_ExecutePrunedScan(benchmark::State& state) {
   static Database* db = [] {
@@ -308,48 +292,31 @@ void BM_IndexEqualitySeek(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexEqualitySeek)->Arg(1)->Arg(16)->Arg(256);
 
-// Task-submission overhead of the move-only TaskFn pool: Submit used to copy
-// the callable through std::function + std::packaged_task; it now moves a
-// TaskFn end to end, so a task carrying a non-trivial payload (a row buffer)
-// pays one move, not two copies. Measures round-trip submit+complete latency
-// through a single-worker ThreadPool (arg 0) and the MorselScheduler's
-// group spawn/wait path (arg 1), batch of 64 tasks per iteration.
-void BM_ThreadPoolSubmit(benchmark::State& state) {
-  const bool use_scheduler = state.range(0) == 1;
+// Task-submission overhead of the MorselScheduler's group spawn/wait path:
+// tasks are move-only TaskFns, so a task carrying a non-trivial payload (a
+// row buffer) pays one move, not a copy. Batch of 64 tasks per iteration on a
+// single-worker scheduler.
+void BM_TaskGroupSpawn(benchmark::State& state) {
   constexpr int kBatch = 64;
   // The payload makes copy-vs-move visible: 1 KiB of rows per task.
   std::vector<Row> payload;
   for (int64_t i = 0; i < 16; ++i) {
     payload.push_back({Datum::Int64(i), Datum::Int64(i * 3)});
   }
-  if (use_scheduler) {
-    MorselScheduler scheduler(1);
-    for (auto _ : state) {
-      MorselScheduler::TaskGroup group(&scheduler);
-      for (int i = 0; i < kBatch; ++i) {
-        std::vector<Row> task_payload = payload;
-        group.Spawn([p = std::move(task_payload)]() {
-          benchmark::DoNotOptimize(p.size());
-        });
-      }
-      group.Wait();
+  MorselScheduler scheduler(1);
+  for (auto _ : state) {
+    MorselScheduler::TaskGroup group(&scheduler);
+    for (int i = 0; i < kBatch; ++i) {
+      std::vector<Row> task_payload = payload;
+      group.Spawn([p = std::move(task_payload)]() {
+        benchmark::DoNotOptimize(p.size());
+      });
     }
-  } else {
-    ThreadPool pool(1);
-    for (auto _ : state) {
-      std::future<void> last;
-      for (int i = 0; i < kBatch; ++i) {
-        std::vector<Row> task_payload = payload;
-        last = pool.Submit([p = std::move(task_payload)]() {
-          benchmark::DoNotOptimize(p.size());
-        });
-      }
-      last.wait();
-    }
+    group.Wait();
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_ThreadPoolSubmit)->Arg(0)->Arg(1);
+BENCHMARK(BM_TaskGroupSpawn);
 
 // --- Plan cache: what a hit skips vs what a hit costs -----------------------
 //

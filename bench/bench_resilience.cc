@@ -5,8 +5,7 @@
 //      QueryContext vs. a fully armed one (deadline set, budget limited,
 //      fault injector attached with nothing armed) — the cost of the
 //      batch-granularity liveness checks and budget charges on the hot
-//      paths, in {serial, parallel} x {row, vectorized}. The acceptance bar
-//      is <= 2%.
+//      paths, serial and parallel. The acceptance bar is <= 2%.
 //   2. Cancellation latency: Cancel() fired from a second thread into a
 //      running parallel join; p50/p99 milliseconds from the cancel call to
 //      Execute returning with every worker joined.
@@ -147,10 +146,8 @@ int RunBenchmark(bool smoke) {
     Executor::Options options;
   };
   const ModeDef modes[] = {
-      {"serial/row", {}},
-      {"serial/vec", {.vectorized = true}},
-      {"parallel/row", {.parallel = true}},
-      {"parallel/vec", {.parallel = true, .vectorized = true}},
+      {"serial", {}},
+      {"parallel", {.parallel = true}},
   };
   double worst_overhead_pct = 0;
   double sum_overhead_pct = 0;

@@ -1,12 +1,12 @@
 // Columnar storage formats: scan wall-clock and bytes-scanned for selective
 // filters over a partitioned fact table stored row-oriented vs
-// column-oriented with encoded-data predicate evaluation, in both the
-// row-at-a-time and vectorized paths; per-column compression ratios of the
-// encoded images; and Motion throughput with dictionary-encoded transfer on
-// vs off. The headline workloads filter unclustered dictionary/RLE columns,
+// column-oriented with encoded-data predicate evaluation; per-column
+// compression ratios of the encoded images; and Motion throughput with
+// dictionary-encoded transfer on vs off. The headline workloads filter unclustered dictionary/RLE columns,
 // where zone maps provably cannot skip — any win is the encoded fast path's.
 // Identical-result checks ride along with every measurement: the encoded path
-// may only change its own ExecStats counters, never rows or logical stats.
+// may only change its own ExecStats counters, never rows or logical stats,
+// serial or parallel.
 //
 // Emits BENCH_storage.json. `--smoke` shrinks the data for the ctest gate
 // (release_storage_smoke), which asserts correctness plus the >= 2x headline
@@ -52,23 +52,21 @@ void ZeroEncodedCounters(ExecStats* stats) {
 }
 
 /// Measures `plan` on the row-store and column-store databases (identical
-/// contents) in the row and vectorized paths, checks bit-identical rows and
-/// (modulo the encoded counters) bit-identical stats, and appends a JSON
-/// entry. Returns the row-path speedup of encoded evaluation.
+/// contents), checks bit-identical rows and (modulo the encoded counters)
+/// bit-identical stats — also for a parallel run over the column store —
+/// and appends a JSON entry. Returns the speedup of encoded evaluation.
 double CompareStorageModes(const std::string& name, Database* db_row,
                            Database* db_col, const PhysPtr& plan, int iterations,
                            std::vector<benchutil::BenchJsonEntry>* entries) {
-  Executor row_base(&db_row->catalog(), &db_row->storage());
-  Executor row_enc(&db_col->catalog(), &db_col->storage());
-  Executor vec_base(&db_row->catalog(), &db_row->storage(),
-                    Executor::Options{.vectorized = true});
-  Executor vec_enc(&db_col->catalog(), &db_col->storage(),
-                   Executor::Options{.vectorized = true});
+  Executor base(&db_row->catalog(), &db_row->storage());
+  Executor enc(&db_col->catalog(), &db_col->storage());
+  Executor parallel_enc(&db_col->catalog(), &db_col->storage(),
+                        Executor::Options{.parallel = true});
 
-  Result<std::vector<Row>> baseline = row_base.Execute(plan);
+  Result<std::vector<Row>> baseline = base.Execute(plan);
   MPPDB_CHECK(baseline.ok());
-  const ExecStats baseline_stats = row_base.stats();
-  for (Executor* exec : {&row_enc, &vec_base, &vec_enc}) {
+  const ExecStats baseline_stats = base.stats();
+  for (Executor* exec : {&enc, &parallel_enc}) {
     Result<std::vector<Row>> result = exec->Execute(plan);
     MPPDB_CHECK(result.ok());
     MPPDB_CHECK(*result == *baseline);
@@ -77,27 +75,20 @@ double CompareStorageModes(const std::string& name, Database* db_row,
     MPPDB_CHECK(stats == baseline_stats);
   }
   // The encoded fast path must actually engage on both columnar legs.
-  const ExecStats enc_stats = row_enc.stats();
+  const ExecStats enc_stats = enc.stats();
   MPPDB_CHECK(enc_stats.chunks_encoded_eval > 0);
-  MPPDB_CHECK(vec_enc.stats().chunks_encoded_eval > 0);
+  MPPDB_CHECK(parallel_enc.stats().chunks_encoded_eval > 0);
 
-  benchutil::TimingStats row_base_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_base.Execute(plan).ok()); });
-  benchutil::TimingStats row_enc_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(row_enc.Execute(plan).ok()); });
-  benchutil::TimingStats vec_base_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_base.Execute(plan).ok()); });
-  benchutil::TimingStats vec_enc_t = benchutil::MeasureMillis(
-      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(vec_enc.Execute(plan).ok()); });
+  benchutil::TimingStats base_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(base.Execute(plan).ok()); });
+  benchutil::TimingStats enc_t = benchutil::MeasureMillis(
+      /*warmup=*/1, iterations, [&]() { MPPDB_CHECK(enc.Execute(plan).ok()); });
 
-  const double row_speedup = row_base_t.median_ms / row_enc_t.median_ms;
-  const double vec_speedup = vec_base_t.median_ms / vec_enc_t.median_ms;
-  std::printf("%-16s %8zu %8zu %10zu %8.2f %8.2f %6.2fx %8.2f %8.2f %6.2fx\n",
-              name.c_str(), baseline->size(),
-              static_cast<size_t>(enc_stats.chunks_encoded_eval),
+  const double speedup = base_t.median_ms / enc_t.median_ms;
+  std::printf("%-16s %8zu %8zu %10zu %8.2f %8.2f %6.2fx\n", name.c_str(),
+              baseline->size(), static_cast<size_t>(enc_stats.chunks_encoded_eval),
               static_cast<size_t>(enc_stats.encoded_bytes_scanned),
-              row_base_t.median_ms, row_enc_t.median_ms, row_speedup,
-              vec_base_t.median_ms, vec_enc_t.median_ms, vec_speedup);
+              base_t.median_ms, enc_t.median_ms, speedup);
   entries->push_back(
       {name,
        {{"rows_out", static_cast<double>(baseline->size())},
@@ -107,13 +98,10 @@ double CompareStorageModes(const std::string& name, Database* db_row,
          static_cast<double>(enc_stats.rows_late_materialized)},
         {"encoded_bytes_scanned",
          static_cast<double>(enc_stats.encoded_bytes_scanned)},
-        {"row_store_ms", row_base_t.median_ms},
-        {"column_encoded_ms", row_enc_t.median_ms},
-        {"row_speedup", row_speedup},
-        {"vec_store_ms", vec_base_t.median_ms},
-        {"vec_encoded_ms", vec_enc_t.median_ms},
-        {"vec_speedup", vec_speedup}}});
-  return row_speedup;
+        {"row_store_ms", base_t.median_ms},
+        {"column_encoded_ms", enc_t.median_ms},
+        {"speedup", speedup}}});
+  return speedup;
 }
 
 int RunBenchmark(bool smoke) {
@@ -210,10 +198,9 @@ int RunBenchmark(bool smoke) {
   auto qty_col = [] { return MakeColumnRef(4, "qty", TypeId::kInt64); };
   auto k_col = [] { return MakeColumnRef(1, "k", TypeId::kInt64); };
 
-  std::printf("%-16s %8s %8s %10s %8s %8s %7s %8s %8s %7s\n", "workload", "out",
-              "enc-chk", "enc-bytes", "row-ms", "enc-ms", "spd", "vec-ms",
-              "venc-ms", "spd");
-  benchutil::Rule(100);
+  std::printf("%-16s %8s %8s %10s %8s %8s %7s\n", "workload", "out", "enc-chk",
+              "enc-bytes", "row-ms", "enc-ms", "spd");
+  benchutil::Rule(72);
 
   // Headline: selective equality on the unclustered dictionary column.
   const double dict_speedup = CompareStorageModes(
@@ -306,7 +293,7 @@ int RunBenchmark(bool smoke) {
   if (smoke) {
     // The gate's acceptance bar: the selective dictionary scan must be at
     // least 2x faster than the row-store baseline.
-    std::printf("\nsmoke: dict_selective row-path speedup %.2fx (need >= 2)\n",
+    std::printf("\nsmoke: dict_selective speedup %.2fx (need >= 2)\n",
                 dict_speedup);
     MPPDB_CHECK(dict_speedup >= 2.0);
   } else {

@@ -6,55 +6,6 @@
 
 namespace mppdb {
 
-ThreadPool::ThreadPool(int num_threads) {
-  MPPDB_CHECK(num_threads > 0);
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-std::future<void> ThreadPool::Submit(TaskFn fn) {
-  std::promise<void> done;
-  std::future<void> future = done.get_future();
-  TaskFn wrapped = [fn = std::move(fn), done = std::move(done)]() mutable {
-    fn();
-    done.set_value();
-  };
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MPPDB_CHECK(!stopping_);
-    queue_.push_back(std::move(wrapped));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    TaskFn task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-// --- MorselScheduler --------------------------------------------------------
-
 namespace {
 /// Worker identity of the current thread: which scheduler it belongs to (if
 /// any) and its index there. One pair of thread-locals supports multiple

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -48,36 +47,6 @@ class TaskFn {
     F fn;
   };
   std::unique_ptr<Base> impl_;
-};
-
-/// A fixed-size worker pool with a FIFO task queue. Workers start in the
-/// constructor and join in the destructor (after draining queued tasks).
-/// Tasks must not block on each other; use MorselScheduler below for task
-/// graphs with dependencies (its tasks suspend by returning, not by
-/// blocking).
-class ThreadPool {
- public:
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues `fn`; the future resolves when it has run. `fn` must not throw.
-  /// Move-only: the callable is moved to the queue and into the worker, never
-  /// copied.
-  std::future<void> Submit(TaskFn fn);
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<TaskFn> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 /// The morsel-driven work-stealing scheduler (Leis et al., "Morsel-Driven

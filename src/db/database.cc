@@ -580,7 +580,10 @@ Result<QueryResult> Database::ExecuteCacheable(const NormalizedSql& normalized,
   // lock, so an entry observed here stays consistent with the catalog for
   // the whole execution.
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  std::shared_ptr<const CachedPlan> entry = plan_cache_.Lookup(key);
+  // Concurrent misses on one statement compile it once (the claim); the
+  // others wait for the published plan.
+  std::unique_ptr<PlanCache::CompileClaim> claim;
+  std::shared_ptr<const CachedPlan> entry = plan_cache_.Lookup(key, &claim);
   const bool hit = entry != nullptr;
   if (!hit) {
     // Miss: plan the *normalized* text once, with $n placeholders intact, so
@@ -599,6 +602,7 @@ Result<QueryResult> Database::ExecuteCacheable(const NormalizedSql& normalized,
     if (cached->params.invariant && !stmt.explain) {
       plan_cache_.Insert(key, cached);
     }
+    claim.reset();
     entry = std::move(cached);
   }
 

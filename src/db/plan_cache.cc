@@ -6,11 +6,27 @@ namespace mppdb {
 
 PlanCache::PlanCache(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
-std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
+PlanCache::CompileClaim::~CompileClaim() {
+  {
+    std::lock_guard<std::mutex> lock(cache_->mu_);
+    cache_->compiling_.erase(key_);
+  }
+  cache_->claim_released_.notify_all();
+}
+
+std::shared_ptr<const CachedPlan> PlanCache::Lookup(
+    const std::string& key, std::unique_ptr<CompileClaim>* claim) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (claim != nullptr) {
+    claim_released_.wait(lock, [&] { return compiling_.count(key) == 0; });
+  }
   auto it = by_key_.find(key);
   if (it == by_key_.end()) {
     ++stats_.misses;
+    if (claim != nullptr) {
+      compiling_.insert(key);
+      claim->reset(new CompileClaim(this, key));
+    }
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);

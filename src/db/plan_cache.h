@@ -1,11 +1,13 @@
 #ifndef MPPDB_DB_PLAN_CACHE_H_
 #define MPPDB_DB_PLAN_CACHE_H_
 
+#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "exec/plan.h"
@@ -45,8 +47,31 @@ class PlanCache {
   /// that are evicted.
   explicit PlanCache(size_t capacity = 128);
 
+  /// Held by the one caller compiling a key that missed. Destroying it —
+  /// after Insert, or when the compile failed or was not cacheable — wakes
+  /// the lookups waiting on that key.
+  class CompileClaim {
+   public:
+    ~CompileClaim();
+    CompileClaim(const CompileClaim&) = delete;
+    CompileClaim& operator=(const CompileClaim&) = delete;
+
+   private:
+    friend class PlanCache;
+    CompileClaim(PlanCache* cache, std::string key)
+        : cache_(cache), key_(std::move(key)) {}
+    PlanCache* cache_;
+    std::string key_;
+  };
+
   /// Returns the entry for `key` (bumping it to most-recently-used), or null.
-  std::shared_ptr<const CachedPlan> Lookup(const std::string& key);
+  ///
+  /// With `claim` set, concurrent misses on one key compile it once: while
+  /// another caller holds the key's claim this waits for it to be released,
+  /// then returns what it published (a hit). A caller that misses gets the
+  /// claim in `*claim` and must compile.
+  std::shared_ptr<const CachedPlan> Lookup(const std::string& key,
+                                           std::unique_ptr<CompileClaim>* claim = nullptr);
 
   /// Publishes an entry under `key`, replacing any previous entry and
   /// evicting the LRU tail beyond capacity.
@@ -85,6 +110,9 @@ class PlanCache {
   LruList lru_;
   std::unordered_map<std::string, LruList::iterator> by_key_;
   Stats stats_;
+  /// Keys whose CompileClaim is alive, and the signal of one being released.
+  std::unordered_set<std::string> compiling_;
+  std::condition_variable claim_released_;
 };
 
 }  // namespace mppdb

@@ -7,10 +7,10 @@
 
 namespace mppdb {
 
-/// Running state of one aggregate within one group. Shared by the
-/// row-at-a-time and vectorized HashAgg so accumulation (including double
-/// summation order) is the same code in both paths — a prerequisite for the
-/// vectorized path's bit-identical-output guarantee.
+/// Running state of one aggregate within one group. Shared by the in-memory
+/// and the spilling HashAgg so accumulation (including double summation
+/// order) is the same code in both — a prerequisite for spilled results
+/// being bit-identical to in-memory ones.
 struct AggState {
   int64_t count = 0;          // non-null inputs (or all rows for count(*))
   double sum_double = 0;

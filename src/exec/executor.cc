@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "exec/agg_state.h"
 #include "exec/join_hash.h"
 #include "expr/constraint_derivation.h"
 #include "expr/vector_eval.h"
@@ -119,8 +118,8 @@ bool IsAbortedStatus(const Status& status) {
 // The suspension sentinel: a segment task that reaches a Motion whose peers
 // have not all arrived unwinds its stack by returning this through the
 // ordinary error plumbing (every operator already propagates non-OK
-// statuses), after registering itself as a waiter on the exchange. It never
-// escapes RunSegmentTask, which translates it into "continuation pending".
+// statuses). It never escapes RunSegmentTask, which registers the segment as
+// a waiter on the exchange once the stack has unwound.
 Status SuspendedStatus() {
   return Status::Internal("suspended at motion rendezvous");
 }
@@ -439,7 +438,32 @@ void Executor::RunSegmentTask(int segment) {
                                       ? ExecNode(*current_plan_, segment)
                                       : Result<std::vector<Row>>(alive);
   if (!rows.ok() && IsSuspendedStatus(rows.status())) {
-    return;  // continuation registered at a Motion exchange; no verdict yet
+    // The walk has unwound, so every memo entry its re-walk needs is written:
+    // only now may the continuation become runnable. Registering at the
+    // Motion instead would let the last arriver resume this segment on
+    // another worker while this one still writes the memo.
+    SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
+    MotionExchange* exchange = std::exchange(memo.suspended_at, nullptr);
+    MPPDB_CHECK(exchange != nullptr);
+    bool resume_now = false;
+    {
+      std::lock_guard<std::mutex> lock(exchange->mu);
+      // The abort check under the exchange lock pairs with SignalAbort's
+      // drain: registering after the drain implies the flag is visible
+      // here, so no waiter can strand.
+      if (abort_flag_.load(std::memory_order_acquire)) {
+        rows = AbortedStatus();
+      } else if (exchange->built) {
+        resume_now = true;  // the last peer arrived while this walk unwound
+      } else {
+        exchange->waiters.push_back(segment);
+        return;  // continuation registered; no verdict yet
+      }
+    }
+    if (resume_now) {
+      scheduler_->Submit([this, segment]() { RunSegmentTask(segment); });
+      return;
+    }
   }
   if (!rows.ok()) SignalAbort();
   ParallelRun* run = run_;
@@ -530,28 +554,16 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
       return out;
     }
     case PhysNodeKind::kFilter:
-      if (options_.vectorized) {
-        return ExecFilterVec(static_cast<const FilterNode&>(*node), segment);
-      }
       return ExecFilter(static_cast<const FilterNode&>(*node), segment);
     case PhysNodeKind::kProject:
-      if (options_.vectorized) {
-        return ExecProjectVec(static_cast<const ProjectNode&>(*node), segment);
-      }
       return ExecProject(static_cast<const ProjectNode&>(*node), segment);
     case PhysNodeKind::kHashJoin:
-      if (options_.vectorized) {
-        return ExecHashJoinVec(static_cast<const HashJoinNode&>(*node), segment);
-      }
       return ExecHashJoin(static_cast<const HashJoinNode&>(*node), segment);
     case PhysNodeKind::kNestedLoopJoin:
       return ExecNestedLoopJoin(static_cast<const NestedLoopJoinNode&>(*node), segment);
     case PhysNodeKind::kIndexNLJoin:
       return ExecIndexNLJoin(static_cast<const IndexNLJoinNode&>(*node), segment);
     case PhysNodeKind::kHashAgg:
-      if (options_.vectorized) {
-        return ExecHashAggVec(static_cast<const HashAggNode&>(*node), segment);
-      }
       return ExecHashAgg(static_cast<const HashAggNode&>(*node), segment);
     case PhysNodeKind::kSort:
       return ExecSort(static_cast<const SortNode&>(*node), segment);
@@ -619,9 +631,6 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
     MPPDB_RETURN_IF_ERROR(status);
   }
   ExecStats& stats = seg_stats_[static_cast<size_t>(segment)];
-  size_t total = 0;
-  for (const auto& slot : slot_rows) total += slot.size();
-  out->reserve(out->size() + total);
   for (size_t m = 0; m < num_morsels; ++m) {
     stats.MergeFrom(slot_stats[m]);
     out->insert(out->end(), std::make_move_iterator(slot_rows[m].begin()),
@@ -643,7 +652,6 @@ Status Executor::ScanUnit(const TableStore& store, Oid table_oid, Oid unit_oid,
     if (!emit_rowids) {
       auto body = [this, segment, &rows](size_t begin, size_t end, ExecStats*,
                                          std::vector<Row>* mout) -> Status {
-        mout->reserve(mout->size() + (end - begin));
         for (size_t base = begin; base < end; base += TableStore::kChunkRows) {
           MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
           const size_t chunk_end = std::min(end, base + TableStore::kChunkRows);
@@ -658,7 +666,6 @@ Status Executor::ScanUnit(const TableStore& store, Oid table_oid, Oid unit_oid,
     auto body = [this, segment, unit_oid, &rows](size_t begin, size_t end,
                                                  ExecStats*,
                                                  std::vector<Row>* mout) -> Status {
-      mout->reserve(mout->size() + (end - begin));
       for (size_t i = begin; i < end; ++i) {
         if (i % TableStore::kChunkRows == 0) {
           MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
@@ -893,10 +900,10 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
   ColumnLayout layout = node.OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
                          BindJoinFilterProbes(node, layout, segment));
-  // Residual kernel compiled once per operator (vectorized path); each morsel
-  // body owns its evaluation scratch (KernelContext is not thread-safe).
+  // Residual kernel compiled once per operator; each morsel body owns its
+  // evaluation scratch (KernelContext is not thread-safe).
   std::optional<KernelProgram> residual_kernel;
-  if (options_.vectorized && node.residual() != nullptr) {
+  if (node.residual() != nullptr) {
     residual_kernel = KernelProgram::Compile(node.residual(), layout);
   }
 
@@ -944,10 +951,10 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
       // whole original predicate (not just the non-sargable remainder) keeps
       // rows and error behavior identical to Filter over the scan.
       SelVec keep;
-      if (node.residual() == nullptr) {
+      if (!residual_kernel.has_value()) {
         keep.resize(candidates.size());
         for (size_t i = 0; i < keep.size(); ++i) keep[i] = static_cast<uint32_t>(i);
-      } else if (residual_kernel.has_value()) {
+      } else {
         if (kctx.chunk_capacity() == 0) {
           kctx.Prepare(*residual_kernel, KernelContext::kDefaultChunkRows);
         }
@@ -964,43 +971,11 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
                                                    candidates, base, sel, &survivors));
           keep.insert(keep.end(), survivors.begin(), survivors.end());
         }
-      } else {
-        size_t until_check = 0;
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (until_check == 0) {
-            MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-            until_check = TableStore::kChunkRows;
-          }
-          --until_check;
-          MPPDB_ASSIGN_OR_RETURN(
-              bool pass, EvalPredicate(node.residual(), layout, candidates[i]));
-          if (pass) keep.push_back(static_cast<uint32_t>(i));
-        }
       }
       // Join filters apply after the full residual (the Filter consumer
       // contract), so only rows the replaced plan would emit are probed.
-      for (uint32_t i : keep) {
-        Row& row = candidates[i];
-        const BoundJoinFilter* rejecter = nullptr;
-        if (!join_filters.empty()) {
-          ++stats->joinfilter_probed;
-          for (const BoundJoinFilter& filter : join_filters) {
-            if (!filter.summary->RowMayMatch(row, filter.key_positions)) {
-              rejecter = &filter;
-              break;
-            }
-          }
-        }
-        if (rejecter == nullptr) {
-          mout->push_back(std::move(row));
-          continue;
-        }
-        ++stats->joinfilter_rows_rejected;
-        if (rejecter->below_motion) {
-          ++stats->rows_moved;
-          ++stats->joinfilter_motion_rows_saved;
-        }
-      }
+      ProbeJoinFilters(candidates, join_filters, stats, &keep);
+      for (uint32_t i : keep) mout->push_back(std::move(candidates[i]));
     }
     return Status::OK();
   };
@@ -1154,186 +1129,6 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
     select_with(bound);
   }
   return rows;
-}
-
-Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
-  if (options_.data_skipping || options_.encoded_eval) {
-    // Filters directly over scan fragments take the skipping path whenever
-    // skipping is on — even if the predicate turns out non-sargable — so the
-    // chunks_* accounting matches the vectorized fused path exactly. The
-    // encoded-eval path lives on the same chunk loop (it needs the storage
-    // chunk grid), so it routes here too; ExecFilterRowSkip gates all
-    // synopsis work on data_skipping internally.
-    ScanFragment frag;
-    if (MatchScanFragment(node.child(0), &frag)) {
-      return ExecFilterRowSkip(node, frag, segment);
-    }
-  }
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
-  ColumnLayout layout = node.child(0)->OutputLayout();
-  MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
-                         BindJoinFilterProbes(node, layout, segment));
-  ExecStats& stats = seg_stats_[static_cast<size_t>(segment)];
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  size_t until_check = 0;
-  for (Row& row : rows) {
-    if (until_check == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      until_check = TableStore::kChunkRows;
-    }
-    --until_check;
-    MPPDB_ASSIGN_OR_RETURN(bool keep, EvalPredicate(node.predicate(), layout, row));
-    if (!keep) continue;
-    // Join filters apply after the full predicate, so only rows the filter
-    // would have emitted anyway are probed (identical error behavior).
-    const BoundJoinFilter* rejecter = nullptr;
-    if (!join_filters.empty()) {
-      ++stats.joinfilter_probed;
-      for (const BoundJoinFilter& filter : join_filters) {
-        if (!filter.summary->RowMayMatch(row, filter.key_positions)) {
-          rejecter = &filter;
-          break;
-        }
-      }
-    }
-    if (rejecter == nullptr) {
-      out.push_back(std::move(row));
-      continue;
-    }
-    ++stats.joinfilter_rows_rejected;
-    if (rejecter->below_motion) {
-      ++stats.rows_moved;
-      ++stats.joinfilter_motion_rows_saved;
-    }
-  }
-  return out;
-}
-
-Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
-  ColumnLayout layout = node.child(0)->OutputLayout();
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  size_t until_check = 0;
-  for (const Row& row : rows) {
-    if (until_check == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      until_check = TableStore::kChunkRows;
-    }
-    --until_check;
-    Row projected;
-    projected.reserve(node.items().size());
-    for (const auto& item : node.items()) {
-      MPPDB_ASSIGN_OR_RETURN(Datum v, EvalExpr(item.expr, layout, row));
-      projected.push_back(std::move(v));
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node, int segment) {
-  // children[0] (build) runs to completion first — the property
-  // PartitionSelector placement relies on.
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> build_rows, ExecNode(node.child(0), segment));
-  ColumnLayout build_layout = node.child(0)->OutputLayout();
-  // One-shot effects, skipped when a probe-side Motion suspension already
-  // performed them on an earlier walk (the hub rejects a second publication
-  // of the same filter id, and the budget must not be charged twice).
-  const bool effects_pending =
-      !parallel_run_ ||
-      seg_run_[static_cast<size_t>(segment)].effects_done.erase(&node) == 0;
-  if (effects_pending) {
-    // The build table pins every build row plus hash-table nodes for the
-    // whole probe phase: the query's dominant mandatory allocation. Charged
-    // before the advisory filter publication so that under budget pressure
-    // the optional summary sheds while the mandatory table still fits.
-    // String payloads count (RowsPayloadBytes), so wide-varchar builds
-    // don't undercharge and defeat the spill trigger.
-    const size_t build_bytes =
-        ApproxRowsBytes(build_rows.size(), build_layout.ids().size()) +
-        RowsPayloadBytes(build_rows);
-    if (options_.spill) {
-      // A refusal is the spill trigger, not a failure. The decision lands in
-      // the segment memo (not a local) because the probe child may suspend
-      // at a Motion and unwind this frame; it is consumed after the probe
-      // child completes.
-      MPPDB_ASSIGN_OR_RETURN(bool charged, TryChargeSpill(segment, build_bytes));
-      if (!charged) {
-        seg_run_[static_cast<size_t>(segment)].spill_decided.insert(&node);
-      }
-    } else {
-      MPPDB_RETURN_IF_ERROR(
-          ChargeBudget(segment, build_bytes, "hash join build table"));
-    }
-    // This segment's build-key summary goes out before the probe child runs,
-    // so probe-side consumers (same segment, same slice chain) can find it.
-    // Published when spilling too: filters are advisory (their own charges
-    // shed under pressure) and only ever reject non-joining probe rows.
-    MPPDB_RETURN_IF_ERROR(
-        PublishLocalJoinFilters(node, build_layout, build_rows, segment));
-  }
-  Result<std::vector<Row>> probe_result = ExecNode(node.child(1), segment);
-  if (!probe_result.ok()) {
-    if (parallel_run_ && IsSuspendedStatus(probe_result.status())) {
-      SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
-      memo.cache[node.child(0).get()] = std::move(build_rows);
-      memo.effects_done.insert(&node);
-    }
-    return probe_result.status();
-  }
-  std::vector<Row> probe_rows = std::move(probe_result).value();
-
-  ColumnLayout probe_layout = node.child(1)->OutputLayout();
-  MPPDB_ASSIGN_OR_RETURN(std::vector<int> build_pos,
-                         ResolvePositions(build_layout, node.build_keys()));
-  MPPDB_ASSIGN_OR_RETURN(std::vector<int> probe_pos,
-                         ResolvePositions(probe_layout, node.probe_keys()));
-
-  if (seg_run_[static_cast<size_t>(segment)].spill_decided.erase(&node) > 0) {
-    return SpillHashJoin(node, segment, std::move(build_rows),
-                         std::move(probe_rows), build_layout, probe_layout,
-                         build_pos, probe_pos);
-  }
-
-  std::unordered_multimap<JoinKey, const Row*, JoinKeyHash> table;
-  table.reserve(build_rows.size());
-  for (const Row& row : build_rows) {
-    JoinKey key = ExtractKey(row, build_pos);
-    if (key.HasNull()) continue;  // NULL keys never join
-    table.emplace(std::move(key), &row);
-  }
-
-  ColumnLayout joint_layout = ColumnLayout::Concat(build_layout, probe_layout);
-  std::vector<Row> out;
-  out.reserve(probe_rows.size());
-  size_t until_check = 0;
-  for (const Row& probe : probe_rows) {
-    if (until_check == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      until_check = TableStore::kChunkRows;
-    }
-    --until_check;
-    JoinKey key = ExtractKey(probe, probe_pos);
-    if (key.HasNull()) continue;
-    auto [begin, end] = table.equal_range(key);
-    for (auto it = begin; it != end; ++it) {
-      Row joined = *it->second;
-      joined.insert(joined.end(), probe.begin(), probe.end());
-      if (node.residual() != nullptr) {
-        MPPDB_ASSIGN_OR_RETURN(bool keep,
-                               EvalPredicate(node.residual(), joint_layout, joined));
-        if (!keep) continue;
-      }
-      if (node.join_type() == JoinType::kSemi) {
-        out.push_back(probe);
-        break;  // one match is enough for semi join
-      }
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
 }
 
 Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& node,
@@ -1496,94 +1291,6 @@ Result<std::vector<Row>> Executor::ExecIndexNLJoin(const IndexNLJoinNode& node,
       }
       out.push_back(std::move(joined));
     }
-  }
-  return out;
-}
-
-Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
-  ColumnLayout layout = node.child(0)->OutputLayout();
-  MPPDB_ASSIGN_OR_RETURN(std::vector<int> group_pos,
-                         ResolvePositions(layout, node.group_by()));
-
-  std::unordered_map<JoinKey, std::vector<AggState>, JoinKeyHash> groups;
-  std::vector<JoinKey> group_order;
-
-  // Grouping state grows with distinct keys, not input rows — charge it
-  // incrementally as groups appear (the vectorized path mirrors this
-  // formula exactly, keeping budget outcomes path-independent). String key
-  // payloads count on top of the fixed per-group estimate.
-  const size_t group_bytes =
-      ApproxRowsBytes(1, group_pos.size() + node.aggs().size());
-  size_t charged_bytes = 0;
-  bool spill = false;
-  size_t until_check = 0;
-  for (const Row& row : rows) {
-    if (until_check == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      until_check = TableStore::kChunkRows;
-    }
-    --until_check;
-    JoinKey key = ExtractKey(row, group_pos);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      const size_t this_group_bytes =
-          group_bytes + RowPayloadBytes(key.values);
-      if (options_.spill) {
-        MPPDB_ASSIGN_OR_RETURN(bool charged,
-                               TryChargeSpill(segment, this_group_bytes));
-        if (!charged) {
-          spill = true;
-          break;
-        }
-      } else {
-        MPPDB_RETURN_IF_ERROR(
-            ChargeBudget(segment, this_group_bytes, "hash aggregate group"));
-      }
-      charged_bytes += this_group_bytes;
-      it = groups.emplace(key, std::vector<AggState>(node.aggs().size())).first;
-      group_order.push_back(key);
-    }
-    std::vector<AggState>& states = it->second;
-    for (size_t i = 0; i < node.aggs().size(); ++i) {
-      const AggItem& agg = node.aggs()[i];
-      AggState& state = states[i];
-      if (agg.func == AggFunc::kCountStar) {
-        ++state.count;
-        continue;
-      }
-      MPPDB_ASSIGN_OR_RETURN(Datum v, EvalExpr(agg.arg, layout, row));
-      if (v.is_null()) continue;
-      MPPDB_RETURN_IF_ERROR(AccumulateAgg(state, agg.func, v));
-    }
-  }
-
-  if (spill) {
-    // Hand the intact input to the out-of-core path, which re-aggregates
-    // from scratch partition by partition; the charges accumulated so far
-    // return to the pool (the spill path charges per partition instead).
-    ctx_->budget().Release(charged_bytes);
-    groups.clear();
-    group_order.clear();
-    return SpillHashAgg(node, segment, rows, layout, group_pos);
-  }
-
-  // Scalar aggregate over empty input still has one (empty-keyed) group —
-  // emitted on segment 0 only (see header).
-  if (node.group_by().empty() && group_order.empty() && segment == 0) {
-    groups.emplace(JoinKey{}, std::vector<AggState>(node.aggs().size()));
-    group_order.push_back(JoinKey{});
-  }
-
-  std::vector<Row> out;
-  out.reserve(group_order.size());
-  for (const JoinKey& key : group_order) {
-    const std::vector<AggState>& states = groups.at(key);
-    Row row = key.values;
-    for (size_t i = 0; i < node.aggs().size(); ++i) {
-      row.push_back(FinalizeAgg(states[i], node.aggs()[i].func));
-    }
-    out.push_back(std::move(row));
   }
   return out;
 }
@@ -1917,7 +1624,7 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
 
   // Parallel: a worker-count-independent exchange. Arrival is a counter each
   // segment bumps when it deposits; a segment whose peers are outstanding
-  // suspends (registers a continuation and unwinds) instead of blocking a
+  // suspends (unwinds, then registers a continuation) instead of blocking a
   // worker, and the last arriver builds the buffers and reschedules the
   // suspended peers.
   {
@@ -1948,20 +1655,17 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
           scheduler_->Submit([this, waiter]() { RunSegmentTask(waiter); });
         }
       } else {
-        // The abort check under the exchange lock pairs with SignalAbort's
-        // drain: registering after the drain implies the flag is visible
-        // here, so no waiter can strand.
-        if (abort_flag_.load(std::memory_order_acquire)) return AbortedStatus();
-        exchange.waiters.push_back(segment);
+        // Suspend; RunSegmentTask registers the continuation once the walk
+        // has unwound.
+        seg_run_[static_cast<size_t>(segment)].suspended_at = &exchange;
         return SuspendedStatus();
       }
     } else if (!exchange.built) {
       // A resumed re-walk normally finds its suspension point built; being
       // here means a stray resume (or a future multi-resume policy) raced
-      // the build. Re-register — some peer has yet to arrive (or the abort
-      // below fires), so a resume is guaranteed.
-      if (abort_flag_.load(std::memory_order_acquire)) return AbortedStatus();
-      exchange.waiters.push_back(segment);
+      // the build. Suspend again — some peer has yet to arrive (or an abort
+      // fires), so a resume is guaranteed.
+      seg_run_[static_cast<size_t>(segment)].suspended_at = &exchange;
       return SuspendedStatus();
     }
   }

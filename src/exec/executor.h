@@ -25,8 +25,8 @@ class SpillFileManager;
 
 /// Suspension sentinel for the morsel-driven parallel path (executor.cc):
 /// a segment task that reaches a Motion whose peers have not all arrived
-/// registers a continuation and unwinds by returning this status through
-/// the ordinary error plumbing. Operators with multi-child state to
+/// unwinds by returning this status through the ordinary error plumbing,
+/// and registers its continuation once fully unwound. Operators with multi-child state to
 /// preserve (HashJoin, Append, Sequence, fused-scan prefixes) test for it
 /// with IsSuspendedStatus before propagating. Never escapes the executor.
 Status SuspendedStatus();
@@ -65,7 +65,7 @@ struct ExecStats {
   /// Summaries published (one per filter per segment, plus one per
   /// cross-segment merge).
   size_t joinfilter_built = 0;
-  /// Probe rows tested row-at-a-time against a summary (predicate survivors
+  /// Probe rows tested against a summary (predicate survivors
   /// at Filter consumers; all slice rows at bare-scan consumers).
   size_t joinfilter_probed = 0;
   /// Probed rows rejected (NULL key, out of build min/max, or bloom miss).
@@ -78,8 +78,8 @@ struct ExecStats {
   size_t joinfilter_motion_rows_saved = 0;
 
   /// Memory-budget shedding counters (zero unless the query ran with a
-  /// limited QueryContext budget — so the {serial,parallel}x{row,vec}
-  /// bit-identity matrix, which runs budget-free, is unaffected). Shedding
+  /// limited QueryContext budget — so the serial/parallel bit-identity
+  /// matrix, which runs budget-free, is unaffected). Shedding
   /// order under pressure: join-filter summaries first, stale zone-map
   /// rebuilds second, and only then do mandatory charges fail the query with
   /// kResourceExhausted.
@@ -183,7 +183,7 @@ struct ExecStats {
 ///    real interconnect exchange, but arrival is a counter, not a blocked
 ///    thread: a segment that reaches a Motion deposits its rows, bumps the
 ///    arrival count, and — when peers are still outstanding — suspends by
-///    unwinding its task and registering a continuation; the last arriver
+///    unwinding its task, then registering a continuation; the last arriver
 ///    partitions the rows into per-destination buffers exactly once and
 ///    reschedules every suspended peer as a new task. No task ever blocks on
 ///    another, so any worker count — including one — makes progress, and
@@ -239,16 +239,9 @@ class Executor {
     /// Always rounded up to a whole number of 1024-row chunks so zone-map
     /// chunk skipping never straddles a morsel boundary.
     size_t morsel_rows = 0;
-    /// Run Filter/Project/HashJoin/HashAgg through the batch kernel path
-    /// (src/expr/vector_eval.h) with selection-vector scans and hashed join
-    /// pipelines (src/exec/vectorized.cc). Output rows and ExecStats are
-    /// bit-identical to the row-at-a-time path, which remains the correctness
-    /// oracle; composes with `parallel` (each segment worker runs its own
-    /// kernels).
-    bool vectorized = false;
     /// Consult chunk zone maps (storage/synopsis.h) to skip chunks and whole
-    /// slices a Filter's sargable predicate provably cannot match, in both
-    /// the row and vectorized paths. Output rows, ordering, error outcomes,
+    /// slices a Filter's sargable predicate provably cannot match. Output
+    /// rows, ordering, error outcomes,
     /// and the logical ExecStats counters are identical with it off — only
     /// the chunks_* / units_skipped counters (and time spent) change.
     bool data_skipping = true;
@@ -358,6 +351,10 @@ class Executor {
     /// the re-walk must spill regardless of what the budget says by then.
     /// Consumed (erased) once the probe child completes.
     std::unordered_set<const PhysicalNode*> spill_decided;
+    /// The exchange the walk suspended at. The segment task registers its
+    /// continuation there only after the walk has fully unwound, so no
+    /// re-walk can start while the entries above are still being written.
+    MotionExchange* suspended_at = nullptr;
   };
 
   /// Ensures scheduler_ points at a live pool (the injected one, or a
@@ -367,8 +364,9 @@ class Executor {
 
   /// The body of one segment task: binds the hub owner, runs the segment's
   /// plan walk, and either records the verdict in run_ (scheduling no
-  /// further work) or — when the walk suspended at a Motion — simply
-  /// returns, leaving the registered continuation to resume the chain.
+  /// further work) or — when the walk suspended at a Motion — registers the
+  /// continuation on that exchange (or resubmits it, if the exchange was
+  /// built meanwhile) and returns.
   void RunSegmentTask(int segment);
 
   /// Morsel body: process rows [begin, end) of one storage slice into `out`,
@@ -455,10 +453,9 @@ class Executor {
 
   // --- Out-of-core operators (src/exec/spill_exec.cc) -----------------------
   // Entered when TryChargeSpill refuses the corresponding in-memory state.
-  // One row-oriented implementation shared by the row and vectorized paths
-  // (so cross-path bit-identity of spilled results is structural). Each
-  // reproduces its in-memory oracle's output order exactly; see the file
-  // comment in spill_exec.cc for the order-restoration argument.
+  // Row-oriented implementations. Each reproduces its in-memory operator's
+  // output order exactly; see the file comment in spill_exec.cc for the
+  // order-restoration argument.
 
   /// Hybrid hash join fallback: partitions both inputs by a salted
   /// secondary hash into spill file pairs, recursively re-partitions
@@ -539,21 +536,16 @@ class Executor {
   Result<std::vector<Row>> ExecCheckedPartScan(const CheckedPartScanNode& node,
                                                int segment);
   Result<std::vector<Row>> ExecDynamicScan(const DynamicScanNode& node, int segment);
-  /// Partition-aware index access (row and vectorized paths share this
-  /// implementation; only residual evaluation dispatches on
-  /// Options::vectorized). One morsel-scheduler task per surviving unit when
-  /// morsels are eligible.
+  /// Partition-aware index access; the residual runs as a compiled kernel
+  /// over each unit's candidates. One morsel-scheduler task per surviving
+  /// unit when morsels are eligible.
   Result<std::vector<Row>> ExecDynamicIndexScan(const DynamicIndexScanNode& node,
                                                 int segment);
   Result<std::vector<Row>> ExecPartitionSelector(const PartitionSelectorNode& node,
                                                  int segment);
-  Result<std::vector<Row>> ExecFilter(const FilterNode& node, int segment);
-  Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
-  Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
   Result<std::vector<Row>> ExecNestedLoopJoin(const NestedLoopJoinNode& node,
                                               int segment);
   Result<std::vector<Row>> ExecIndexNLJoin(const IndexNLJoinNode& node, int segment);
-  Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);
   Result<std::vector<Row>> ExecSort(const SortNode& node, int segment);
   /// Bounded top-N: keeps the k rows a stable sort by `keys` would rank
   /// first, in that order — output is bit-identical to Limit(k) over
@@ -564,21 +556,17 @@ class Executor {
   Result<std::vector<Row>> ExecUpdate(const UpdateNode& node, int segment);
   Result<std::vector<Row>> ExecDelete(const DeleteNode& node, int segment);
 
-  // --- Vectorized operators (src/exec/vectorized.cc) ------------------------
-  // Selected by Options::vectorized; each produces rows and stats
-  // bit-identical to its row-at-a-time counterpart above.
+  // --- Batch-kernel operators (src/exec/vectorized.cc) ----------------------
 
   /// A Motion-free scan subtree a Filter can fuse with: optional Sequence
   /// prefixes (PartitionSelectors) followed by TableScan/DynamicScan/
-  /// CheckedPartScan leaves, possibly under an Append. Shared by the
-  /// vectorized fused filter and the row-path skipping filter
-  /// (src/exec/data_skipping.cc).
+  /// CheckedPartScan leaves, possibly under an Append.
   struct ScanFragment {
     /// Sequence prefix children (PartitionSelectors feeding DynamicScans),
     /// executed in order for their side effects before any scanning; their
     /// outputs are discarded, exactly as SequenceNode does.
     std::vector<PhysPtr> prefix;
-    /// The scan leaves, in the order the row path would scan them.
+    /// The scan leaves, in the order the unfused plan would scan them.
     std::vector<const PhysicalNode*> scans;
   };
 
@@ -590,38 +578,34 @@ class Executor {
   /// Runs `fn(store, table_oid, unit_oid)` for every storage unit the
   /// fragment's scan leaves cover on `segment`, applying each leaf kind's
   /// gating (replicated-on-segment-0, CheckedPartScan membership, DynamicScan
-  /// propagation) exactly as the unfused row operators do. The Sequence
+  /// propagation) exactly as the unfused scan operators do. The Sequence
   /// prefixes must already have been executed.
   Status ForEachScanUnit(const ScanFragment& frag, int segment,
                          const std::function<Status(const TableStore&, Oid, Oid)>& fn);
 
-  /// Row-path fused filter-over-scan with zone-map skipping
-  /// (src/exec/data_skipping.cc): evaluates the predicate row-at-a-time
-  /// directly over storage slices, consulting chunk synopses to skip chunks
-  /// (and whole slices via the rollup) the sargable prefix proves empty.
-  /// Bit-identical rows/order/errors/logical stats to the unfused path.
-  Result<std::vector<Row>> ExecFilterRowSkip(const FilterNode& node,
-                                             const ScanFragment& frag, int segment);
+  /// Join-filter probe over a selection: hashes each bound filter's key
+  /// columns over the selected rows in one batch pass, then tests every row
+  /// and compacts the survivors into `sel` in place. Counters go to `stats`
+  /// (a morsel-local shard inside morsel scans, the segment accumulator
+  /// elsewhere).
+  void ProbeJoinFilters(const std::vector<Row>& rows,
+                        const std::vector<BoundJoinFilter>& filters,
+                        ExecStats* stats, std::vector<uint32_t>* sel);
 
-  /// Vectorized join-filter probe: hashes each bound filter's key columns
-  /// over the surviving selection in one batch pass, then tests every row
-  /// and compacts the survivors into `sel` in place. Probe verdicts and
-  /// counter updates are identical to the row path's per-row RowMayMatch.
-  /// Counters go to `stats` (a morsel-local shard inside morsel scans, the
-  /// segment accumulator elsewhere).
-  void ProbeJoinFiltersVec(const std::vector<Row>& rows,
-                           const std::vector<BoundJoinFilter>& filters,
-                           ExecStats* stats, std::vector<uint32_t>* sel);
-
-  Result<std::vector<Row>> ExecFilterVec(const FilterNode& node, int segment);
+  /// Filter. Over a scan fragment it fuses with the scan
+  /// (ExecFusedFilterScan); otherwise it evaluates the predicate kernel over
+  /// the child's rows.
+  Result<std::vector<Row>> ExecFilter(const FilterNode& node, int segment);
   /// Fused filter-over-scan: evaluates the predicate in chunks directly over
-  /// TableStore::UnitRows slices via a selection vector; rows that fail the
-  /// predicate are never copied.
+  /// TableStore::UnitRows slices via a selection vector, skipping chunks and
+  /// whole slices by zone map (Options::data_skipping) and evaluating the
+  /// compilable prefix on encoded column chunks (Options::encoded_eval);
+  /// rows that fail the predicate are never copied.
   Result<std::vector<Row>> ExecFusedFilterScan(const FilterNode& node,
                                                const ScanFragment& frag, int segment);
-  Result<std::vector<Row>> ExecProjectVec(const ProjectNode& node, int segment);
-  Result<std::vector<Row>> ExecHashJoinVec(const HashJoinNode& node, int segment);
-  Result<std::vector<Row>> ExecHashAggVec(const HashAggNode& node, int segment);
+  Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
+  Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
+  Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);
 
   /// Scans one storage unit on one segment, appending (optionally
   /// rowid-extended) rows to `out` and recording stats against the segment's

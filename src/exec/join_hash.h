@@ -12,10 +12,11 @@
 namespace mppdb {
 
 /// Folds one datum into a running 64-bit join-key hash (FNV offset basis +
-/// boost-style combine). Both the row-at-a-time JoinKey hashing and the
-/// vectorized per-row key-hash precompute use this exact formula, so the two
-/// paths place identical hash codes into their hash tables — a prerequisite
-/// for bit-identical equal-range iteration order between the paths.
+/// boost-style combine). Both JoinKey hashing (spill partitions, grouping)
+/// and the batch per-row key-hash precompute (the in-memory hash join) use
+/// this exact formula, so both place identical hash codes into their hash
+/// tables — a prerequisite for bit-identical equal-range iteration order
+/// whether or not a join spills.
 inline uint64_t CombineKeyHash(uint64_t h, const Datum& value) {
   return h ^ (value.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
@@ -74,7 +75,7 @@ inline Result<std::vector<int>> ResolvePositions(const ColumnLayout& layout,
 }
 
 /// A join/group key viewed in place inside a materialized row, with its hash
-/// precomputed by a vectorized pass. Unlike JoinKey, no datums are copied:
+/// precomputed by a batch pass. Unlike JoinKey, no datums are copied:
 /// equality first compares the cached hashes (rejecting almost all bucket
 /// collisions with one integer compare) and only then falls back to
 /// positional datum comparison. Because Datum::Hash is equal for Equals()
@@ -106,7 +107,7 @@ struct RowKeyRefEq {
   }
 };
 
-/// Vectorized key-hash pass: computes the CombineKeyHash of `positions` for
+/// Batch key-hash pass: computes the CombineKeyHash of `positions` for
 /// every row, plus a has-null flag (NULL keys never join). One tight loop, no
 /// per-row datum copies.
 void HashRowKeys(const std::vector<Row>& rows, const std::vector<int>& positions,

@@ -1,19 +1,18 @@
 // Out-of-core execution (Executor::Options::spill; DESIGN.md §14).
 //
 // Entered when TryChargeSpill refuses the in-memory state of a hash join
-// build table, a hash aggregate's grouping state, or a sort buffer. One
-// row-oriented implementation serves both the row and vectorized paths, so
-// cross-path bit-identity of spilled results is structural; identity with
-// the *in-memory oracle* — the stats-only-visible invariant — rests on
-// three order-restoration arguments:
+// build table, a hash aggregate's grouping state, or a sort buffer.
+// Identity with the *in-memory oracle* (the in-memory operator) — the
+// stats-only-visible invariant — rests on three order-restoration
+// arguments:
 //
 //  * Hash join: spill partitioning preserves the relative order of rows on
 //    each side, and every row of a join key lands in exactly one partition.
-//    A partition joined in memory uses the oracle's own hash-table code
-//    over rows inserted in original relative order, so each probe row's
-//    matches come out in the oracle's per-key order (libstdc++ iterates an
-//    equal-key bucket chain in reverse insertion order — the same property
-//    the vectorized path's bucket-layout identity already relies on). Probe
+//    A partition joined in memory uses a hash table with the oracle's hash
+//    codes and equality (JoinKey vs RowKeyRef, see join_hash.h) over rows
+//    inserted in original relative order, so each probe row's matches come
+//    out in the oracle's per-key order (libstdc++ iterates an equal-key
+//    bucket chain in reverse insertion order). Probe
 //    rows carry their global input index as a prepended tag column; a final
 //    stable sort by (tag, emission rank) reassembles global probe order.
 //    The bounded-depth fallback never materializes the partition: it

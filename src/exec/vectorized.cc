@@ -1,17 +1,18 @@
-// Vectorized execution path (Executor::Options::vectorized).
+// Batch-kernel operators: Filter (fused with the scan below it when the
+// child is a scan fragment), Project, HashJoin and HashAgg evaluate their
+// expressions chunk-at-a-time through compiled kernel programs
+// (expr/vector_eval.h) over selection vectors. Results are independent of
+// chunking, morsel splits and parallelism. When several rows of a batch
+// would each raise an error, which of those errors surfaces is unspecified
+// (column-major evaluation), but whether the query fails is not (see
+// DESIGN.md §6).
 //
-// Operators here are drop-in replacements for their row-at-a-time
-// counterparts in executor.cc: same output rows in the same order, same
-// ExecStats, same success/failure behavior. The row path stays the
-// correctness oracle (the pattern PR 1 used for parallel vs serial); the
-// oracle tests in tests/vectorized_exec_test.cc assert bit-identical results
-// across the whole workload suite. The one documented deviation: when several
-// rows of a batch would each raise an error, the batch path may surface a
-// different one of those errors than strict row order would (column-major vs
-// row-major evaluation) — which error wins is unspecified, but ok/not-ok is
-// always identical (see DESIGN.md §6).
+// Also home of the scan-fragment grammar the fused filter-over-scan uses:
+// MatchScanFragment and ForEachScanUnit, which walk the storage units a
+// fragment's scan leaves cover with the same gating as the scan operators.
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -54,8 +55,8 @@ void IdentitySel(size_t base, size_t end, SelVec* sel) {
 }
 
 /// Batch kernel for the join-filter probe: the CombineKeyHash fold of the
-/// key columns for every row in `sel` (same formula as HashRowKeys, so the
-/// verdicts match the row path's RowMayMatch exactly).
+/// key columns for every row in `sel` (same formula as HashRowKeys and as
+/// the summary's own RowMayMatch).
 void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
                     const std::vector<int>& positions,
                     std::vector<uint64_t>* hashes) {
@@ -70,10 +71,9 @@ void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
 
 }  // namespace
 
-void Executor::ProbeJoinFiltersVec(const std::vector<Row>& rows,
-                                   const std::vector<BoundJoinFilter>& filters,
-                                   ExecStats* stats_out,
-                                   std::vector<uint32_t>* sel) {
+void Executor::ProbeJoinFilters(const std::vector<Row>& rows,
+                                const std::vector<BoundJoinFilter>& filters,
+                                ExecStats* stats_out, std::vector<uint32_t>* sel) {
   if (filters.empty() || sel->empty()) return;
   ExecStats& stats = *stats_out;
   std::vector<std::vector<uint64_t>> hashes(filters.size());
@@ -84,8 +84,8 @@ void Executor::ProbeJoinFiltersVec(const std::vector<Row>& rows,
   for (size_t i = 0; i < sel->size(); ++i) {
     const uint32_t r = (*sel)[i];
     ++stats.joinfilter_probed;
-    // Rejection is attributed to the first rejecting filter, like the row
-    // path, so the below-Motion rows_moved compensation is identical.
+    // Rejection is attributed to the first rejecting filter, which alone
+    // decides the below-Motion rows_moved compensation.
     const BoundJoinFilter* rejecter = nullptr;
     for (size_t f = 0; f < filters.size(); ++f) {
       if (!filters[f].summary->RowMayMatchHashed(rows[r], filters[f].key_positions,
@@ -110,8 +110,8 @@ void Executor::ProbeJoinFiltersVec(const std::vector<Row>& rows,
 bool Executor::MatchScanFragment(const PhysPtr& node, ScanFragment* out) {
   switch (node->kind()) {
     case PhysNodeKind::kTableScan:
-      // Rowid-emitting scans synthesize extra columns per row; they stay on
-      // the row path (DML plans, not hot scans).
+      // Rowid-emitting scans synthesize extra columns per row; they stay
+      // unfused (DML plans, not hot scans).
       if (!static_cast<const TableScanNode&>(*node).rowid_ids().empty()) return false;
       out->scans.push_back(node.get());
       return true;
@@ -140,7 +140,86 @@ bool Executor::MatchScanFragment(const PhysPtr& node, ScanFragment* out) {
   }
 }
 
-Result<std::vector<Row>> Executor::ExecFilterVec(const FilterNode& node, int segment) {
+// The synopsis chunk grid must coincide with the kernel batch grid, so the
+// fused filter-over-scan can skip per batch without re-chunking.
+static_assert(TableStore::kChunkRows == KernelContext::kDefaultChunkRows,
+              "storage chunk size must match the kernel batch size");
+
+Status Executor::ForEachScanUnit(
+    const ScanFragment& frag, int segment,
+    const std::function<Status(const TableStore&, Oid, Oid)>& fn) {
+  for (const PhysicalNode* scan : frag.scans) {
+    switch (scan->kind()) {
+      case PhysNodeKind::kTableScan: {
+        const auto& ts = static_cast<const TableScanNode&>(*scan);
+        const TableStore* store = storage_->GetStore(ts.table_oid());
+        if (store == nullptr) {
+          return Status::ExecutionError("no storage for table oid " +
+                                        std::to_string(ts.table_oid()));
+        }
+        // Replicated base tables produce rows on one segment only.
+        if (store->descriptor().distribution == TableDistribution::kReplicated &&
+            segment != 0) {
+          break;
+        }
+        MPPDB_RETURN_IF_ERROR(fn(*store, ts.table_oid(), ts.unit_oid()));
+        break;
+      }
+      case PhysNodeKind::kCheckedPartScan: {
+        const auto& cs = static_cast<const CheckedPartScanNode&>(*scan);
+        const TableStore* store = storage_->GetStore(cs.table_oid());
+        if (store == nullptr) {
+          return Status::ExecutionError("no storage for table oid " +
+                                        std::to_string(cs.table_oid()));
+        }
+        if (!hub_.HasChannel(segment, cs.scan_id())) {
+          return Status::ExecutionError(
+              "CheckedPartScan: no partition parameter for scan id " +
+              std::to_string(cs.scan_id()));
+        }
+        const std::vector<Oid>& selected = hub_.Selected(segment, cs.scan_id());
+        if (std::find(selected.begin(), selected.end(), cs.leaf_oid()) !=
+            selected.end()) {
+          MPPDB_RETURN_IF_ERROR(fn(*store, cs.table_oid(), cs.leaf_oid()));
+        }
+        break;
+      }
+      case PhysNodeKind::kDynamicScan: {
+        const auto& ds = static_cast<const DynamicScanNode&>(*scan);
+        const TableStore* store = storage_->GetStore(ds.table_oid());
+        if (store == nullptr) {
+          return Status::ExecutionError("no storage for table oid " +
+                                        std::to_string(ds.table_oid()));
+        }
+        if (!hub_.HasChannel(segment, ds.scan_id())) {
+          return Status::ExecutionError(
+              "DynamicScan executed before its PartitionSelector (scan id " +
+              std::to_string(ds.scan_id()) + ", segment " + std::to_string(segment) +
+              ")");
+        }
+        if (store->descriptor().distribution == TableDistribution::kReplicated &&
+            segment != 0) {
+          break;
+        }
+        for (Oid oid : hub_.Selected(segment, ds.scan_id())) {
+          if (!store->HasUnit(oid)) {
+            return Status::ExecutionError("selected partition oid " +
+                                          std::to_string(oid) +
+                                          " is not a leaf of table " +
+                                          std::to_string(ds.table_oid()));
+          }
+          MPPDB_RETURN_IF_ERROR(fn(*store, ds.table_oid(), oid));
+        }
+        break;
+      }
+      default:
+        return Status::Internal("unexpected scan kind in fused filter fragment");
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
   ScanFragment frag;
   if (MatchScanFragment(node.child(0), &frag)) {
     return ExecFusedFilterScan(node, frag, segment);
@@ -162,8 +241,8 @@ Result<std::vector<Row>> Executor::ExecFilterVec(const FilterNode& node, int seg
     MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(program, &ctx, rows, base, sel, &keep));
     // Join filters apply to predicate survivors only (identical error
     // behavior to filters off).
-    ProbeJoinFiltersVec(rows, join_filters, &seg_stats_[static_cast<size_t>(segment)],
-                        &keep);
+    ProbeJoinFilters(rows, join_filters, &seg_stats_[static_cast<size_t>(segment)],
+                     &keep);
     for (uint32_t r : keep) out.push_back(std::move(rows[r]));
   }
   return out;
@@ -194,9 +273,9 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
     compiled = CompileSargable(node.sargable(), layout);
   }
   const bool can_prune = compiled.CanPrune();
-  // Exactly-compiled conjunct prefix for column-oriented units (see
-  // ExecFilterRowSkip): the prefix runs on encoded chunks, the residual as a
-  // kernel program over the late-materialized survivors — whose selection
+  // Exactly-compiled conjunct prefix for column-oriented units
+  // (expr/encoded_eval.h): the prefix runs on encoded chunks, the residual as
+  // a kernel program over the late-materialized survivors — whose selection
   // vector feeds straight into the batch evaluator.
   const EncodedPredicate encoded =
       options_.encoded_eval ? CompileEncodedPredicate(node.predicate(), layout)
@@ -209,9 +288,12 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
                          BindJoinFilterProbes(node, layout, segment));
   std::vector<Row> out;
 
-  // Join-filter chunk skip, under the same license as the row skipping path
-  // (see ExecFilterRowSkip): never below a Motion, and only when the whole
-  // predicate is provably error-free on the chunk.
+  // A join filter may skip a whole chunk only when (a) no Motion sits between
+  // this Filter and the join — below a Motion the dropped rows' rows_moved
+  // compensation needs exact per-row predicate outcomes — and (b) the whole
+  // predicate is provably error-free on the chunk: unlike a predicate-driven
+  // skip, the dropped rows may *satisfy* the predicate, so no conjunct may be
+  // allowed to error behind the skip.
   auto join_filter_chunk_skip = [&](const ChunkSynopsis& chunk,
                                     ExecStats& stats) {
     if (join_filters.empty()) return false;
@@ -228,9 +310,9 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
 
   // Evaluates the predicate in chunks directly over the storage slice and
   // copies only the surviving rows — filtered-out tuples are never
-  // materialized. Stats are recorded exactly as ScanUnit would; the chunks_*
-  // accounting mirrors the row skipping path (ExecFilterRowSkip) so row and
-  // vectorized stats stay bit-identical. The chunk loop is morsel-ranged:
+  // materialized. Stats are recorded exactly as ScanUnit would, so the
+  // logical counters match an unfused Filter over the scan; only chunks_*
+  // and units_skipped reveal the skipping. The chunk loop is morsel-ranged:
   // chunk-aligned sub-ranges of the slice run as stealable tasks, each with
   // its own kernel context and stats shard, concatenated in range order.
   auto scan_unit_filtered = [&](const TableStore& store, Oid table_oid,
@@ -246,9 +328,8 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
           (rows.size() + TableStore::kChunkRows - 1) / TableStore::kChunkRows;
       if (can_prune || !join_filters.empty()) {
         // A shed synopsis rebuild (budget pressure) returns null: the slice
-        // scans unskipped, exactly like the row path. Acquired here, in the
-        // spawning task (the lazy rebuild is owner-confined); morsel bodies
-        // only read it.
+        // scans unskipped. Acquired here, in the spawning task (the lazy
+        // rebuild is owner-confined); morsel bodies only read it.
         synopsis = AcquireSynopsis(store, unit_oid, segment);
         if (synopsis != nullptr) {
           MPPDB_CHECK(synopsis->rollup.row_count == rows.size());
@@ -270,9 +351,8 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
                  cols, synopsis](size_t begin, size_t end, ExecStats* stats,
                                  std::vector<Row>* mout) -> Status {
       // TableStore::kChunkRows == KernelContext::kDefaultChunkRows
-      // (static_assert in data_skipping.cc), so batch boundaries land
-      // exactly on synopsis chunk boundaries and a skipped chunk is a
-      // skipped batch.
+      // (static_assert above), so batch boundaries land exactly on synopsis
+      // chunk boundaries and a skipped chunk is a skipped batch.
       KernelContext ctx;
       ctx.Prepare(program, TableStore::kChunkRows);
       KernelContext residual_ctx;
@@ -321,14 +401,14 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
           } else {
             keep = sel;
           }
-          ProbeJoinFiltersVec(rows, join_filters, stats, &keep);
+          ProbeJoinFilters(rows, join_filters, stats, &keep);
           for (uint32_t r : keep) mout->push_back(rows[r]);
           continue;
         }
         IdentitySel(base, chunk_end, &sel);
         MPPDB_RETURN_IF_ERROR(
             EvalPredicateBatch(program, &ctx, rows, base, sel, &keep));
-        ProbeJoinFiltersVec(rows, join_filters, stats, &keep);
+        ProbeJoinFilters(rows, join_filters, stats, &keep);
         for (uint32_t r : keep) mout->push_back(rows[r]);
       }
       return Status::OK();
@@ -340,7 +420,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
   return out;
 }
 
-Result<std::vector<Row>> Executor::ExecProjectVec(const ProjectNode& node, int segment) {
+Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segment) {
   MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   const size_t num_items = node.items().size();
@@ -376,27 +456,33 @@ Result<std::vector<Row>> Executor::ExecProjectVec(const ProjectNode& node, int s
   return out;
 }
 
-Result<std::vector<Row>> Executor::ExecHashJoinVec(const HashJoinNode& node,
-                                                   int segment) {
+Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
+                                                int segment) {
   // children[0] (build) runs to completion first — the property
   // PartitionSelector placement relies on.
   MPPDB_ASSIGN_OR_RETURN(std::vector<Row> build_rows, ExecNode(node.child(0), segment));
   ColumnLayout build_layout = node.child(0)->OutputLayout();
-  // One-shot effects guard, as in the row path: a probe-side Motion
-  // suspension must not re-charge the budget or re-publish the filter.
+  // One-shot effects, skipped when a probe-side Motion suspension already
+  // performed them on an earlier walk (the hub rejects a second publication
+  // of the same filter id, and the budget must not be charged twice).
   const bool effects_pending =
       !parallel_run_ ||
       seg_run_[static_cast<size_t>(segment)].effects_done.erase(&node) == 0;
   if (effects_pending) {
-    // Same charge formula and charge/publish order as the row path's build
-    // table, so budget outcomes are path-independent: mandatory table first,
-    // advisory summary second (the one that sheds under pressure).
+    // The build table pins every build row plus hash-table nodes for the
+    // whole probe phase: the query's dominant mandatory allocation. Charged
+    // before the advisory filter publication so that under budget pressure
+    // the optional summary sheds while the mandatory table still fits.
+    // String payloads count (RowsPayloadBytes), so wide-varchar builds
+    // don't undercharge and defeat the spill trigger.
     const size_t build_bytes =
         ApproxRowsBytes(build_rows.size(), build_layout.ids().size()) +
         RowsPayloadBytes(build_rows);
     if (options_.spill) {
-      // Refusal = spill, recorded in the segment memo exactly as in the row
-      // path (the probe child may suspend and unwind this frame).
+      // A refusal is the spill trigger, not a failure. The decision lands in
+      // the segment memo (not a local) because the probe child may suspend
+      // at a Motion and unwind this frame; it is consumed after the probe
+      // child completes.
       MPPDB_ASSIGN_OR_RETURN(bool charged, TryChargeSpill(segment, build_bytes));
       if (!charged) {
         seg_run_[static_cast<size_t>(segment)].spill_decided.insert(&node);
@@ -405,8 +491,10 @@ Result<std::vector<Row>> Executor::ExecHashJoinVec(const HashJoinNode& node,
       MPPDB_RETURN_IF_ERROR(
           ChargeBudget(segment, build_bytes, "hash join build table"));
     }
-    // Publish this segment's build-key summary before the probe child runs,
-    // exactly as the row path does.
+    // This segment's build-key summary goes out before the probe child runs,
+    // so probe-side consumers (same segment, same slice chain) can find it.
+    // Published when spilling too: filters are advisory (their own charges
+    // shed under pressure) and only ever reject non-joining probe rows.
     MPPDB_RETURN_IF_ERROR(
         PublishLocalJoinFilters(node, build_layout, build_rows, segment));
   }
@@ -428,22 +516,18 @@ Result<std::vector<Row>> Executor::ExecHashJoinVec(const HashJoinNode& node,
                          ResolvePositions(probe_layout, node.probe_keys()));
 
   if (seg_run_[static_cast<size_t>(segment)].spill_decided.erase(&node) > 0) {
-    // Out-of-core joins share one row-oriented implementation with the row
-    // path, so a spilled vectorized join is bit-identical to a spilled row
-    // join by construction (and both to the in-memory oracle).
     return SpillHashJoin(node, segment, std::move(build_rows),
                          std::move(probe_rows), build_layout, probe_layout,
                          build_pos, probe_pos);
   }
 
-  // Vectorized key passes: one tight loop per side computes every key's
-  // 64-bit hash and null flag up front. The hash table then stores only
-  // (hash, row pointer) — no JoinKey datum copies — and its equality check
-  // rejects almost every bucket collision with a single integer compare.
-  // The hash codes and equality verdicts are identical to the row path's
-  // JoinKey table (see join_hash.h), and with the same reserve and insertion
-  // sequence the bucket layout — and hence equal_range order and output row
-  // order — matches bit for bit.
+  // Batch key passes: one tight loop per side computes every key's 64-bit
+  // hash and null flag up front. The hash table then stores only (hash, row
+  // pointer) — no JoinKey datum copies — and its equality check rejects
+  // almost every bucket collision with a single integer compare. The hash
+  // codes and equality verdicts are those of a JoinKey table (see
+  // join_hash.h), which the spill path's per-partition joins build, so the
+  // output row order is the same whether or not the join spilled.
   std::vector<uint64_t> build_hashes, probe_hashes;
   std::vector<uint8_t> build_null, probe_null;
   HashRowKeys(build_rows, build_pos, &build_hashes, &build_null);
@@ -549,7 +633,7 @@ Result<std::vector<Row>> Executor::ExecHashJoinVec(const HashJoinNode& node,
   return out;
 }
 
-Result<std::vector<Row>> Executor::ExecHashAggVec(const HashAggNode& node, int segment) {
+Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segment) {
   MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<int> group_pos,
@@ -566,11 +650,13 @@ Result<std::vector<Row>> Executor::ExecHashAggVec(const HashAggNode& node, int s
     ctxs[i].Prepare(*programs[i], KernelContext::kDefaultChunkRows);
   }
 
-  // Grouping mirrors the row path exactly: same JoinKey map, same insertion
-  // order, same accumulation code (AccumulateAgg) in the same row order.
+  // Groups in first-appearance order, accumulated with the code the spill
+  // path shares (AccumulateAgg) in input row order.
   std::unordered_map<JoinKey, std::vector<AggState>, JoinKeyHash> groups;
   std::vector<JoinKey> group_order;
-  // Same per-group charge formula as the row path (see ExecHashAgg).
+  // Grouping state grows with distinct keys, not input rows — charge it
+  // incrementally as groups appear. String key payloads count on top of the
+  // fixed per-group estimate.
   const size_t group_bytes = ApproxRowsBytes(1, group_pos.size() + num_aggs);
   size_t charged_bytes = 0;
   bool spill = false;
@@ -621,10 +707,9 @@ Result<std::vector<Row>> Executor::ExecHashAggVec(const HashAggNode& node, int s
   }
 
   if (spill) {
-    // Same hand-off as the row path: release the partial charges and
-    // re-aggregate out-of-core from the intact input. The shared
-    // implementation makes the spilled vectorized result bit-identical to
-    // the spilled row result by construction.
+    // Hand the intact input to the out-of-core path, which re-aggregates
+    // from scratch partition by partition; the charges accumulated so far
+    // return to the pool (the spill path charges per partition instead).
     ctx_->budget().Release(charged_bytes);
     groups.clear();
     group_order.clear();

@@ -22,7 +22,7 @@ size_t NextPow2(size_t n) {
 }
 
 /// Combined key hash of `positions` inside `row` — the exact CombineKeyHash
-/// fold the join hash tables use, so the vectorized probe can reuse its
+/// fold the join hash tables use, so the batch probe can reuse its
 /// precomputed per-row key hashes against the bloom filter.
 uint64_t KeyHash(const Row& row, const std::vector<int>& positions) {
   uint64_t h = kKeyHashSeed;

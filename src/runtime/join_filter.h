@@ -78,7 +78,7 @@ struct JoinFilterSummary {
   /// `positions` index the key columns inside `row`.
   bool RowMayMatch(const Row& row, const std::vector<int>& positions) const;
 
-  /// RowMayMatch with the combined key hash precomputed: the vectorized
+  /// RowMayMatch with the combined key hash precomputed: the batch
   /// probe hashes a surviving selection vector in one batch pass, then tests
   /// each row here. `key_hash` must be the CombineKeyHash fold over the same
   /// positions (see exec/join_hash.h); verdicts are identical to

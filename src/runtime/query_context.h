@@ -17,11 +17,11 @@ namespace mppdb {
 /// Per-query execution context: a cooperative cancellation token, an optional
 /// deadline, a memory budget, and an optional fault injector. The executor
 /// checks it at batch granularity in every hot loop (CheckAlive), in Motion
-/// exchanges, and in ThreadPool task bodies, so Cancel() and deadline expiry
-/// terminate any query — serial or parallel, row or vectorized — within one
-/// batch, with a typed Status (kCancelled / kDeadlineExceeded), all threads
-/// joined, and storage untouched (DML re-checks liveness before applying any
-/// write, never mid-apply).
+/// exchanges, and in scheduler task bodies, so Cancel() and deadline expiry
+/// terminate any query — serial or parallel — within one batch, with a typed
+/// Status (kCancelled / kDeadlineExceeded), all threads joined, and storage
+/// untouched (DML re-checks liveness before applying any write, never
+/// mid-apply).
 ///
 /// Thread safety: Cancel/CheckAlive/ShouldStop are callable from any thread.
 /// Setters (deadline, budget limit, injector) must run before the query

@@ -150,7 +150,6 @@ Result<Row> DecodeRow(const std::string& data, size_t* offset) {
 Status DecodeBatchBody(const std::string& data, uint32_t num_rows,
                        std::vector<Row>* rows) {
   size_t offset = 0;
-  rows->reserve(rows->size() + num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     MPPDB_ASSIGN_OR_RETURN(Row row, DecodeRow(data, &offset));
     rows->push_back(std::move(row));

@@ -42,6 +42,9 @@ struct ParseExpr {
   std::vector<std::unique_ptr<ParseExpr>> args;  // children (kind-specific)
   std::unique_ptr<SelectStmt> subquery;          // kInSubquery
   int param_index = -1;
+  /// Levels in this subtree (1 for a leaf). The parser bounds it, so later
+  /// recursive passes over the tree cannot overflow the stack.
+  int height = 1;
 };
 
 using ParseExprPtr = std::unique_ptr<ParseExpr>;

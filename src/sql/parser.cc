@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "sql/lexer.h"
 
@@ -9,6 +11,14 @@ namespace {
 
 using sql_ast::ParseExpr;
 using sql_ast::ParseExprPtr;
+
+/// Deepest expression nesting a statement may have: parentheses, function
+/// arguments, subqueries, and NOT / unary-minus chains each add a level, and
+/// so does every operator of a binary chain (`a + b + c` is a tree of height
+/// 3). Every level costs several recursive-descent frames here and more in
+/// the binder and optimizer, so an unbounded depth would overflow the stack;
+/// past this bound the statement fails with kInvalidArgument instead.
+constexpr int kMaxExprNesting = 500;
 
 class Parser {
  public:
@@ -147,12 +157,22 @@ class Parser {
     return node;
   }
 
-  static ParseExprPtr MakeBinary(std::string op, ParseExprPtr left, ParseExprPtr right) {
+  /// Appends a child, keeping the parent's height current.
+  static void AddArg(ParseExpr* node, ParseExprPtr arg) {
+    node->height = std::max(node->height, arg->height + 1);
+    node->args.push_back(std::move(arg));
+  }
+
+  /// Binary operator node. Fails once the tree outgrows kMaxExprNesting, so
+  /// long left-deep chains (`a + a + ...`) are bounded like nesting is.
+  Result<ParseExprPtr> MakeBinary(std::string op, ParseExprPtr left,
+                                  ParseExprPtr right) const {
     auto node = MakeNode(ParseExpr::Kind::kBinary);
     node->text = std::move(op);
-    node->args.push_back(std::move(left));
-    node->args.push_back(std::move(right));
-    return node;
+    AddArg(node.get(), std::move(left));
+    AddArg(node.get(), std::move(right));
+    if (node->height > kMaxExprNesting) return NestingError();
+    return Result<ParseExprPtr>(std::move(node));
   }
 
   // --- Statements ----------------------------------------------------------
@@ -438,13 +458,36 @@ class Parser {
 
   // --- Expressions ---------------------------------------------------------
 
-  Result<ParseExprPtr> ParseExprTop() { return ParseOr(); }
+  /// Holds one level of expression nesting for its lifetime.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(int* depth) : depth_(depth) { ++*depth_; }
+    ~NestingGuard() { --*depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+    bool exceeded() const { return *depth_ > kMaxExprNesting; }
+
+   private:
+    int* depth_;
+  };
+
+  Status NestingError() const {
+    return Status::InvalidArgument(
+        "expression nesting exceeds " + std::to_string(kMaxExprNesting) +
+        " levels near offset " + std::to_string(Peek().position));
+  }
+
+  Result<ParseExprPtr> ParseExprTop() {
+    NestingGuard guard(&depth_);
+    if (guard.exceeded()) return NestingError();
+    return ParseOr();
+  }
 
   Result<ParseExprPtr> ParseOr() {
     MPPDB_ASSIGN_OR_RETURN(ParseExprPtr left, ParseAnd());
     while (AcceptKeyword("OR")) {
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParseAnd());
-      left = MakeBinary("OR", std::move(left), std::move(right));
+      MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("OR", std::move(left), std::move(right)));
     }
     return left;
   }
@@ -453,16 +496,18 @@ class Parser {
     MPPDB_ASSIGN_OR_RETURN(ParseExprPtr left, ParseNot());
     while (AcceptKeyword("AND")) {
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParseNot());
-      left = MakeBinary("AND", std::move(left), std::move(right));
+      MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("AND", std::move(left), std::move(right)));
     }
     return left;
   }
 
   Result<ParseExprPtr> ParseNot() {
     if (AcceptKeyword("NOT")) {
+      NestingGuard guard(&depth_);
+      if (guard.exceeded()) return NestingError();
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr inner, ParseNot());
       auto node = MakeNode(ParseExpr::Kind::kNot);
-      node->args.push_back(std::move(inner));
+      AddArg(node.get(), std::move(inner));
       return node;
     }
     return ParsePredicate();
@@ -485,28 +530,28 @@ class Parser {
     }
     if (AcceptKeyword("BETWEEN")) {
       auto node = MakeNode(ParseExpr::Kind::kBetween);
-      node->args.push_back(std::move(left));
+      AddArg(node.get(), std::move(left));
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr lo, ParseAdditive());
       MPPDB_RETURN_IF_ERROR(ExpectKeyword("AND"));
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr hi, ParseAdditive());
-      node->args.push_back(std::move(lo));
-      node->args.push_back(std::move(hi));
+      AddArg(node.get(), std::move(lo));
+      AddArg(node.get(), std::move(hi));
       return Negate(std::move(node), negated);
     }
     if (AcceptKeyword("IN")) {
       MPPDB_RETURN_IF_ERROR(ExpectSymbol("("));
       if (PeekKeyword("SELECT")) {
         auto node = MakeNode(ParseExpr::Kind::kInSubquery);
-        node->args.push_back(std::move(left));
+        AddArg(node.get(), std::move(left));
         MPPDB_ASSIGN_OR_RETURN(node->subquery, ParseSelect());
         MPPDB_RETURN_IF_ERROR(ExpectSymbol(")"));
         return Negate(std::move(node), negated);
       }
       auto node = MakeNode(ParseExpr::Kind::kInList);
-      node->args.push_back(std::move(left));
+      AddArg(node.get(), std::move(left));
       while (true) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr item, ParseExprTop());
-        node->args.push_back(std::move(item));
+        AddArg(node.get(), std::move(item));
         if (!AcceptSymbol(",")) break;
       }
       MPPDB_RETURN_IF_ERROR(ExpectSymbol(")"));
@@ -516,7 +561,7 @@ class Parser {
       bool is_not = AcceptKeyword("NOT");
       MPPDB_RETURN_IF_ERROR(ExpectKeyword("NULL"));
       auto node = MakeNode(ParseExpr::Kind::kIsNull);
-      node->args.push_back(std::move(left));
+      AddArg(node.get(), std::move(left));
       return Negate(std::move(node), is_not);
     }
     return left;
@@ -525,7 +570,7 @@ class Parser {
   static Result<ParseExprPtr> Negate(ParseExprPtr node, bool negated) {
     if (!negated) return node;
     auto wrapper = MakeNode(ParseExpr::Kind::kNot);
-    wrapper->args.push_back(std::move(node));
+    AddArg(wrapper.get(), std::move(node));
     return Result<ParseExprPtr>(std::move(wrapper));
   }
 
@@ -534,10 +579,10 @@ class Parser {
     while (true) {
       if (AcceptSymbol("+")) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParseMultiplicative());
-        left = MakeBinary("+", std::move(left), std::move(right));
+        MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("+", std::move(left), std::move(right)));
       } else if (AcceptSymbol("-")) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParseMultiplicative());
-        left = MakeBinary("-", std::move(left), std::move(right));
+        MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("-", std::move(left), std::move(right)));
       } else {
         return left;
       }
@@ -549,13 +594,13 @@ class Parser {
     while (true) {
       if (AcceptSymbol("*")) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParsePrimary());
-        left = MakeBinary("*", std::move(left), std::move(right));
+        MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("*", std::move(left), std::move(right)));
       } else if (AcceptSymbol("/")) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParsePrimary());
-        left = MakeBinary("/", std::move(left), std::move(right));
+        MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("/", std::move(left), std::move(right)));
       } else if (AcceptSymbol("%")) {
         MPPDB_ASSIGN_OR_RETURN(ParseExprPtr right, ParsePrimary());
-        left = MakeBinary("%", std::move(left), std::move(right));
+        MPPDB_ASSIGN_OR_RETURN(left, MakeBinary("%", std::move(left), std::move(right)));
       } else {
         return left;
       }
@@ -612,10 +657,10 @@ class Parser {
         auto node = MakeNode(ParseExpr::Kind::kFuncCall);
         node->text = func;
         if (node->text == "COUNT" && AcceptSymbol("*")) {
-          node->args.push_back(MakeNode(ParseExpr::Kind::kStar));
+          AddArg(node.get(), MakeNode(ParseExpr::Kind::kStar));
         } else {
           MPPDB_ASSIGN_OR_RETURN(ParseExprPtr arg, ParseExprTop());
-          node->args.push_back(std::move(arg));
+          AddArg(node.get(), std::move(arg));
         }
         MPPDB_RETURN_IF_ERROR(ExpectSymbol(")"));
         return Result<ParseExprPtr>(std::move(node));
@@ -627,10 +672,12 @@ class Parser {
       return inner;
     }
     if (AcceptSymbol("-")) {
+      NestingGuard guard(&depth_);
+      if (guard.exceeded()) return NestingError();
       MPPDB_ASSIGN_OR_RETURN(ParseExprPtr inner, ParsePrimary());
       auto zero = MakeNode(ParseExpr::Kind::kIntLit);
       zero->int_value = 0;
-      return Result<ParseExprPtr>(MakeBinary("-", std::move(zero), std::move(inner)));
+      return MakeBinary("-", std::move(zero), std::move(inner));
     }
     if (token.type == TokenType::kIdentifier) {
       auto node = MakeNode(ParseExpr::Kind::kColumn);
@@ -646,6 +693,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Current expression nesting (see kMaxExprNesting).
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -141,7 +141,6 @@ int64_t EncodedColumnChunk::PackedValueAt(size_t i) const {
 }
 
 void EncodedColumnChunk::AppendValuesTo(std::vector<Datum>* out) const {
-  out->reserve(out->size() + row_count);
   switch (encoding) {
     case ColumnEncoding::kDictionary:
       for (uint32_t code : codes) {

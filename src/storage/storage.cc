@@ -121,7 +121,10 @@ Status TableStore::InsertBatch(const std::vector<Row>& rows) {
     auto it = units_.find(slice.first);
     MPPDB_CHECK(it != units_.end());
     std::vector<Row>& slice_rows = it->second[static_cast<size_t>(slice.second)];
-    slice_rows.reserve(slice_rows.size() + count);
+    // Exact sizing only for a slice this call fills from empty; appends to a
+    // populated slice keep geometric growth (an exact reserve per insert
+    // would copy the whole slice every time).
+    if (slice_rows.empty()) slice_rows.reserve(count);
     slice_was_fresh[slice] = SynopsisFresh(slice.first, slice.second);
     BumpVersion(slice.first, slice.second);
   }

@@ -74,7 +74,7 @@ struct IndexBound {
 /// writer lock keeps out of any read's lifetime).
 class TableStore {
  public:
-  /// Rows per logical chunk (matches the vectorized executor's batch size).
+  /// Rows per logical chunk (matches the executor's kernel batch size).
   static constexpr size_t kChunkRows = kStorageChunkRows;
 
   TableStore(const TableDescriptor* desc, int num_segments);

@@ -11,7 +11,7 @@ namespace mppdb {
 /// Rows per storage chunk. Chunks are logical: a slice stays one contiguous
 /// row vector (row positions, rowids, and index entries are unchanged), and
 /// chunk c covers positions [c * kStorageChunkRows, (c+1) * kStorageChunkRows).
-/// Kept equal to KernelContext::kDefaultChunkRows so the vectorized fused
+/// Kept equal to KernelContext::kDefaultChunkRows so the fused
 /// filter's batch boundaries coincide with synopsis chunk boundaries.
 inline constexpr size_t kStorageChunkRows = 1024;
 

@@ -4,8 +4,8 @@
 // column-oriented table returns bit-identical rows and (modulo the encoded-
 // path counters, which are exactly what the fast path is allowed to change)
 // bit-identical ExecStats to the row-store oracle, across
-// {serial, parallel} x {row, vectorized} x {skipping on, off} x
-// {encoded eval on, off}, including error outcomes.
+// {serial, parallel} x {skipping on, off} x {encoded eval on, off},
+// including error outcomes.
 
 #include <gtest/gtest.h>
 
@@ -25,15 +25,9 @@ class ColumnarExecTest : public ::testing::Test {
   ColumnarExecTest()
       : row_(3),
         col_(3),
-        col_vec_(3, Executor::Options{.vectorized = true}),
         col_par_(3, Executor::Options{.parallel = true}),
-        col_par_vec_(3, Executor::Options{.parallel = true, .vectorized = true}),
         col_noskip_(3, Executor::Options{.data_skipping = false}),
-        col_noskip_vec_(3, Executor::Options{.vectorized = true,
-                                             .data_skipping = false}),
         col_noenc_(3, Executor::Options{.encoded_eval = false}),
-        col_noenc_vec_(3, Executor::Options{.vectorized = true,
-                                            .encoded_eval = false}),
         mixed_(3) {
     Random rng(9001);
     std::vector<Row> sales_rows;
@@ -83,13 +77,10 @@ class ColumnarExecTest : public ::testing::Test {
   }
 
   std::vector<Database*> AllDbs() {
-    return {&row_,        &col_,        &col_vec_,    &col_par_,
-            &col_par_vec_, &col_noskip_, &col_noskip_vec_,
-            &col_noenc_,  &col_noenc_vec_, &mixed_};
+    return {&row_, &col_, &col_par_, &col_noskip_, &col_noenc_, &mixed_};
   }
   std::vector<Database*> ColumnDbs() {
-    return {&col_,        &col_vec_,    &col_par_,       &col_par_vec_,
-            &col_noskip_, &col_noskip_vec_, &col_noenc_, &col_noenc_vec_};
+    return {&col_, &col_par_, &col_noskip_, &col_noenc_};
   }
 
   // The encoded fast path may only change its own counters; everything the
@@ -121,7 +112,6 @@ class ColumnarExecTest : public ::testing::Test {
       const bool skipping = db->exec_options().data_skipping;
       EXPECT_TRUE(reference->rows == mode->rows)
           << sql << " (parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized
           << " skipping=" << skipping
           << " encoded=" << db->exec_options().encoded_eval << ")";
       ExecStats mode_stats = mode->stats;
@@ -129,13 +119,10 @@ class ColumnarExecTest : public ::testing::Test {
       if (skipping) {
         EXPECT_TRUE(reference->stats == mode_stats)
             << sql << " (parallel=" << db->exec_options().parallel
-            << " vectorized=" << db->exec_options().vectorized
             << " encoded=" << db->exec_options().encoded_eval << ")";
       } else {
         ZeroSkipCounters(&mode_stats);
-        EXPECT_TRUE(reference_noskip == mode_stats)
-            << sql << " (skipping off, vectorized="
-            << db->exec_options().vectorized << ")";
+        EXPECT_TRUE(reference_noskip == mode_stats) << sql << " (skipping off)";
       }
     }
     auto mixed = mixed_.Run(sql);
@@ -148,13 +135,9 @@ class ColumnarExecTest : public ::testing::Test {
 
   Database row_;
   Database col_;
-  Database col_vec_;
   Database col_par_;
-  Database col_par_vec_;
   Database col_noskip_;
-  Database col_noskip_vec_;
   Database col_noenc_;
-  Database col_noenc_vec_;
   Database mixed_;
 };
 
@@ -210,7 +193,9 @@ TEST_F(ColumnarExecTest, ErrorOutcomesMatchRowOracle) {
   ASSERT_FALSE(reference.ok());
   for (Database* db : ColumnDbs()) {
     auto mode = db->Run(sql);
-    ASSERT_FALSE(mode.ok()) << "vectorized=" << db->exec_options().vectorized;
+    ASSERT_FALSE(mode.ok()) << "parallel=" << db->exec_options().parallel
+                            << " skipping=" << db->exec_options().data_skipping
+                            << " encoded=" << db->exec_options().encoded_eval;
     EXPECT_EQ(mode.status().code(), reference.status().code());
   }
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,6 +240,40 @@ TEST_F(PlanCacheTest, LruEvictsOldestBeyondCapacity) {
   EXPECT_NE(cache.Lookup("c"), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCacheClaimTest, ConcurrentMissesCompileOnce) {
+  PlanCache cache;
+  std::unique_ptr<PlanCache::CompileClaim> claim;
+  ASSERT_EQ(cache.Lookup("k", &claim), nullptr);
+  ASSERT_NE(claim, nullptr);
+
+  // A second lookup of the claimed key waits for the claim, then takes the
+  // published plan as a hit instead of compiling it again.
+  std::unique_ptr<PlanCache::CompileClaim> second_claim;
+  std::atomic<bool> returned{false};
+  std::shared_ptr<const CachedPlan> seen;
+  std::thread waiter([&] {
+    seen = cache.Lookup("k", &second_claim);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  auto entry = std::make_shared<CachedPlan>();
+  cache.Insert("k", entry);
+  claim.reset();
+  waiter.join();
+  EXPECT_EQ(seen, entry);
+  EXPECT_EQ(second_claim, nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // A claim released without publishing (failed or uncacheable compile)
+  // hands the key to the next caller.
+  ASSERT_EQ(cache.Lookup("q", &claim), nullptr);
+  claim.reset();
+  EXPECT_EQ(cache.Lookup("q", &second_claim), nullptr);
+  EXPECT_NE(second_claim, nullptr);
 }
 
 TEST_F(PlanCacheTest, DateStringCoercionMatchesBinderVerdicts) {

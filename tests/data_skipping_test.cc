@@ -441,26 +441,34 @@ TEST_F(DataSkippingExecTest, SelectiveEqualitySkipsNearlyEverything) {
   EXPECT_GT(stats.chunks_skipped, stats.chunks_total / 2);
 }
 
-TEST_F(DataSkippingExecTest, VectorizedPathSkipsIdentically) {
+TEST_F(DataSkippingExecTest, ParallelMorselsSkipIdentically) {
   PhysPtr plan =
       FilterOverAllLeaves(fact_, MakeComparison(CompareOp::kLt, ColA(), Lit(2000)));
-  auto row_result = db_.executor.Execute(plan);
-  ASSERT_TRUE(row_result.ok());
+  auto serial_result = db_.executor.Execute(plan);
+  ASSERT_TRUE(serial_result.ok());
 
-  Executor vec(&db_.catalog, &db_.storage, Executor::Options{.vectorized = true});
-  auto vec_result = vec.Execute(plan);
-  ASSERT_TRUE(vec_result.ok());
-  EXPECT_TRUE(*row_result == *vec_result);
-  // Including the skip counters: both paths make identical skip decisions.
-  EXPECT_TRUE(db_.executor.stats() == vec.stats());
-  EXPECT_GT(vec.stats().chunks_skipped, 0u);
+  // 1024-row morsels put every chunk in its own stealable range.
+  Executor parallel(&db_.catalog, &db_.storage,
+                    Executor::Options{.parallel = true,
+                                      .max_workers = 4,
+                                      .morsel_rows = 1024});
+  auto parallel_result = parallel.Execute(plan);
+  ASSERT_TRUE(parallel_result.ok());
+  EXPECT_TRUE(*serial_result == *parallel_result);
+  // Including the skip counters: per-morsel decisions add up to the serial
+  // ones.
+  EXPECT_TRUE(db_.executor.stats() == parallel.stats());
+  EXPECT_GT(parallel.stats().chunks_skipped, 0u);
 
-  Executor vec_noskip(&db_.catalog, &db_.storage,
-                      Executor::Options{.vectorized = true, .data_skipping = false});
-  auto vec_noskip_result = vec_noskip.Execute(plan);
-  ASSERT_TRUE(vec_noskip_result.ok());
-  EXPECT_TRUE(*row_result == *vec_noskip_result);
-  EXPECT_EQ(vec_noskip.stats().chunks_skipped, 0u);
+  Executor parallel_noskip(&db_.catalog, &db_.storage,
+                           Executor::Options{.parallel = true,
+                                             .max_workers = 4,
+                                             .morsel_rows = 1024,
+                                             .data_skipping = false});
+  auto parallel_noskip_result = parallel_noskip.Execute(plan);
+  ASSERT_TRUE(parallel_noskip_result.ok());
+  EXPECT_TRUE(*serial_result == *parallel_noskip_result);
+  EXPECT_EQ(parallel_noskip.stats().chunks_skipped, 0u);
 }
 
 TEST_F(DataSkippingExecTest, SkippingTracksInPlaceDml) {

@@ -1,13 +1,13 @@
 // Fault-matrix property test: random SQL queries over a partitioned star
 // schema, executed under every named fault point × fault kind ×
-// {serial, parallel} × {row, vectorized} — plus a morsel-scheduler mode with
+// {serial, parallel} — plus a morsel-scheduler mode with
 // the pool (4 workers) wider than the segment count (3), so faults fire
 // across Motion suspension/resume and continuation rescheduling — with
 // query-level transient retries enabled. The contract for every cell of the
 // matrix:
 //
 //   - success means BIT-IDENTICAL rows and ExecStats to the fault-free
-//     serial row-at-a-time oracle (a cured transient retry leaves no trace);
+//     serial oracle (a cured transient retry leaves no trace);
 //   - failure means a clean typed Status from the resilience taxonomy —
 //     never a hang, a crash, or an untyped error;
 //   - the Database (executor, hub, exchanges, join filters) is immediately
@@ -40,13 +40,9 @@ class FaultMatrixTest : public ::testing::Test {
   FaultMatrixTest()
       : db_(3),
         db_parallel_(3, Executor::Options{.parallel = true}),
-        db_vectorized_(3, Executor::Options{.vectorized = true}),
-        db_parallel_vec_(3,
-                         Executor::Options{.parallel = true, .vectorized = true}),
         db_parallel_morsel_(3, Executor::Options{.parallel = true,
                                                  .max_workers = 4,
-                                                 .morsel_rows = 1024,
-                                                 .vectorized = true}) {
+                                                 .morsel_rows = 1024}) {
     Random rng(20260807);
     std::vector<Row> fact_rows;
     for (int i = 0; i < 500; ++i) {
@@ -77,8 +73,7 @@ class FaultMatrixTest : public ::testing::Test {
   }
 
   std::vector<Database*> AllModes() {
-    return {&db_, &db_parallel_, &db_vectorized_, &db_parallel_vec_,
-            &db_parallel_morsel_};
+    return {&db_, &db_parallel_, &db_parallel_morsel_};
   }
 
   std::string RandomPredicate(Random* rng) {
@@ -127,8 +122,6 @@ class FaultMatrixTest : public ::testing::Test {
 
   Database db_;
   Database db_parallel_;
-  Database db_vectorized_;
-  Database db_parallel_vec_;
   Database db_parallel_morsel_;
 };
 
@@ -137,15 +130,15 @@ TEST_F(FaultMatrixTest, EveryFaultPointInEveryModeIsIdenticalOrTyped) {
   const std::vector<std::string> queries = RandomQueries(&rng);
 
   for (const std::string& sql : queries) {
-    // Fault-free oracle: serial row-at-a-time.
+    // Fault-free oracle: serial.
     auto oracle = db_.Run(sql);
     ASSERT_TRUE(oracle.ok()) << sql << "\n" << oracle.status().ToString();
 
     for (Database* db : AllModes()) {
       const std::string mode =
           std::string(" [parallel=") +
-          (db->exec_options().parallel ? "1" : "0") + " vectorized=" +
-          (db->exec_options().vectorized ? "1" : "0") + "]";
+          (db->exec_options().parallel ? "1" : "0") +
+          " morsel_rows=" + std::to_string(db->exec_options().morsel_rows) + "]";
       for (const char* point : FaultInjector::kPoints) {
         for (FaultKind kind : {FaultKind::kTransient, FaultKind::kFatal}) {
           FaultInjector injector(rng.Next());
@@ -254,11 +247,8 @@ TEST(SpillFaultMatrixTest, SpillPointsAreCuredOrTypedAndLeakFree) {
 
   const Executor::Options modes[] = {
       {},
-      {.vectorized = true},
       {.parallel = true},
-      {.parallel = true, .vectorized = true},
-      {.parallel = true, .max_workers = 4, .morsel_rows = 1024,
-       .vectorized = true},
+      {.parallel = true, .max_workers = 4, .morsel_rows = 1024},
   };
 
   Random rng(20260809);
@@ -304,7 +294,7 @@ TEST(SpillFaultMatrixTest, SpillPointsAreCuredOrTypedAndLeakFree) {
               (kind == FaultKind::kTransient ? " transient" : " fatal") +
               " max_fires=" + std::to_string(max_fires) +
               " parallel=" + (mode.parallel ? "1" : "0") +
-              " vectorized=" + (mode.vectorized ? "1" : "0");
+              " morsel_rows=" + std::to_string(mode.morsel_rows);
           EXPECT_GT(injector.hits(point), 0u) << cell << ": query never spilled";
           if (kind == FaultKind::kTransient && max_fires == 1) {
             // One transient fire, then the query-level retry completes.

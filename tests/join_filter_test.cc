@@ -1,8 +1,8 @@
 // Runtime join-filter correctness suite.
 //
 // The hard invariant under test: join filters never change results or any
-// pre-existing ExecStats counter — across {serial, parallel} x {row,
-// vectorized} x {data skipping on, off} — and every observable difference is
+// pre-existing ExecStats counter — across {serial, parallel} x {data
+// skipping on, off} — and every observable difference is
 // confined to the joinfilter_* counter family. On top of that, the suite
 // pins down the semantic corners: an empty build side rejects every probe
 // row, NULL join keys never pass a filter, filtering below a Redistribute
@@ -134,12 +134,10 @@ std::vector<Executor::Options> ExecutorModeMatrix(bool with_noskip) {
   std::vector<Executor::Options> modes = {
       {},
       {.parallel = true},
-      {.vectorized = true},
-      {.parallel = true, .vectorized = true},
   };
   if (with_noskip) {
     modes.push_back({.data_skipping = false});
-    modes.push_back({.vectorized = true, .data_skipping = false});
+    modes.push_back({.parallel = true, .data_skipping = false});
   }
   return modes;
 }

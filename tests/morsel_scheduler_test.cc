@@ -63,14 +63,6 @@ TEST(MorselSchedulerTest, TasksCarryMoveOnlyState) {
   });
   latch.Wait();
   EXPECT_EQ(result.load(), 42);
-
-  // Same through the plain ThreadPool (satellite: Submit takes TaskFn).
-  ThreadPool pool(2);
-  auto p2 = std::make_unique<int>(7);
-  std::future<void> done =
-      pool.Submit([p2 = std::move(p2), &result]() mutable { result.store(*p2); });
-  done.wait();
-  EXPECT_EQ(result.load(), 7);
 }
 
 TEST(MorselSchedulerTest, CurrentWorkerIdentity) {

@@ -1,10 +1,9 @@
 // Concurrency stress: a PartitionSelector/DynamicScan join executed
-// repeatedly on 8 segments in parallel mode — row-at-a-time and vectorized —
-// to shake out races in PartitionPropagationHub, the Motion exchange barrier,
-// the per-segment stats accumulators, and the per-worker kernel contexts of
-// the batch path. Built and run under ThreadSanitizer by the
-// tsan_parallel_stress ctest entry (see tests/CMakeLists.txt), where any
-// race fails the build instead of flaking.
+// repeatedly on 8 segments in parallel mode to shake out races in
+// PartitionPropagationHub, the Motion exchange barrier, the per-segment stats
+// accumulators, and the per-worker kernel contexts and join pipelines. Built
+// and run under ThreadSanitizer by the tsan_parallel_stress ctest entry (see
+// tests/CMakeLists.txt), where any race fails the build instead of flaking.
 
 #include <gtest/gtest.h>
 
@@ -88,44 +87,6 @@ TEST(ParallelStressTest, SelectorDynamicScanJoinOn8Segments) {
                              << result.status().ToString();
     ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
     ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
-  }
-}
-
-// Same selector/DynamicScan join hammered through the vectorized kernel path
-// composed with parallel mode: each segment worker owns its own kernel
-// contexts and join pipelines, so any shared mutable state in the batch path
-// shows up here (and as a race under the tsan_parallel_stress gate).
-TEST(ParallelStressTest, VectorizedParallelSelectorJoinOn8Segments) {
-  TestDb db(8);
-  const TableDescriptor* fact = db.CreateIntPartitionedTable("fact", 16);
-  std::vector<Row> fact_rows;
-  for (int64_t i = 0; i < 512; ++i) {
-    fact_rows.push_back({Datum::Int64(i), Datum::Int64(i % 160)});
-  }
-  db.Insert(fact, fact_rows);
-  const TableDescriptor* dim = db.CreatePlainTable(
-      "dim", Schema({{"id", TypeId::kInt64}, {"tag", TypeId::kInt64}}), {0});
-  std::vector<Row> dim_rows;
-  for (int64_t id : {3, 17, 42, 88, 131}) {
-    dim_rows.push_back({Datum::Int64(id), Datum::Int64(id * 2)});
-  }
-  db.Insert(dim, dim_rows);
-
-  PhysPtr plan = BuildSelectorJoinPlan(fact, dim);
-
-  auto oracle = db.executor.Execute(plan);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  ASSERT_FALSE(oracle->empty());
-  ExecStats oracle_stats = db.executor.stats();
-
-  Executor vec_parallel(&db.catalog, &db.storage,
-                        Executor::Options{.parallel = true, .vectorized = true});
-  for (int iteration = 0; iteration < 25; ++iteration) {
-    auto result = vec_parallel.Execute(plan);
-    ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
-                             << result.status().ToString();
-    ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
-    ASSERT_TRUE(vec_parallel.stats() == oracle_stats) << "iter " << iteration;
   }
 }
 
@@ -305,19 +266,13 @@ TEST(ParallelStressTest, JoinFilterPublicationRacesParallelProbeScans) {
   ASSERT_EQ(oracle_stats.joinfilter_built, 1u);
   ASSERT_GT(oracle_stats.joinfilter_motion_rows_saved, 0u);
 
-  for (const bool vectorized : {false, true}) {
-    Executor parallel(
-        &db.catalog, &db.storage,
-        Executor::Options{.parallel = true, .vectorized = vectorized});
-    for (int iteration = 0; iteration < 25; ++iteration) {
-      auto result = parallel.Execute(gather);
-      ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
-                               << result.status().ToString();
-      ASSERT_TRUE(*result == *oracle)
-          << "iter " << iteration << " vectorized=" << vectorized;
-      ASSERT_TRUE(parallel.stats() == oracle_stats)
-          << "iter " << iteration << " vectorized=" << vectorized;
-    }
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  for (int iteration = 0; iteration < 25; ++iteration) {
+    auto result = parallel.Execute(gather);
+    ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
+                             << result.status().ToString();
+    ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
+    ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
   }
 }
 
@@ -327,8 +282,8 @@ TEST(ParallelStressTest, JoinFilterPublicationRacesParallelProbeScans) {
 // sizes — pools smaller than the segment count force every Motion
 // suspension/resume path, and single-digit morsel sizes on a shared deque
 // force steals. Every combination must reproduce the serial oracle's rows
-// and stats bit for bit, in both the row and vectorized paths. Runs under
-// the tsan_parallel_stress gate with the rest of this target.
+// and stats bit for bit. Runs under the tsan_parallel_stress gate with the
+// rest of this target.
 TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
   TestDb db(4);
   const TableDescriptor* t = db.CreatePlainTable(
@@ -363,30 +318,24 @@ TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
   ExecStats oracle_stats = db.executor.stats();
 
   std::mt19937 rng(20260809);
-  for (const bool vectorized : {false, true}) {
-    for (int iteration = 0; iteration < 10; ++iteration) {
-      const int max_workers = 1 + static_cast<int>(rng() % 4);
-      // Random granularity in [1, 3000]: mostly unaligned, rounded up to a
-      // chunk multiple internally; small values mean many morsels per slice.
-      const size_t morsel_rows = 1 + rng() % 3000;
-      const bool morsels = iteration % 5 != 4;  // sprinkle morsels-off runs
-      Executor parallel(&db.catalog, &db.storage,
-                        Executor::Options{.parallel = true,
-                                          .max_workers = max_workers,
-                                          .morsels = morsels,
-                                          .morsel_rows = morsel_rows,
-                                          .vectorized = vectorized});
-      auto result = parallel.Execute(plan);
-      ASSERT_TRUE(result.ok())
-          << "vec=" << vectorized << " workers=" << max_workers
-          << " morsel_rows=" << morsel_rows << ": " << result.status().ToString();
-      ASSERT_TRUE(*result == *oracle)
-          << "vec=" << vectorized << " workers=" << max_workers
-          << " morsel_rows=" << morsel_rows;
-      ASSERT_TRUE(parallel.stats() == oracle_stats)
-          << "vec=" << vectorized << " workers=" << max_workers
-          << " morsel_rows=" << morsel_rows;
-    }
+  for (int iteration = 0; iteration < 20; ++iteration) {
+    const int max_workers = 1 + static_cast<int>(rng() % 4);
+    // Random granularity in [1, 3000]: mostly unaligned, rounded up to a
+    // chunk multiple internally; small values mean many morsels per slice.
+    const size_t morsel_rows = 1 + rng() % 3000;
+    const bool morsels = iteration % 5 != 4;  // sprinkle morsels-off runs
+    Executor parallel(&db.catalog, &db.storage,
+                      Executor::Options{.parallel = true,
+                                        .max_workers = max_workers,
+                                        .morsels = morsels,
+                                        .morsel_rows = morsel_rows});
+    auto result = parallel.Execute(plan);
+    ASSERT_TRUE(result.ok()) << "workers=" << max_workers << " morsel_rows="
+                             << morsel_rows << ": " << result.status().ToString();
+    ASSERT_TRUE(*result == *oracle)
+        << "workers=" << max_workers << " morsel_rows=" << morsel_rows;
+    ASSERT_TRUE(parallel.stats() == oracle_stats)
+        << "workers=" << max_workers << " morsel_rows=" << morsel_rows;
   }
 
   // Fault sweep through actual morsel splits: with dozens of morsels per
@@ -398,8 +347,7 @@ TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
   Executor faulty(&db.catalog, &db.storage,
                   Executor::Options{.parallel = true,
                                     .max_workers = 4,
-                                    .morsel_rows = 1024,
-                                    .vectorized = true});
+                                    .morsel_rows = 1024});
   for (const char* point : {"storage.scan_chunk", "motion.send", "motion.recv"}) {
     for (int iteration = 0; iteration < 6; ++iteration) {
       FaultInjector injector(static_cast<uint64_t>(iteration) * 7919 + 13);
@@ -456,38 +404,34 @@ TEST(ParallelStressTest, CancellationRacesParallelWorkers) {
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ExecStats oracle_stats = db.executor.stats();
 
-  for (const bool vectorized : {false, true}) {
-    Executor parallel(
-        &db.catalog, &db.storage,
-        Executor::Options{.parallel = true, .vectorized = vectorized});
-    for (int iteration = 0; iteration < 15; ++iteration) {
-      QueryContext ctx;
-      // The cancel lands at an arbitrary point of the run — before the first
-      // batch, mid-exchange, or after completion — and every landing must be
-      // clean: either a full oracle-identical result or typed kCancelled.
-      std::thread canceller([&ctx, iteration]() {
-        for (int spin = 0; spin < iteration * 97; ++spin) {
-          std::this_thread::yield();
-        }
-        ctx.Cancel();
-      });
-      auto result = parallel.Execute(plan, &ctx);
-      canceller.join();
-      if (result.ok()) {
-        ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
-        ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
-      } else {
-        ASSERT_EQ(result.status().code(), StatusCode::kCancelled)
-            << "iter " << iteration << ": " << result.status().ToString();
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  for (int iteration = 0; iteration < 15; ++iteration) {
+    QueryContext ctx;
+    // The cancel lands at an arbitrary point of the run — before the first
+    // batch, mid-exchange, or after completion — and every landing must be
+    // clean: either a full oracle-identical result or typed kCancelled.
+    std::thread canceller([&ctx, iteration]() {
+      for (int spin = 0; spin < iteration * 97; ++spin) {
+        std::this_thread::yield();
       }
-      // The run after a cancellation must be whole again.
-      ctx.Reset();
-      auto retry = parallel.Execute(plan, &ctx);
-      ASSERT_TRUE(retry.ok()) << "iter " << iteration << ": "
-                              << retry.status().ToString();
-      ASSERT_TRUE(*retry == *oracle) << "iter " << iteration;
+      ctx.Cancel();
+    });
+    auto result = parallel.Execute(plan, &ctx);
+    canceller.join();
+    if (result.ok()) {
+      ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
       ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
+    } else {
+      ASSERT_EQ(result.status().code(), StatusCode::kCancelled)
+          << "iter " << iteration << ": " << result.status().ToString();
     }
+    // The run after a cancellation must be whole again.
+    ctx.Reset();
+    auto retry = parallel.Execute(plan, &ctx);
+    ASSERT_TRUE(retry.ok()) << "iter " << iteration << ": "
+                            << retry.status().ToString();
+    ASSERT_TRUE(*retry == *oracle) << "iter " << iteration;
+    ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
   }
 }
 

@@ -10,23 +10,48 @@
 // query results, only the partitions touched.
 //
 // Each query additionally runs through the executor-mode matrix
-// {serial, parallel} x {row-at-a-time, vectorized} x {data skipping on, off}
-// x {morsels on, off, fine-grained} x {row-store, column-store, mixed-per-
-// partition} — the morsel legs use a 4-worker pool
-// above the 3 segments, and the fine-grained leg forces 1024-row morsels so
-// steals and per-morsel stat shards are exercised — asserting bit-identical
-// rows and ExecStats against the serial row-at-a-time oracle (zone-map skip
-// counters are zeroed before comparing on-vs-off, since those are exactly
-// what skipping is allowed to change), plus a runtime join-filter on/off
-// toggle whose only allowed stats difference is the joinfilter_* counter
-// family.
+// {serial, parallel} x {data skipping on, off} x {morsels on, off,
+// fine-grained} x {row-store, column-store, mixed-per-partition} — the
+// morsel legs use a 4-worker pool above the 3 segments, and the
+// fine-grained leg forces 1024-row morsels so steals and per-morsel stat
+// shards are exercised — asserting bit-identical rows and ExecStats against
+// the serial run (zone-map skip counters are zeroed before comparing
+// on-vs-off, since those are exactly what skipping is allowed to change),
+// plus a runtime join-filter on/off toggle whose only allowed stats
+// difference is the joinfilter_* counter family.
+//
+// Every configuration above is the engine checking itself. The last leg is
+// independent of it: when CMake finds SQLite3, the same fact/dim rows are
+// loaded into an in-memory SQLite database, every query runs there too, and
+// the result multisets must agree. The semantic mapping between the two:
+//   - Comparison is of multisets: both sides' rows are sorted before
+//     comparing, so row order (which only ORDER BY fixes) never matters.
+//   - Integers compare exactly; a value that is REAL on either side
+//     (avg(price), or sum over a double column) compares within a relative
+//     1e-9, since the engine's two-phase aggregation sums in a different
+//     order than SQLite.
+//   - NULL handling matches: comparisons are three-valued in both, and
+//     sum/min/max/avg over no rows are NULL while count is 0.
+//   - Integer division truncates toward zero in both. Division by zero
+//     differs (the engine fails the query, SQLite yields NULL), so the
+//     generator emits no division.
+// Without SQLite3 the leg is compiled out and SqliteOracleLeg reports a
+// GTEST_SKIP.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#if MPPDB_HAVE_SQLITE3
+#include <sqlite3.h>
+#endif
+
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/random.h"
 #include "db/database.h"
@@ -38,34 +63,198 @@ namespace {
 
 using testutil::SameRows;
 
+#if MPPDB_HAVE_SQLITE3
+/// One result cell, in the common vocabulary of both engines.
+using OracleCell = std::variant<std::monostate, int64_t, double, std::string>;
+using OracleRow = std::vector<OracleCell>;
+
+OracleCell ToOracleCell(const Datum& d) {
+  if (d.is_null()) return std::monostate{};
+  switch (d.type()) {
+    case TypeId::kDouble:
+      return d.double_value();
+    case TypeId::kString:
+      return d.string_value();
+    default:
+      return d.AsInt64();
+  }
+}
+
+bool IsNumericCell(const OracleCell& c) {
+  return std::holds_alternative<int64_t>(c) || std::holds_alternative<double>(c);
+}
+
+double CellAsDouble(const OracleCell& c) {
+  return std::holds_alternative<int64_t>(c)
+             ? static_cast<double>(std::get<int64_t>(c))
+             : std::get<double>(c);
+}
+
+/// Total order for sorting a multiset: NULL first, then numbers by value
+/// (ints and reals interleaved), then strings.
+bool CellLess(const OracleCell& a, const OracleCell& b) {
+  auto rank = [](const OracleCell& c) {
+    return std::holds_alternative<std::monostate>(c) ? 0 : IsNumericCell(c) ? 1 : 2;
+  };
+  if (rank(a) != rank(b)) return rank(a) < rank(b);
+  if (rank(a) == 1) return CellAsDouble(a) < CellAsDouble(b);
+  if (rank(a) == 2) return std::get<std::string>(a) < std::get<std::string>(b);
+  return false;
+}
+
+bool CellsMatch(const OracleCell& a, const OracleCell& b) {
+  if (std::holds_alternative<int64_t>(a) && std::holds_alternative<int64_t>(b)) {
+    return std::get<int64_t>(a) == std::get<int64_t>(b);
+  }
+  if (IsNumericCell(a) && IsNumericCell(b)) {
+    const double x = CellAsDouble(a);
+    const double y = CellAsDouble(b);
+    return std::fabs(x - y) <= 1e-9 * std::max({std::fabs(x), std::fabs(y), 1.0});
+  }
+  return a == b;
+}
+
+std::string CellToString(const OracleCell& c) {
+  if (std::holds_alternative<std::monostate>(c)) return "NULL";
+  if (std::holds_alternative<int64_t>(c)) return std::to_string(std::get<int64_t>(c));
+  if (std::holds_alternative<double>(c)) return std::to_string(std::get<double>(c));
+  return "'" + std::get<std::string>(c) + "'";
+}
+
+std::string RowsToString(const std::vector<OracleRow>& rows) {
+  std::string out;
+  for (const OracleRow& row : rows) {
+    out += "(";
+    for (size_t i = 0; i < row.size(); ++i) {
+      out += (i > 0 ? ", " : "") + CellToString(row[i]);
+    }
+    out += ")\n";
+  }
+  return out;
+}
+
+/// Multiset equality under CellsMatch.
+bool SameMultiset(std::vector<OracleRow> a, std::vector<OracleRow> b) {
+  auto row_less = [](const OracleRow& x, const OracleRow& y) {
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(), y.end(),
+                                        CellLess);
+  };
+  std::sort(a.begin(), a.end(), row_less);
+  std::sort(b.begin(), b.end(), row_less);
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      if (!CellsMatch(a[r][c], b[r][c])) return false;
+    }
+  }
+  return true;
+}
+
+/// An in-memory SQLite database holding the same rows as the engine's.
+class SqliteOracle {
+ public:
+  SqliteOracle() { MPPDB_CHECK(sqlite3_open(":memory:", &db_) == SQLITE_OK); }
+  ~SqliteOracle() { sqlite3_close(db_); }
+  SqliteOracle(const SqliteOracle&) = delete;
+  SqliteOracle& operator=(const SqliteOracle&) = delete;
+
+  void Exec(const std::string& sql) {
+    MPPDB_CHECK(sqlite3_exec(db_, sql.c_str(), nullptr, nullptr, nullptr) ==
+                SQLITE_OK);
+  }
+
+  /// Inserts `rows` into `table` through one prepared statement.
+  void Load(const std::string& table, const std::vector<Row>& rows) {
+    MPPDB_CHECK(!rows.empty());
+    Exec("BEGIN");
+    std::string sql = "INSERT INTO " + table + " VALUES (?";
+    for (size_t i = 1; i < rows[0].size(); ++i) sql += ", ?";
+    sql += ")";
+    sqlite3_stmt* stmt = nullptr;
+    MPPDB_CHECK(sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) == SQLITE_OK);
+    for (const Row& row : rows) {
+      sqlite3_reset(stmt);
+      for (size_t i = 0; i < row.size(); ++i) {
+        const int slot = static_cast<int>(i) + 1;
+        const Datum& d = row[i];
+        if (d.is_null()) {
+          sqlite3_bind_null(stmt, slot);
+        } else if (d.type() == TypeId::kDouble) {
+          sqlite3_bind_double(stmt, slot, d.double_value());
+        } else if (d.type() == TypeId::kString) {
+          sqlite3_bind_text(stmt, slot, d.string_value().c_str(), -1,
+                            SQLITE_TRANSIENT);
+        } else {
+          sqlite3_bind_int64(stmt, slot, d.AsInt64());
+        }
+      }
+      MPPDB_CHECK(sqlite3_step(stmt) == SQLITE_DONE);
+    }
+    sqlite3_finalize(stmt);
+    Exec("COMMIT");
+  }
+
+  /// Runs `sql`; false (with `error` set) if SQLite rejects it.
+  bool Query(const std::string& sql, std::vector<OracleRow>* rows,
+             std::string* error) {
+    sqlite3_stmt* stmt = nullptr;
+    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) != SQLITE_OK) {
+      *error = sqlite3_errmsg(db_);
+      return false;
+    }
+    int rc;
+    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) {
+      OracleRow row;
+      for (int c = 0; c < sqlite3_column_count(stmt); ++c) {
+        switch (sqlite3_column_type(stmt, c)) {
+          case SQLITE_INTEGER:
+            row.emplace_back(static_cast<int64_t>(sqlite3_column_int64(stmt, c)));
+            break;
+          case SQLITE_FLOAT:
+            row.emplace_back(sqlite3_column_double(stmt, c));
+            break;
+          case SQLITE_TEXT:
+            row.emplace_back(std::string(
+                reinterpret_cast<const char*>(sqlite3_column_text(stmt, c))));
+            break;
+          default:
+            row.emplace_back(std::monostate{});
+            break;
+        }
+      }
+      rows->push_back(std::move(row));
+    }
+    if (rc != SQLITE_DONE) *error = sqlite3_errmsg(db_);
+    sqlite3_finalize(stmt);
+    return rc == SQLITE_DONE;
+  }
+
+ private:
+  sqlite3* db_ = nullptr;
+};
+#endif  // MPPDB_HAVE_SQLITE3
+
 class RandomQueryTest : public ::testing::Test {
  protected:
   RandomQueryTest()
       : db_(3),
         db_parallel_(3, Executor::Options{.parallel = true}),
-        db_vectorized_(3, Executor::Options{.vectorized = true}),
-        db_parallel_vec_(3,
-                         Executor::Options{.parallel = true, .vectorized = true}),
         db_noskip_(3, Executor::Options{.data_skipping = false}),
-        db_noskip_vec_(3, Executor::Options{.vectorized = true,
-                                            .data_skipping = false}),
-        db_noskip_parallel_vec_(3, Executor::Options{.parallel = true,
-                                                     .vectorized = true,
-                                                     .data_skipping = false}),
+        db_noskip_parallel_(3, Executor::Options{.parallel = true,
+                                                 .data_skipping = false}),
         db_parallel_nomorsel_(3, Executor::Options{.parallel = true,
                                                    .max_workers = 4,
                                                    .morsels = false}),
         db_parallel_fine_(3, Executor::Options{.parallel = true,
                                                .max_workers = 4,
-                                               .morsel_rows = 1024,
-                                               .vectorized = true}),
+                                               .morsel_rows = 1024}),
         db_column_(3),
-        db_column_vec_(3, Executor::Options{.parallel = true, .vectorized = true}),
+        db_column_parallel_(3, Executor::Options{.parallel = true}),
         db_mixed_(3),
         db_nospill_(3, Executor::Options{.spill = false}),
-        db_nospill_parallel_vec_(3, Executor::Options{.parallel = true,
-                                                      .vectorized = true,
-                                                      .spill = false}) {
+        db_nospill_parallel_(3, Executor::Options{.parallel = true,
+                                                  .spill = false}) {
     Random rng(4242);
     std::vector<Row> fact_rows;
     for (int i = 0; i < 600; ++i) {
@@ -78,8 +267,8 @@ class RandomQueryTest : public ::testing::Test {
       dim_rows.push_back({Datum::Int64(k), Datum::Int64(k % 7),
                           Datum::String(k % 2 == 0 ? "even" : "odd")});
     }
-    // All four executor-mode databases carry identical storage contents, so
-    // any divergence below is an executor-mode difference.
+    // All executor-mode databases carry identical storage contents, so any
+    // divergence below is an executor-mode difference.
     for (Database* db : AllModes()) {
       // fact(sk, qty, price) partitioned on sk into 16 ranges of 25.
       MPPDB_CHECK(db->CreatePartitionedTable(
@@ -103,10 +292,10 @@ class RandomQueryTest : public ::testing::Test {
       MPPDB_CHECK(db->Run("CREATE INDEX ON fact (sk)").ok());
       MPPDB_CHECK(db->Run("CREATE INDEX ON dim (k)").ok());
     }
-    // Storage axis: same data, column-oriented (serial and parallel
-    // vectorized) and mixed-per-partition. Encoded-data evaluation may only
+    // Storage axis: same data, column-oriented (serial and parallel) and
+    // mixed-per-partition. Encoded-data evaluation may only
     // change its own counters, never rows or downstream stats.
-    for (Database* db : {&db_column_, &db_column_vec_}) {
+    for (Database* db : {&db_column_, &db_column_parallel_}) {
       MPPDB_CHECK(db->Run("ALTER TABLE fact SET WITH (orientation = column)").ok());
       MPPDB_CHECK(db->Run("ALTER TABLE dim SET WITH (orientation = column)").ok());
     }
@@ -116,14 +305,43 @@ class RandomQueryTest : public ::testing::Test {
                            " WITH (orientation = column)")
                       .ok());
     }
+#if MPPDB_HAVE_SQLITE3
+    sqlite_.Exec("CREATE TABLE fact (sk INTEGER, qty INTEGER, price REAL)");
+    sqlite_.Exec("CREATE TABLE dim (k INTEGER, grp INTEGER, tag TEXT)");
+    sqlite_.Load("fact", fact_rows);
+    sqlite_.Load("dim", dim_rows);
+#endif
   }
 
   std::vector<Database*> AllModes() {
-    return {&db_,        &db_parallel_,    &db_vectorized_,
-            &db_parallel_vec_, &db_noskip_, &db_noskip_vec_,
-            &db_noskip_parallel_vec_, &db_parallel_nomorsel_,
-            &db_parallel_fine_, &db_column_, &db_column_vec_, &db_mixed_,
-            &db_nospill_, &db_nospill_parallel_vec_};
+    return {&db_,          &db_parallel_,          &db_noskip_,
+            &db_noskip_parallel_, &db_parallel_nomorsel_, &db_parallel_fine_,
+            &db_column_,   &db_column_parallel_,   &db_mixed_,
+            &db_nospill_,  &db_nospill_parallel_};
+  }
+
+  /// The independent-oracle leg: `engine_rows` must equal SQLite's answer to
+  /// `sql` as a multiset (see the file comment for the mapping).
+  void CheckAgainstSqlite(const std::string& sql,
+                          const std::vector<Row>& engine_rows) {
+#if MPPDB_HAVE_SQLITE3
+    std::vector<OracleRow> expected;
+    std::string error;
+    ASSERT_TRUE(sqlite_.Query(sql, &expected, &error)) << sql << "\n" << error;
+    std::vector<OracleRow> actual;
+    for (const Row& row : engine_rows) {
+      OracleRow cells;
+      for (const Datum& d : row) cells.push_back(ToOracleCell(d));
+      actual.push_back(std::move(cells));
+    }
+    EXPECT_TRUE(SameMultiset(actual, expected))
+        << sql << "\nengine:\n" << RowsToString(actual) << "sqlite:\n"
+        << RowsToString(expected);
+    ++sqlite_checks_;
+#else
+    (void)sql;
+    (void)engine_rows;
+#endif
   }
 
   // Random predicate over the given column names (int-typed).
@@ -172,39 +390,38 @@ class RandomQueryTest : public ::testing::Test {
     auto reference = db_.Run(sql, reference_options);
     ASSERT_TRUE(reference.ok()) << sql << "\n" << reference.status().ToString();
 
-    // Executor-mode matrix: {serial, parallel} x {row, vectorized} x
-    // {morsels on, off, fine-grained} must be bit-identical — same rows in
-    // the same order, same ExecStats — with the serial row-at-a-time mode as
-    // the oracle.
-    for (Database* db : {&db_parallel_, &db_vectorized_, &db_parallel_vec_,
-                         &db_parallel_nomorsel_, &db_parallel_fine_}) {
+    // Independent oracle first: the serial run must match SQLite.
+    CheckAgainstSqlite(sql, reference->rows);
+
+    // Executor-mode matrix: serial vs parallel with morsels on, off and
+    // fine-grained must be bit-identical — same rows in the same order,
+    // same ExecStats.
+    for (Database* db : {&db_parallel_, &db_parallel_nomorsel_, &db_parallel_fine_}) {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (morsel_rows=" << db->exec_options().morsel_rows
+          << " morsels=" << db->exec_options().morsels << ")";
       EXPECT_TRUE(reference->stats == mode_result->stats)
-          << sql << " (parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (morsel_rows=" << db->exec_options().morsel_rows
+          << " morsels=" << db->exec_options().morsels << ")";
     }
 
     // Storage axis: row-store, column-store, and mixed-per-partition must
     // produce bit-identical rows, and bit-identical stats once the encoded-
     // path counters — the only thing the encoded fast path may change — are
     // zeroed on the columnar side.
-    for (Database* db : {&db_column_, &db_column_vec_, &db_mixed_}) {
+    for (Database* db : {&db_column_, &db_column_parallel_, &db_mixed_}) {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
       ExecStats mode_stats = mode_result->stats;
       ZeroEncodedCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (columnar, parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (columnar, parallel=" << db->exec_options().parallel << ")";
       EXPECT_TRUE(reference->stats == mode_stats)
-          << sql << " (columnar, parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (columnar, parallel=" << db->exec_options().parallel << ")";
     }
 
     // Skipping-off modes: identical rows, and identical stats once the skip
@@ -217,18 +434,16 @@ class RandomQueryTest : public ::testing::Test {
     reference_noskip.chunks_skipped = 0;
     reference_noskip.units_skipped = 0;
     ZeroJoinFilterCounters(&reference_noskip);
-    for (Database* db : {&db_noskip_, &db_noskip_vec_, &db_noskip_parallel_vec_}) {
+    for (Database* db : {&db_noskip_, &db_noskip_parallel_}) {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
       ExecStats mode_stats = mode_result->stats;
       ZeroJoinFilterCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (skipping off, parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (skipping off, parallel=" << db->exec_options().parallel << ")";
       EXPECT_TRUE(reference_noskip == mode_stats)
-          << sql << " (skipping off, parallel=" << db->exec_options().parallel
-          << " vectorized=" << db->exec_options().vectorized << ")";
+          << sql << " (skipping off, parallel=" << db->exec_options().parallel << ")";
     }
 
     // Runtime join filters are transparent: with filters disabled the same
@@ -298,19 +513,48 @@ class RandomQueryTest : public ::testing::Test {
 
   Database db_;
   Database db_parallel_;
-  Database db_vectorized_;
-  Database db_parallel_vec_;
   Database db_noskip_;
-  Database db_noskip_vec_;
-  Database db_noskip_parallel_vec_;
+  Database db_noskip_parallel_;
   Database db_parallel_nomorsel_;
   Database db_parallel_fine_;
   Database db_column_;
-  Database db_column_vec_;
+  Database db_column_parallel_;
   Database db_mixed_;
   Database db_nospill_;
-  Database db_nospill_parallel_vec_;
+  Database db_nospill_parallel_;
+#if MPPDB_HAVE_SQLITE3
+  SqliteOracle sqlite_;
+#endif
+  /// Queries the SQLite leg compared (stays 0 when it is compiled out).
+  size_t sqlite_checks_ = 0;
 };
+
+// The SQLite leg must actually run: every CheckAllConfigsAgree call counts
+// one comparison. Also pins the oracle itself on hand-checkable answers.
+TEST_F(RandomQueryTest, SqliteOracleLeg) {
+#if MPPDB_HAVE_SQLITE3
+  for (const char* sql :
+       {"SELECT count(*), sum(qty), min(sk), max(sk) FROM fact",
+        "SELECT count(*), sum(qty) FROM fact WHERE sk < 0",
+        "SELECT grp, count(*) FROM dim GROUP BY grp",
+        "SELECT count(*) FROM fact f JOIN dim d ON f.sk = d.k"}) {
+    CheckAllConfigsAgree(sql);
+  }
+  EXPECT_EQ(sqlite_checks_, 4u);
+  std::vector<OracleRow> empty_sum;
+  std::string error;
+  ASSERT_TRUE(
+      sqlite_.Query("SELECT count(*), sum(qty) FROM fact WHERE sk < 0", &empty_sum,
+                    &error))
+      << error;
+  ASSERT_EQ(empty_sum.size(), 1u);
+  EXPECT_TRUE(CellsMatch(empty_sum[0][0], OracleCell(int64_t{0})));
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(empty_sum[0][1]));
+#else
+  GTEST_SKIP() << "SQLite3 was not found at configure time; the independent "
+                  "oracle leg is compiled out";
+#endif
+}
 
 TEST_F(RandomQueryTest, SingleTableFilters) {
   Random rng(1);
@@ -355,7 +599,7 @@ TEST_F(RandomQueryTest, GroupByQueries) {
 }
 
 // Spill axis (DESIGN.md §14): random queries under random memory budgets,
-// spill on vs off, composed with {serial, parallel} × {row, vectorized}.
+// spill on vs off, composed with {serial, parallel}.
 // The property, per (query, budget, mode) cell:
 //   - if spill-off succeeds, the budget never constrained anything mandatory
 //     and spill-on must be bit-identical — rows, order, AND stats, so the
@@ -384,7 +628,7 @@ TEST_F(RandomQueryTest, SpillOnOffBudgetSweepAgrees) {
 
   const std::pair<Database*, Database*> pairs[] = {
       {&db_, &db_nospill_},
-      {&db_parallel_vec_, &db_nospill_parallel_vec_},
+      {&db_parallel_, &db_nospill_parallel_},
   };
   size_t spilled_cells = 0;  // cells where spilling rescued a refused query
   Random rng(6);

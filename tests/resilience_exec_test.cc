@@ -88,17 +88,14 @@ struct JoinFixture {
   ExecStats oracle_stats;
 };
 
-// All four executor modes every resilience behavior must hold in.
+// Both executor modes every resilience behavior must hold in.
 const Executor::Options kModes[] = {
-    {.parallel = false, .vectorized = false},
-    {.parallel = false, .vectorized = true},
-    {.parallel = true, .vectorized = false},
-    {.parallel = true, .vectorized = true},
+    {.parallel = false},
+    {.parallel = true},
 };
 
 std::string ModeName(const Executor::Options& mode) {
-  return std::string(mode.parallel ? "parallel" : "serial") + "/" +
-         (mode.vectorized ? "vec" : "row");
+  return mode.parallel ? "parallel" : "serial";
 }
 
 // --- Cancellation ---------------------------------------------------------

@@ -33,17 +33,14 @@ namespace {
 
 using testutil::TestDb;
 
-// All four executor modes; `spill` defaults on.
+// Both executor modes; `spill` defaults on.
 const Executor::Options kModes[] = {
-    {.parallel = false, .vectorized = false},
-    {.parallel = false, .vectorized = true},
-    {.parallel = true, .vectorized = false},
-    {.parallel = true, .vectorized = true},
+    {.parallel = false},
+    {.parallel = true},
 };
 
 std::string ModeName(const Executor::Options& mode) {
-  return std::string(mode.parallel ? "parallel" : "serial") + "/" +
-         (mode.vectorized ? "vec" : "row");
+  return mode.parallel ? "parallel" : "serial";
 }
 
 Executor::Options SpillOff(Executor::Options mode) {
@@ -96,7 +93,7 @@ ExecStats WithoutSpillCounters(ExecStats stats) {
 // --- Fixtures -------------------------------------------------------------
 
 // Single-segment database: handcrafted operator-rooted plans are
-// distribution-correct in all four modes, so budget refusals land exactly
+// distribution-correct in both modes, so budget refusals land exactly
 // where each test intends. (Multi-segment planner-made plans are covered by
 // the probe-side-Motion test below and the SQL-level suites.)
 struct SpillJoinFixture {

@@ -94,13 +94,37 @@ TEST_F(SqlFuzzTest, MutatedValidStatementsNeverCrash) {
 
 TEST_F(SqlFuzzTest, DeepNestingDoesNotOverflow) {
   // Heavily parenthesized expressions stress the recursive-descent parser.
-  std::string sql = "SELECT a FROM t WHERE ";
-  for (int i = 0; i < 200; ++i) sql += "(";
-  sql += "a = 1";
-  for (int i = 0; i < 200; ++i) sql += ")";
-  auto result = db_.Run(sql);
+  auto nested = [](int depth) {
+    return "SELECT a FROM t WHERE " + std::string(depth, '(') + "a = 1" +
+           std::string(depth, ')');
+  };
+  auto result = db_.Run(nested(200));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 1u);
+
+  // Past the parser's nesting bound every form of deep nesting — parentheses,
+  // NOT chains, unary-minus chains, and left-deep operator chains — fails
+  // with a typed error instead of overflowing the stack, and the database
+  // stays usable.
+  for (int depth : {10000, 100000}) {
+    std::string nots, sum = "a";
+    for (int i = 0; i < depth; ++i) {
+      nots += "NOT ";
+      sum += " + 1";
+    }
+    for (const std::string& sql :
+         {nested(depth), "SELECT a FROM t WHERE " + nots + "a = 1",
+          "SELECT a FROM t WHERE a = " + std::string(depth, '-') + "1",
+          "SELECT a FROM t WHERE a = " + sum}) {
+      auto deep = db_.Run(sql);
+      ASSERT_FALSE(deep.ok()) << "depth " << depth;
+      EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument)
+          << deep.status().ToString();
+      EXPECT_NE(deep.status().message().find("nesting"), std::string::npos)
+          << deep.status().ToString();
+    }
+  }
+  EXPECT_TRUE(db_.Run(nested(200)).ok());
 }
 
 }  // namespace

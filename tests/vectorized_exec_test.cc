@@ -1,8 +1,8 @@
-// Vectorized execution: the batch kernel path (Executor::Options::vectorized)
-// must be bit-identical to the row-at-a-time oracle — same rows in the same
-// order, same ExecStats — across the workload suites, in serial and parallel
-// mode, and the kernel evaluator itself must agree with EvalExpr on random
-// expression trees including every error path.
+// Batch-kernel execution: every workload query must return bit-identical
+// rows and ExecStats whether the plan runs serially or in parallel (with
+// default and with fine-grained morsels), runtime errors must surface as
+// typed statuses, and the kernel evaluator itself must agree with the
+// scalar EvalExpr on random expression trees including every error path.
 
 #include <gtest/gtest.h>
 
@@ -23,47 +23,60 @@
 namespace mppdb {
 namespace {
 
-// The row-at-a-time serial executor is the oracle; both vectorized modes
-// (serial and parallel) must reproduce its output exactly on every TPC-DS
-// workload query: static pruning, join-induced dynamic pruning, IN
-// subqueries, star joins, and aggregations.
-TEST(VectorizedOracleTest, TpcdsWorkloadBitIdenticalInSerialAndParallel) {
-  workload::TpcdsConfig config;
-  config.base_rows = 800;
-  Database oracle_db(4);
-  Database vec_db(4, Executor::Options{.vectorized = true});
-  Database vec_parallel_db(4, Executor::Options{.parallel = true, .vectorized = true});
-  for (Database* db : {&oracle_db, &vec_db, &vec_parallel_db}) {
-    ASSERT_TRUE(workload::CreateAndLoadTpcds(db, config).ok());
+/// Serial execution is the reference; a parallel run and a parallel run
+/// with 1024-row morsels (steals and per-morsel stat shards) must reproduce
+/// it exactly.
+struct SerialParallelDbs {
+  explicit SerialParallelDbs(int segments)
+      : serial(segments),
+        parallel(segments, Executor::Options{.parallel = true}),
+        parallel_fine(segments, Executor::Options{.parallel = true,
+                                                  .max_workers = 4,
+                                                  .morsel_rows = 1024}) {}
+
+  std::vector<Database*> All() { return {&serial, &parallel, &parallel_fine}; }
+
+  void ExpectAgree(const std::string& label, const std::string& sql) {
+    auto reference = serial.Run(sql);
+    ASSERT_TRUE(reference.ok()) << label << ": " << reference.status().ToString();
+    for (Database* db : {&parallel, &parallel_fine}) {
+      auto result = db->Run(sql);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      // Bit-identical: same rows in the same order, bitwise-equal datums, and
+      // the same partitions scanned / tuples read / rows moved.
+      EXPECT_TRUE(reference->rows == result->rows)
+          << label << " (morsel_rows=" << db->exec_options().morsel_rows << ")";
+      EXPECT_TRUE(reference->stats == result->stats)
+          << label << " (morsel_rows=" << db->exec_options().morsel_rows << ")";
+    }
   }
 
+  Database serial;
+  Database parallel;
+  Database parallel_fine;
+};
+
+// Every TPC-DS workload query: static pruning, join-induced dynamic pruning,
+// IN subqueries, star joins, and aggregations.
+TEST(BatchExecutionTest, TpcdsWorkloadBitIdenticalInSerialAndParallel) {
+  workload::TpcdsConfig config;
+  config.base_rows = 800;
+  SerialParallelDbs dbs(4);
+  for (Database* db : dbs.All()) {
+    ASSERT_TRUE(workload::CreateAndLoadTpcds(db, config).ok());
+  }
   for (const auto& query : workload::TpcdsQueries(config)) {
-    auto oracle = oracle_db.Run(query.sql);
-    auto vec = vec_db.Run(query.sql);
-    auto vec_parallel = vec_parallel_db.Run(query.sql);
-    ASSERT_TRUE(oracle.ok()) << query.name << ": " << oracle.status().ToString();
-    ASSERT_TRUE(vec.ok()) << query.name << ": " << vec.status().ToString();
-    ASSERT_TRUE(vec_parallel.ok())
-        << query.name << ": " << vec_parallel.status().ToString();
-    // Bit-identical: same rows in the same order, bitwise-equal datums, and
-    // the same partitions scanned / tuples read / rows moved.
-    EXPECT_TRUE(oracle->rows == vec->rows) << query.name;
-    EXPECT_TRUE(oracle->stats == vec->stats) << query.name;
-    EXPECT_TRUE(oracle->rows == vec_parallel->rows) << query.name;
-    EXPECT_TRUE(oracle->stats == vec_parallel->stats) << query.name;
+    dbs.ExpectAgree(query.name, query.sql);
   }
 }
 
-// Same oracle check over the TPC-H-style lineitem at 8 segments, hitting the
-// fused filter-over-scan path at several selectivities and the aggregation
-// pipeline.
-TEST(VectorizedOracleTest, TpchQueriesBitIdenticalAt8Segments) {
+// The TPC-H-style lineitem at 8 segments, hitting the fused filter-over-scan
+// path at several selectivities and the aggregation pipeline.
+TEST(BatchExecutionTest, TpchQueriesBitIdenticalAt8Segments) {
   workload::TpchConfig config;
   config.rows = 3000;
-  Database oracle_db(8);
-  Database vec_db(8, Executor::Options{.vectorized = true});
-  Database vec_parallel_db(8, Executor::Options{.parallel = true, .vectorized = true});
-  for (Database* db : {&oracle_db, &vec_db, &vec_parallel_db}) {
+  SerialParallelDbs dbs(8);
+  for (Database* db : dbs.All()) {
     ASSERT_TRUE(workload::CreateAndLoadLineitem(
                     db, config, workload::LineitemPartitioning::kMonthly84, "lineitem")
                     .ok());
@@ -79,26 +92,13 @@ TEST(VectorizedOracleTest, TpchQueriesBitIdenticalAt8Segments) {
       "ORDER BY l_orderkey, l_quantity, l_extendedprice LIMIT 50",
       "SELECT count(*) FROM lineitem WHERE l_quantity > 25 AND l_discount > 0.05",
   };
-  for (const char* sql : queries) {
-    auto oracle = oracle_db.Run(sql);
-    auto vec = vec_db.Run(sql);
-    auto vec_parallel = vec_parallel_db.Run(sql);
-    ASSERT_TRUE(oracle.ok()) << sql << ": " << oracle.status().ToString();
-    ASSERT_TRUE(vec.ok()) << sql << ": " << vec.status().ToString();
-    ASSERT_TRUE(vec_parallel.ok()) << sql << ": " << vec_parallel.status().ToString();
-    EXPECT_TRUE(oracle->rows == vec->rows) << sql;
-    EXPECT_TRUE(oracle->stats == vec->stats) << sql;
-    EXPECT_TRUE(oracle->rows == vec_parallel->rows) << sql;
-    EXPECT_TRUE(oracle->stats == vec_parallel->stats) << sql;
-  }
+  for (const char* sql : queries) dbs.ExpectAgree(sql, sql);
 }
 
-// DML flows through the vectorized executor unchanged (DML operators are
-// shared with the row path); interleaved writes and reads must leave both
-// databases in identical states.
-TEST(VectorizedOracleTest, DmlProducesIdenticalStateUnderVectorizedExecutor) {
-  Database oracle_db(4);
-  Database vec_db(4, Executor::Options{.vectorized = true});
+// Interleaved writes and reads leave serial and parallel databases in
+// identical states.
+TEST(BatchExecutionTest, DmlProducesIdenticalStateInSerialAndParallel) {
+  SerialParallelDbs dbs(4);
   const char* ddl =
       "CREATE TABLE t (k BIGINT, v DOUBLE) DISTRIBUTED BY (k) "
       "PARTITION BY RANGE (k) START 0 END 40 EVERY 10";
@@ -113,30 +113,24 @@ TEST(VectorizedOracleTest, DmlProducesIdenticalStateUnderVectorizedExecutor) {
       "SELECT k, v FROM t ORDER BY k",
       "SELECT count(*), sum(v) FROM t WHERE k BETWEEN 10 AND 29",
   };
-  for (Database* db : {&oracle_db, &vec_db}) {
+  for (Database* db : dbs.All()) {
     ASSERT_TRUE(db->Run(ddl).ok());
   }
   for (const char* sql : statements) {
-    auto oracle = oracle_db.Run(sql);
-    auto vec = vec_db.Run(sql);
-    ASSERT_TRUE(oracle.ok()) << sql << ": " << oracle.status().ToString();
-    ASSERT_TRUE(vec.ok()) << sql << ": " << vec.status().ToString();
-    EXPECT_TRUE(oracle->rows == vec->rows) << sql;
+    for (Database* db : dbs.All()) {
+      auto result = db->Run(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    }
     for (const char* probe : probes) {
-      auto oracle_probe = oracle_db.Run(probe);
-      auto vec_probe = vec_db.Run(probe);
-      ASSERT_TRUE(oracle_probe.ok()) << probe;
-      ASSERT_TRUE(vec_probe.ok()) << probe;
-      EXPECT_TRUE(oracle_probe->rows == vec_probe->rows) << sql << " then " << probe;
-      EXPECT_TRUE(oracle_probe->stats == vec_probe->stats) << sql << " then " << probe;
+      dbs.ExpectAgree(std::string(sql) + " then " + probe, probe);
     }
   }
 }
 
-// Errors surface identically: a data-dependent division by zero aborts the
-// vectorized run with the same message as the row path, and the executor
-// stays reusable afterwards.
-TEST(VectorizedOracleTest, RuntimeErrorsMatchRowPath) {
+// A data-dependent division by zero inside the Filter kernel fails the query
+// with a typed kExecutionError carrying the scalar evaluator's message, the
+// failed run publishes no stats, and the executor stays reusable.
+TEST(BatchExecutionTest, RuntimeErrorsAreTypedAndExecutorStaysReusable) {
   testutil::TestDb db(4);
   const TableDescriptor* t =
       db.CreatePlainTable("t", Schema({{"k", TypeId::kInt64}}), {0});
@@ -150,30 +144,26 @@ TEST(VectorizedOracleTest, RuntimeErrorsMatchRowPath) {
                 MakeArith(ArithOp::kSub, MakeColumnRef(1, "k", TypeId::kInt64),
                           MakeConst(Datum::Int64(7)))),
       MakeConst(Datum::Int64(0)));
-  auto make_plan = [&] {
-    auto scan =
-        std::make_shared<TableScanNode>(t->oid, t->oid, std::vector<ColRefId>{1});
-    auto filter = std::make_shared<FilterNode>(pred, scan);
-    return std::make_shared<MotionNode>(MotionKind::kGather, std::vector<ColRefId>{},
-                                        filter);
-  };
-
-  Executor row_exec(&db.catalog, &db.storage);
-  Executor vec_exec(&db.catalog, &db.storage, Executor::Options{.vectorized = true});
-  auto row_result = row_exec.Execute(make_plan());
-  auto vec_result = vec_exec.Execute(make_plan());
-  ASSERT_FALSE(row_result.ok());
-  ASSERT_FALSE(vec_result.ok());
-  EXPECT_EQ(row_result.status().message(), vec_result.status().message());
-  EXPECT_TRUE(vec_exec.stats() == ExecStats());
-
-  // Reusable after failure.
   auto scan = std::make_shared<TableScanNode>(t->oid, t->oid, std::vector<ColRefId>{1});
-  auto gather = std::make_shared<MotionNode>(MotionKind::kGather,
-                                             std::vector<ColRefId>{}, scan);
-  auto retry = vec_exec.Execute(gather);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_EQ(retry->size(), 32u);
+  auto filter = std::make_shared<FilterNode>(pred, scan);
+  auto plan = std::make_shared<MotionNode>(MotionKind::kGather,
+                                           std::vector<ColRefId>{}, filter);
+
+  for (bool parallel : {false, true}) {
+    Executor exec(&db.catalog, &db.storage, Executor::Options{.parallel = parallel});
+    auto result = exec.Execute(plan);
+    ASSERT_FALSE(result.ok()) << "parallel=" << parallel;
+    EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
+    EXPECT_EQ(result.status().message(), "division by zero");
+    EXPECT_TRUE(exec.stats() == ExecStats());
+
+    // Reusable after failure.
+    auto gather = std::make_shared<MotionNode>(MotionKind::kGather,
+                                               std::vector<ColRefId>{}, scan);
+    auto retry = exec.Execute(gather);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_EQ(retry->size(), 32u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +206,7 @@ class KernelFuzzTest : public ::testing::Test {
         return MakeColumnRef(4, "c4", TypeId::kString);
       case 4:
         // Unknown column and unbound parameter: compile to kError
-        // instructions that must fire exactly when the row path errors.
+        // instructions that must fire exactly when EvalExpr errors.
         return rng->Bernoulli(0.5) ? MakeColumnRef(99, "ghost", TypeId::kInt64)
                                    : MakeParam(1, TypeId::kInt64);
       default:
