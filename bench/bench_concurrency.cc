@@ -120,7 +120,7 @@ int RunBenchmark(bool smoke) {
         {"hardware_threads",
          static_cast<double>(std::thread::hardware_concurrency())}}});
 
-  Database db(sizes.segments, Executor::Options{.parallel = true});
+  Database db(sizes.segments, Executor::Options{.workers = 0});
   BuildOrders(&db, sizes);
 
   const int64_t span = static_cast<int64_t>(sizes.order_rows);

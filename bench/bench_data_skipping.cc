@@ -3,8 +3,8 @@
 // per-chunk min/max synopses are tight), swept across selectivities, with
 // skipping on vs off. Identical-result checks ride along with every
 // measurement — skipping may only change the skip counters of ExecStats,
-// never rows or the logical scan/motion counters, and a parallel run must
-// make exactly the serial run's skips — and chunks_skipped proves the skips
+// never rows or the logical scan/motion counters, and a pool run must
+// make exactly the 1-worker run's skips — and chunks_skipped proves the skips
 // actually happened. An unclustered control column (chunk ranges span the whole
 // domain, so nothing can be skipped) bounds the overhead of consulting
 // synopses when they cannot help.
@@ -60,7 +60,7 @@ void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan
                Executor::Options{.data_skipping = false});
   Executor on(&db->catalog(), &db->storage());
   Executor parallel_on(&db->catalog(), &db->storage(),
-                       Executor::Options{.parallel = true});
+                       Executor::Options{.workers = 0});
 
   Result<std::vector<Row>> baseline = off.Execute(plan);
   MPPDB_CHECK(baseline.ok());
@@ -75,7 +75,7 @@ void CompareSkipModes(const std::string& name, Database* db, const PhysPtr& plan
     stats.units_skipped = 0;
     MPPDB_CHECK(stats == baseline_stats);
   }
-  // Serial and parallel must agree on the skips themselves, too.
+  // 1 worker and a pool must agree on the skips themselves, too.
   MPPDB_CHECK(on.stats() == parallel_on.stats());
   const ExecStats skip_stats = on.stats();
   MPPDB_CHECK(skip_stats.chunks_total > 0);

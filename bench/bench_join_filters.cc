@@ -11,7 +11,7 @@
 // only change the joinfilter_* counters of ExecStats, never rows or any
 // pre-existing counter (rows_moved stays logical; the physical exchange
 // savings are reported in joinfilter_motion_rows_saved), and a parallel run
-// must reach exactly the serial run's filter verdicts.
+// must reach exactly the 1-worker run's filter verdicts.
 //
 // Emits BENCH_joinfilter.json with per-selectivity timings, speedups, and
 // the rows-exchanged-over-Motion reduction. `--smoke` shrinks the data and
@@ -102,7 +102,7 @@ PhysPtr FilteredJoinPlan(Database* db, const std::string& dim_table,
 
 /// Measures `plan` with join filters off and on, checks the transparency
 /// invariant (identical rows; identical ExecStats once the joinfilter_*
-/// counters are masked; identical verdicts serial vs parallel), and appends
+/// counters are masked; identical verdicts 1 worker vs pool), and appends
 /// a JSON entry named `name`. `expect_filtering` asserts the filters
 /// actually rejected rows below the Motion.
 void CompareFilterModes(const std::string& name, Database* db,
@@ -113,7 +113,7 @@ void CompareFilterModes(const std::string& name, Database* db,
                Executor::Options{.join_filters = false});
   Executor on(&db->catalog(), &db->storage());
   Executor parallel_on(&db->catalog(), &db->storage(),
-                       Executor::Options{.parallel = true});
+                       Executor::Options{.workers = 0});
 
   Result<std::vector<Row>> baseline = off.Execute(plan);
   MPPDB_CHECK(baseline.ok());
@@ -127,7 +127,7 @@ void CompareFilterModes(const std::string& name, Database* db,
     ZeroJoinFilterCounters(&stats);
     MPPDB_CHECK(stats == baseline_stats);
   }
-  // Serial and parallel must agree on every filter verdict, too.
+  // 1 worker and a pool must agree on every filter verdict, too.
   MPPDB_CHECK(on.stats() == parallel_on.stats());
   const ExecStats filter_stats = on.stats();
   MPPDB_CHECK(filter_stats.joinfilter_built == 1);

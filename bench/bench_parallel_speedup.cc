@@ -1,6 +1,6 @@
-// Serial vs parallel execution under the morsel scheduler: wall-clock for a
+// 1 worker vs a pool under the morsel scheduler: wall-clock for a
 // scan-heavy aggregation at S ∈ {1, 2, 4, 8} segments in three modes —
-// serial, parallel with morsels off (each segment slice is one schedulable
+// 1 worker (the calling thread runs every segment task), a pool with morsels off (each segment slice is one schedulable
 // task), and parallel with morsels on (slices decompose into chunk-aligned
 // morsels that idle workers steal). The simulated cluster splits the same
 // table across more segments as S grows, so parallel speedup approaches
@@ -20,7 +20,7 @@
 // numbers; the busy-time balance columns are meaningful even there).
 //
 // `--smoke` shrinks the data and iteration counts for the ctest gate
-// (release_morsel_smoke), which asserts correctness — serial, morsel-off,
+// (release_morsel_smoke), which asserts correctness — 1 worker, morsel-off,
 // morsel-on, and fine-grained-morsel results bit-identical — not speed.
 
 #include <cmath>
@@ -49,10 +49,10 @@ struct BenchSizes {
 
 BenchSizes SmokeSizes() { return BenchSizes{20000, 20000, 2}; }
 
-// Uniform-vs-skewed sweep over segment counts: serial, morsel-off, morsel-on.
+// Uniform-vs-skewed sweep over segment counts: 1 worker, morsel-off, morsel-on.
 void RunSpeedupSection(const BenchSizes& sizes,
                        std::vector<benchutil::BenchJsonEntry>* entries) {
-  std::printf("%-6s %12s %14s %13s %9s %9s\n", "S", "serial (ms)",
+  std::printf("%-6s %12s %14s %13s %9s %9s\n", "S", "1 worker (ms)",
               "morsel-off(ms)", "morsel-on(ms)", "off spd", "on spd");
   benchutil::Rule(70);
   workload::TpchConfig config;
@@ -66,25 +66,26 @@ void RunSpeedupSection(const BenchSizes& sizes,
     Result<PhysPtr> plan = db.PlanSql(kQuery);
     MPPDB_CHECK(plan.ok());
 
-    Executor serial(&db.catalog(), &db.storage());
+    Executor one_worker(&db.catalog(), &db.storage());
     Executor morsel_off(&db.catalog(), &db.storage(),
-                        Executor::Options{.parallel = true, .morsels = false});
+                        Executor::Options{.workers = 0, .morsels = false});
     Executor morsel_on(&db.catalog(), &db.storage(),
-                       Executor::Options{.parallel = true});
+                       Executor::Options{.workers = 0});
     // Identical-result check rides along with the measurement: all three
     // modes must agree bit for bit, rows and stats.
-    Result<std::vector<Row>> serial_rows = serial.Execute(*plan);
+    Result<std::vector<Row>> one_worker_rows = one_worker.Execute(*plan);
     Result<std::vector<Row>> off_rows = morsel_off.Execute(*plan);
     Result<std::vector<Row>> on_rows = morsel_on.Execute(*plan);
-    MPPDB_CHECK(serial_rows.ok() && off_rows.ok() && on_rows.ok());
-    MPPDB_CHECK(*serial_rows == *off_rows);
-    MPPDB_CHECK(*serial_rows == *on_rows);
-    MPPDB_CHECK(serial.stats() == morsel_off.stats());
-    MPPDB_CHECK(serial.stats() == morsel_on.stats());
+    MPPDB_CHECK(one_worker_rows.ok() && off_rows.ok() && on_rows.ok());
+    MPPDB_CHECK(*one_worker_rows == *off_rows);
+    MPPDB_CHECK(*one_worker_rows == *on_rows);
+    MPPDB_CHECK(one_worker.stats() == morsel_off.stats());
+    MPPDB_CHECK(one_worker.stats() == morsel_on.stats());
 
-    benchutil::TimingStats serial_t =
-        benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations,
-                                 [&]() { MPPDB_CHECK(serial.Execute(*plan).ok()); });
+    benchutil::TimingStats one_worker_t =
+        benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
+          MPPDB_CHECK(one_worker.Execute(*plan).ok());
+        });
     benchutil::TimingStats off_t =
         benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
           MPPDB_CHECK(morsel_off.Execute(*plan).ok());
@@ -93,16 +94,16 @@ void RunSpeedupSection(const BenchSizes& sizes,
         benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
           MPPDB_CHECK(morsel_on.Execute(*plan).ok());
         });
-    double off_speedup = serial_t.median_ms / off_t.median_ms;
-    double on_speedup = serial_t.median_ms / on_t.median_ms;
+    double off_speedup = one_worker_t.median_ms / off_t.median_ms;
+    double on_speedup = one_worker_t.median_ms / on_t.median_ms;
     std::printf("%-6d %12.2f %14.2f %13.2f %8.2fx %8.2fx\n", segments,
-                serial_t.median_ms, off_t.median_ms, on_t.median_ms, off_speedup,
-                on_speedup);
+                one_worker_t.median_ms, off_t.median_ms, on_t.median_ms,
+                off_speedup, on_speedup);
     entries->push_back({"S=" + std::to_string(segments),
                         {{"segments", static_cast<double>(segments)},
-                         {"serial_ms", serial_t.median_ms},
-                         {"serial_min_ms", serial_t.min_ms},
-                         {"serial_mean_ms", serial_t.mean_ms},
+                         {"one_worker_ms", one_worker_t.median_ms},
+                         {"one_worker_min_ms", one_worker_t.min_ms},
+                         {"one_worker_mean_ms", one_worker_t.mean_ms},
                          {"morsel_off_ms", off_t.median_ms},
                          {"morsel_off_min_ms", off_t.min_ms},
                          {"morsel_on_ms", on_t.median_ms},
@@ -173,8 +174,8 @@ void RunSkewSection(const BenchSizes& sizes, bool smoke,
       db.PlanSql("SELECT count(*), sum(v), min(v), max(v) FROM skewed");
   MPPDB_CHECK(plan.ok());
 
-  Executor serial(&db.catalog(), &db.storage());
-  Result<std::vector<Row>> oracle = serial.Execute(*plan);
+  Executor one_worker(&db.catalog(), &db.storage());
+  Result<std::vector<Row>> oracle = one_worker.Execute(*plan);
   MPPDB_CHECK(oracle.ok());
 
   std::printf("%-12s %10s %12s %12s %12s %10s\n", "mode", "time (ms)",
@@ -183,12 +184,12 @@ void RunSkewSection(const BenchSizes& sizes, bool smoke,
   for (const bool morsels : {false, true}) {
     MorselScheduler scheduler(kWorkers);
     Executor parallel(&db.catalog(), &db.storage(),
-                      Executor::Options{.parallel = true, .morsels = morsels});
+                      Executor::Options{.workers = 0, .morsels = morsels});
     parallel.SetScheduler(&scheduler);
     Result<std::vector<Row>> check = parallel.Execute(*plan);
     MPPDB_CHECK(check.ok());
     MPPDB_CHECK(*check == *oracle);
-    MPPDB_CHECK(parallel.stats() == serial.stats());
+    MPPDB_CHECK(parallel.stats() == one_worker.stats());
 
     benchutil::TimingStats t =
         benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
@@ -224,20 +225,19 @@ void RunSkewSection(const BenchSizes& sizes, bool smoke,
   // maximum steal traffic) must also be bit-identical on the skewed table.
   if (smoke) {
     Executor fine(&db.catalog(), &db.storage(),
-                  Executor::Options{.parallel = true,
-                                    .max_workers = kWorkers,
+                  Executor::Options{.workers = kWorkers,
                                     .morsel_rows = 1024});
     Result<std::vector<Row>> check = fine.Execute(*plan);
     MPPDB_CHECK(check.ok());
     MPPDB_CHECK(*check == *oracle);
-    MPPDB_CHECK(fine.stats() == serial.stats());
-    std::printf("smoke: fine-grained morsel run identical to serial oracle\n");
+    MPPDB_CHECK(fine.stats() == one_worker.stats());
+    std::printf("smoke: fine-grained morsel run identical to the 1-worker run\n");
   }
 }
 
 int RunBenchmark(bool smoke) {
   benchutil::Header(
-      "Parallel execution: serial vs morsel-off vs morsel-on (work stealing)");
+      "Parallel execution: 1 worker vs morsel-off vs morsel-on (work stealing)");
   BenchSizes sizes = smoke ? SmokeSizes() : BenchSizes{};
 
   unsigned cores = std::thread::hardware_concurrency();

@@ -5,7 +5,7 @@
 //      QueryContext vs. a fully armed one (deadline set, budget limited,
 //      fault injector attached with nothing armed) — the cost of the
 //      batch-granularity liveness checks and budget charges on the hot
-//      paths, serial and parallel. The acceptance bar is <= 2%.
+//      paths, at 1 worker and on a pool. The acceptance bar is <= 2%.
 //   2. Cancellation latency: Cancel() fired from a second thread into a
 //      running parallel join; p50/p99 milliseconds from the cancel call to
 //      Execute returning with every worker joined.
@@ -146,8 +146,8 @@ int RunBenchmark(bool smoke) {
     Executor::Options options;
   };
   const ModeDef modes[] = {
-      {"serial", {}},
-      {"parallel", {.parallel = true}},
+      {"one_worker", {}},
+      {"pool", {.workers = 0}},
   };
   double worst_overhead_pct = 0;
   double sum_overhead_pct = 0;
@@ -215,7 +215,7 @@ int RunBenchmark(bool smoke) {
   benchutil::Header("Cancellation latency (parallel join, external cancel)");
   {
     Executor exec(&db.catalog(), &db.storage(),
-                  Executor::Options{.parallel = true});
+                  Executor::Options{.workers = 0});
     // Baseline runtime so the cancel can be timed to land mid-query.
     QueryContext ctx;
     auto baseline = exec.Execute(join_plan, &ctx);

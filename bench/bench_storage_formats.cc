@@ -6,7 +6,7 @@
 // where zone maps provably cannot skip — any win is the encoded fast path's.
 // Identical-result checks ride along with every measurement: the encoded path
 // may only change its own ExecStats counters, never rows or logical stats,
-// serial or parallel.
+// 1 worker or a pool.
 //
 // Emits BENCH_storage.json. `--smoke` shrinks the data for the ctest gate
 // (release_storage_smoke), which asserts correctness plus the >= 2x headline
@@ -61,7 +61,7 @@ double CompareStorageModes(const std::string& name, Database* db_row,
   Executor base(&db_row->catalog(), &db_row->storage());
   Executor enc(&db_col->catalog(), &db_col->storage());
   Executor parallel_enc(&db_col->catalog(), &db_col->storage(),
-                        Executor::Options{.parallel = true});
+                        Executor::Options{.workers = 0});
 
   Result<std::vector<Row>> baseline = base.Execute(plan);
   MPPDB_CHECK(baseline.ok());

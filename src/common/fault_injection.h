@@ -61,8 +61,8 @@ struct FaultSpec {
 /// fault-free overhead is a map lookup at worst.
 ///
 /// Determinism: all state (including the probability generator) sits behind
-/// one mutex, so a serial execution replays identically for a given seed.
-/// Under parallel execution the per-thread interleaving of draws is not
+/// one mutex, so a 1-worker execution replays identically for a given seed.
+/// On a worker pool the per-thread interleaving of draws is not
 /// fixed, but the draw sequence itself is, so a seed still pins the overall
 /// fault density; use segment-filtered specs for exact parallel placement.
 ///

@@ -494,8 +494,8 @@ bool PlanHasDml(const PhysPtr& node) {
 Result<QueryResult> Database::ExecuteWithContext(const PhysPtr& plan,
                                                  const QueryOptions& options) {
   // Per-call executor: Run/Execute stay safe under concurrent callers because
-  // nothing per-run is shared — only the scheduler pool, which is built for
-  // concurrent task groups.
+  // nothing per-run is shared — only the scheduler pool (when workers > 1),
+  // which is built for concurrent task groups.
   Executor executor(&catalog_, &storage_, exec_options_);
   if (scheduler_ != nullptr) executor.SetScheduler(scheduler_.get());
 

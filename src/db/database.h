@@ -120,11 +120,13 @@ struct QueryResult {
 ///   db.CreatePartitionedTable(...);
 ///   auto result = db.Run("SELECT avg(amount) FROM orders WHERE ...");
 ///
-/// Pass Executor::Options{.parallel = true} to run every statement's plan
-/// on the database's shared morsel scheduler (identical results, see
-/// Executor): one work-stealing pool, sized to max_workers (default:
-/// hardware_concurrency), is created up front and shared by every statement
-/// — and by every concurrent statement.
+/// By default (Executor::Options::workers = 1) every statement runs its
+/// segment tasks on the calling thread, and no scheduler exists. Pass
+/// Executor::Options{.workers = N} with N > 1 (or 0 for
+/// hardware_concurrency) to run every statement's plan on a shared morsel
+/// scheduler instead (identical results, see Executor): one work-stealing
+/// pool of that size is created up front and shared by every statement —
+/// and by every concurrent statement.
 ///
 /// Concurrency contract (audited for the serving layer):
 ///  * Run/Execute/ExecutePlan/PlanSql/Explain are safe to call from any
@@ -151,10 +153,8 @@ class Database {
  public:
   explicit Database(int num_segments, Executor::Options exec_options = {})
       : storage_(num_segments), exec_options_(exec_options) {
-    if (exec_options.parallel) {
-      scheduler_ = std::make_unique<MorselScheduler>(
-          Executor::ResolveWorkerCount(exec_options.max_workers));
-    }
+    const int workers = Executor::ResolveWorkerCount(exec_options.workers);
+    if (workers > 1) scheduler_ = std::make_unique<MorselScheduler>(workers);
   }
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -246,8 +246,9 @@ class Database {
 
   Catalog catalog_;
   StorageEngine storage_;
-  /// Shared work-stealing pool for parallel execution, created once per
-  /// Database and shared by every (concurrent) statement's executor.
+  /// Shared work-stealing pool, created once per Database when
+  /// exec_options_.workers resolves above 1 and shared by every (concurrent)
+  /// statement's executor; null otherwise.
   std::unique_ptr<MorselScheduler> scheduler_;
   /// Template for each statement's per-call executor.
   Executor::Options exec_options_;

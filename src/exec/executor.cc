@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -62,25 +63,21 @@ void ExecStats::MergeFrom(const ExecStats& other) {
 
 struct Executor::MotionExchange {
   std::mutex mu;
-  /// Count of segments that have deposited their source rows (parallel
-  /// mode). Arrival is this counter, not a set of blocked threads: the last
-  /// arriver builds the buffers and reschedules the `waiters` below.
+  /// Count of segments that have deposited their source rows. Arrival is
+  /// this counter, not a set of blocked threads: the last arriver builds the
+  /// buffers and resumes the `waiters` below.
   int arrived = 0;
-  /// Per-segment deposited flags (parallel mode): a resumed segment's
-  /// re-walk must read its Motion's buffer instead of re-executing the
-  /// Motion's child (whose results were already deposited and routed).
+  /// Per-segment deposited flags: a resumed segment's re-walk must read its
+  /// Motion's buffer instead of re-executing the Motion's child (whose
+  /// results were already deposited and routed).
   std::vector<char> deposited;
-  /// Segments suspended at this exchange, awaiting the build. Resumed
-  /// (resubmitted as scheduler tasks) by the last arriver, or by SignalAbort
-  /// so they observe the abort instead of waiting forever.
+  /// Segments suspended at this exchange, awaiting the build. Resumed (via
+  /// ResumeSegment) by the last arriver, or by SignalAbort so they observe
+  /// the abort instead of waiting forever.
   std::vector<int> waiters;
   /// Set exactly once, after the buffers/`build_status` are final.
   bool built = false;
   Status build_status;
-  /// True when registered lazily for a shared Motion subtree (serial-only):
-  /// each segment may read its buffer more than once, so reads must copy
-  /// instead of moving out.
-  bool lazily_registered = false;
   /// Per-source-segment child output, awaiting the exchange.
   std::vector<std::vector<Row>> source_rows;
   /// Per-destination-segment buffers (gather/redistribute); each slot is
@@ -129,14 +126,18 @@ bool IsSuspendedStatus(const Status& status) {
          status.message() == "suspended at motion rendezvous";
 }
 
-/// Completion state of one parallel run. Lives on ExecuteParallel's frame;
-/// segment tasks record their verdicts here and the Execute thread sleeps
-/// until all have. This is the only blocking wait in parallel mode.
+/// Completion state of one run. Lives on RunSegments' frame; segment tasks
+/// record their verdicts here, and the Execute thread runs ready tasks (when
+/// there is no scheduler) or sleeps until every segment has a verdict. This
+/// is the only blocking wait.
 struct Executor::ParallelRun {
   std::mutex mu;
   std::condition_variable cv;
   int done = 0;
   std::vector<Result<std::vector<Row>>> seg_results;
+  /// Segments whose next task is runnable, drained by the Execute thread.
+  /// Used only when no scheduler exists.
+  std::deque<int> ready;
 };
 
 Executor::Executor(const Catalog* catalog, StorageEngine* storage)
@@ -151,42 +152,38 @@ Executor::Executor(const Catalog* catalog, StorageEngine* storage, Options optio
 
 Executor::~Executor() = default;
 
-bool Executor::CollectMotions(const PhysPtr& node) {
+Status Executor::CollectMotions(const PhysPtr& node) {
   if (node->kind() == PhysNodeKind::kMotion) {
     auto exchange = std::make_unique<MotionExchange>();
     exchange->source_rows.resize(static_cast<size_t>(num_segments_));
     exchange->deposited.assign(static_cast<size_t>(num_segments_), 0);
     if (!exchanges_.emplace(node.get(), std::move(exchange)).second) {
-      return false;  // shared Motion subtree: once-semantics need the lazy path
+      return Status::InvalidArgument("plan shares Motion node '" + node->Describe() +
+                                     "' between parents; every Motion must "
+                                     "appear once");
     }
   }
   for (const auto& child : node->children()) {
-    if (!CollectMotions(child)) return false;
+    MPPDB_RETURN_IF_ERROR(CollectMotions(child));
   }
-  return true;
+  return Status::OK();
 }
 
 void Executor::SignalAbort() {
   abort_flag_.store(true, std::memory_order_release);
-  // exchanges_mu_ keeps this iteration safe against a serial run's lazy
-  // exchange registration when a cancel thread calls in concurrently.
-  std::lock_guard<std::mutex> exchanges_lock(exchanges_mu_);
+  // Resume every continuation suspended at any exchange. The flag is set
+  // before the drain, and a suspending segment re-checks it under the
+  // exchange lock before registering, so no waiter can slip in after the
+  // drain and strand: it either lands in this swap or observes the flag and
+  // fails on its own. Each resumed walk re-checks at its Motion and records
+  // the abort verdict.
+  std::vector<int> waiters;
   for (auto& [node, exchange] : exchanges_) {
-    // Reschedule every continuation suspended at this exchange. The flag is
-    // set before the drain, and a suspending segment re-checks it under the
-    // exchange lock before registering, so no waiter can slip in after the
-    // drain and strand: it either lands in this swap or observes the flag
-    // and fails on its own. Each resumed walk re-checks at its Motion and
-    // records the abort verdict.
-    std::vector<int> waiters;
-    {
-      std::lock_guard<std::mutex> lock(exchange->mu);
-      waiters.swap(exchange->waiters);
-    }
-    for (int waiter : waiters) {
-      scheduler_->Submit([this, waiter]() { RunSegmentTask(waiter); });
-    }
+    std::lock_guard<std::mutex> lock(exchange->mu);
+    waiters.insert(waiters.end(), exchange->waiters.begin(), exchange->waiters.end());
+    exchange->waiters.clear();
   }
+  for (int waiter : waiters) ResumeSegment(waiter);
 }
 
 Status Executor::CheckExec(int segment, const char* point) {
@@ -286,27 +283,20 @@ Result<std::vector<Row>> Executor::Execute(const PhysPtr& plan,
   hub_.Reset();
   stats_ = ExecStats();
   seg_stats_.assign(static_cast<size_t>(num_segments_), ExecStats());
-  {
-    std::lock_guard<std::mutex> lock(exchanges_mu_);
-    exchanges_.clear();
-  }
   abort_flag_.store(false);
-  // Serial only for plans with shared Motion subtrees (whose once-semantics
-  // need the lazy exchange path). Any worker count runs any segment count:
-  // Motion rendezvous is an arrival counter, not a set of blocked threads,
-  // so there is no minimum pool size and no max_workers fallback.
-  bool plan_is_tree = CollectMotions(plan);
-  parallel_run_ = options_.parallel && plan_is_tree;
+  Status collected = CollectMotions(plan);
   seg_run_.assign(static_cast<size_t>(num_segments_), SegmentRunState());
-  // Cancel() wakes every Motion barrier through the abort flag, so blocked
-  // workers notice within one wake-up instead of one batch. Registered on
-  // the caller's context only — nobody can cancel the default.
+  // Cancel() resumes every suspended segment through the abort flag, so they
+  // notice within one resume instead of one batch. Registered on the
+  // caller's context only — nobody can cancel the default.
   uint64_t cancel_cb = 0;
   if (ctx != nullptr) {
     cancel_cb = ctx->AddCancelCallback([this] { SignalAbort(); });
   }
   Result<std::vector<Row>> result =
-      parallel_run_ ? ExecuteParallel(plan) : ExecuteSerial(plan);
+      collected.ok() ? RunSegments(plan) : Result<std::vector<Row>>(collected);
+  // Blocks until an in-flight callback has finished, so exchanges_ may be
+  // cleared below.
   if (ctx != nullptr) ctx->RemoveCancelCallback(cancel_cb);
   // An all-secondhand abort (every path woke via the flag, e.g. Cancel()
   // raised it) is reported as the context's own verdict.
@@ -320,11 +310,7 @@ Result<std::vector<Row>> Executor::Execute(const PhysPtr& plan,
   // filters never leak into the next attempt), and stats_ carries the run's
   // counters only if it succeeded.
   hub_.Reset();
-  {
-    std::lock_guard<std::mutex> lock(exchanges_mu_);
-    exchanges_.clear();
-  }
-  parallel_run_ = false;
+  exchanges_.clear();
   seg_run_.clear();
   // Destroying the spill manager removes the per-query spill directory and
   // every file in it — the single reclamation point covering success,
@@ -342,36 +328,33 @@ void Executor::SetScheduler(MorselScheduler* scheduler) {
   scheduler_ = scheduler;
 }
 
-int Executor::ResolveWorkerCount(int max_workers) {
-  if (max_workers > 0) return max_workers;
+int Executor::ResolveWorkerCount(int workers) {
+  if (workers > 0) return workers;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   return hw > 0 ? hw : 1;
 }
 
 void Executor::EnsureScheduler() {
-  if (scheduler_ != nullptr) return;
+  if (scheduler_ != nullptr || options_.workers == 1) return;
   if (owned_scheduler_ == nullptr) {
-    owned_scheduler_ =
-        std::make_unique<MorselScheduler>(ResolveWorkerCount(options_.max_workers));
+    const int workers = ResolveWorkerCount(options_.workers);
+    if (workers == 1) return;
+    owned_scheduler_ = std::make_unique<MorselScheduler>(workers);
   }
   scheduler_ = owned_scheduler_.get();
 }
 
-Result<std::vector<Row>> Executor::ExecuteSerial(const PhysPtr& plan) {
-  // One thread owns every segment's channels for the whole run.
-  for (int segment = 0; segment < num_segments_; ++segment) {
-    hub_.BindOwner(segment);
+void Executor::ResumeSegment(int segment) {
+  if (scheduler_ != nullptr) {
+    scheduler_->Submit([this, segment]() { RunSegmentTask(segment); });
+    return;
   }
-  std::vector<Row> result;
-  for (int segment = 0; segment < num_segments_; ++segment) {
-    MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(plan, segment));
-    result.insert(result.end(), std::make_move_iterator(rows.begin()),
-                  std::make_move_iterator(rows.end()));
-  }
-  return result;
+  std::lock_guard<std::mutex> lock(run_->mu);
+  run_->ready.push_back(segment);
+  run_->cv.notify_all();
 }
 
-Result<std::vector<Row>> Executor::ExecuteParallel(const PhysPtr& plan) {
+Result<std::vector<Row>> Executor::RunSegments(const PhysPtr& plan) {
   EnsureScheduler();
   ParallelRun run;
   run.seg_results.assign(
@@ -379,26 +362,39 @@ Result<std::vector<Row>> Executor::ExecuteParallel(const PhysPtr& plan) {
       Result<std::vector<Row>>(Status::Internal("segment slice did not run")));
   run_ = &run;
   current_plan_ = &plan;
-  for (int segment = 0; segment < num_segments_; ++segment) {
-    scheduler_->Submit([this, segment]() { RunSegmentTask(segment); });
-  }
+  for (int segment = 0; segment < num_segments_; ++segment) ResumeSegment(segment);
   {
     std::unique_lock<std::mutex> lock(run.mu);
-    auto all_done = [this, &run]() { return run.done == num_segments_; };
-    if (ctx_->has_deadline()) {
-      // Deadline enforcement for segments suspended at a Motion whose peers
-      // never arrive (stalled, or sleeping in an injected delay): raise the
-      // abort, which reschedules every suspended continuation; each then
-      // fails its liveness check — CheckAlive itself reports
-      // kDeadlineExceeded past the deadline — and records a typed verdict,
-      // so the unconditional wait below always terminates.
-      if (!run.cv.wait_until(lock, ctx_->deadline(), all_done)) {
+    // Deadline enforcement for segments suspended at a Motion whose peers
+    // never arrive (stalled, or sleeping in an injected delay on a pool
+    // worker): raise the abort, which resumes every suspended continuation;
+    // each then fails its liveness check — CheckAlive itself reports
+    // kDeadlineExceeded past the deadline — and records a typed verdict, so
+    // the wait always terminates.
+    bool deadline_armed = ctx_->has_deadline();
+    auto runnable = [this, &run]() {
+      return run.done == num_segments_ || !run.ready.empty();
+    };
+    while (run.done < num_segments_) {
+      if (!run.ready.empty()) {
+        // No scheduler: this thread runs the ready task itself. Another
+        // thread may only push (SignalAbort from a cancel callback).
+        const int segment = run.ready.front();
+        run.ready.pop_front();
         lock.unlock();
-        SignalAbort();
+        RunSegmentTask(segment);
         lock.lock();
+      } else if (deadline_armed) {
+        if (!run.cv.wait_until(lock, ctx_->deadline(), runnable)) {
+          deadline_armed = false;
+          lock.unlock();
+          SignalAbort();
+          lock.lock();
+        }
+      } else {
+        run.cv.wait(lock, runnable);
       }
     }
-    run.cv.wait(lock, all_done);
   }
   run_ = nullptr;
   current_plan_ = nullptr;
@@ -461,7 +457,7 @@ void Executor::RunSegmentTask(int segment) {
       }
     }
     if (resume_now) {
-      scheduler_->Submit([this, segment]() { RunSegmentTask(segment); });
+      ResumeSegment(segment);
       return;
     }
   }
@@ -475,15 +471,16 @@ void Executor::RunSegmentTask(int segment) {
 }
 
 Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
-  if (parallel_run_) {
-    // Suspension memo: a re-walk after a Motion suspension must not repeat
-    // subtrees that already completed. Entries are consumed on use and
-    // re-created on the next unwind, so the memo is empty whenever the
-    // segment is not between an unwind and its re-walk — which also keeps
-    // legitimately shared non-Motion subtrees correct (their repeat visits
-    // find no entry).
-    SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
-    if (memo.done.erase(node.get()) > 0) return std::vector<Row>{};
+  // Suspension memo: a re-walk after a Motion suspension must not repeat
+  // subtrees that already completed. Entries are consumed on use and
+  // re-created on the next unwind, so the memo is empty whenever the segment
+  // is not between an unwind and its re-walk — which also keeps legitimately
+  // shared non-Motion subtrees correct (their repeat visits find no entry).
+  SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
+  if (!memo.done.empty() && memo.done.erase(node.get()) > 0) {
+    return std::vector<Row>{};
+  }
+  if (!memo.cache.empty()) {
     auto cached = memo.cache.find(node.get());
     if (cached != memo.cache.end()) {
       std::vector<Row> rows = std::move(cached->second);
@@ -513,11 +510,10 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
       for (size_t i = 0; i < children.size(); ++i) {
         Result<std::vector<Row>> rows = ExecNode(children[i], segment);
         if (!rows.ok()) {
-          if (parallel_run_ && IsSuspendedStatus(rows.status())) {
+          if (IsSuspendedStatus(rows.status())) {
             // Earlier children completed and their outputs were discarded
             // (only the last child's output survives a Sequence); mark them
             // done so the re-walk skips their side-effecting subtrees.
-            SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
             for (size_t j = 0; j < i; ++j) memo.done.insert(children[j].get());
           }
           return rows.status();
@@ -532,9 +528,8 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
       for (size_t i = 0; i < children.size(); ++i) {
         Result<std::vector<Row>> rows = ExecNode(children[i], segment);
         if (!rows.ok()) {
-          if (parallel_run_ && IsSuspendedStatus(rows.status())) {
+          if (IsSuspendedStatus(rows.status())) {
             // Re-cache completed children for the re-walk to consume.
-            SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
             for (size_t j = 0; j < i; ++j) {
               memo.cache[children[j].get()] = std::move(parts[j]);
             }
@@ -604,10 +599,10 @@ size_t Executor::MorselRows() const {
 Status Executor::RunMorselScan(int segment, size_t row_count,
                                const MorselBody& body, std::vector<Row>* out) {
   const size_t morsel_rows = MorselRows();
-  if (!parallel_run_ || !options_.morsels || scheduler_ == nullptr ||
+  if (!options_.morsels || scheduler_ == nullptr ||
       scheduler_->num_workers() <= 1 || row_count <= morsel_rows) {
     // Ineligible: run the body whole, against the segment accumulator — the
-    // exact loop the serial oracle runs.
+    // exact loop a 1-worker run executes.
     return body(0, row_count, &seg_stats_[static_cast<size_t>(segment)], out);
   }
   // Determinism by construction: every morsel gets a pre-assigned slot, and
@@ -626,7 +621,7 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
     });
   }
   group.Wait();
-  // Lowest failing range wins: the error the serial loop would hit first.
+  // Lowest failing range wins: the error the inline loop would hit first.
   for (const Status& status : slot_status) {
     MPPDB_RETURN_IF_ERROR(status);
   }
@@ -910,7 +905,7 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
   const Oid table_oid = node.table_oid();
   // Unit-granular morsels: the surviving-unit list splits across the morsel
   // scheduler exactly like a scan's row ranges; range-order output slots and
-  // range-order stats merging keep the result bit-identical to a serial loop.
+  // range-order stats merging keep the result bit-identical to an inline loop.
   auto body = [&, this](size_t begin, size_t end, ExecStats* stats,
                         std::vector<Row>* mout) -> Status {
     KernelContext kctx;
@@ -1136,7 +1131,7 @@ Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& 
   MPPDB_ASSIGN_OR_RETURN(std::vector<Row> outer_rows, ExecNode(node.child(0), segment));
   Result<std::vector<Row>> inner_result = ExecNode(node.child(1), segment);
   if (!inner_result.ok()) {
-    if (parallel_run_ && IsSuspendedStatus(inner_result.status())) {
+    if (IsSuspendedStatus(inner_result.status())) {
       seg_run_[static_cast<size_t>(segment)].cache[node.child(0).get()] =
           std::move(outer_rows);
     }
@@ -1507,9 +1502,9 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
       break;
     }
   }
-  // Source-segment order keeps buffer contents identical to serial execution.
-  // The routing loop is the longest uninterruptible stretch on the parallel
-  // path (the last arriver routes every segment's rows while its peers wait
+  // Source-segment order keeps buffer contents independent of arrival order.
+  // The routing loop is the longest uninterruptible stretch of a run (the
+  // last arriver routes every segment's rows while its peers wait
   // on the rendezvous), so it re-checks liveness at batch granularity like
   // the operator hot loops do.
   size_t rows_since_check = 0;
@@ -1567,9 +1562,8 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
 std::vector<Row> Executor::ReadMotionBuffer(const MotionNode& node,
                                             MotionExchange& exchange, int segment) {
   // Decoding an encoded slot is the receiving edge of the wire transfer: it
-  // synthesizes a fresh row batch, so it is safe on every path below —
-  // including the copy paths, where the encoded form stays for re-reads.
-  // Reads after `built` never mutate the exchange.
+  // synthesizes a fresh row batch and leaves the encoded form in place, so
+  // every destination of a broadcast may decode it concurrently.
   if (node.motion_kind() == MotionKind::kBroadcast) {
     if (exchange.encoded_broadcast) return exchange.encoded_broadcast->Decode();
     return exchange.broadcast_shared;  // every destination copies the batch
@@ -1578,55 +1572,16 @@ std::vector<Row> Executor::ReadMotionBuffer(const MotionNode& node,
   if (slot < exchange.encoded_buffers.size() && exchange.encoded_buffers[slot]) {
     return exchange.encoded_buffers[slot]->Decode();
   }
-  if (exchange.lazily_registered) {
-    // Shared Motion subtree (serial-only): this buffer may be read again.
-    return exchange.buffers[slot];
-  }
   // Sole reader of this slot: hand the buffer over without copying.
   return std::move(exchange.buffers[slot]);
 }
 
 Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segment) {
-  auto it = exchanges_.find(&node);
-  if (it == exchanges_.end()) {
-    // Only possible for a shared Motion subtree revisited in serial mode
-    // (CollectMotions bailed out); register the exchange lazily — under
-    // exchanges_mu_, because a cancel thread's SignalAbort may be iterating
-    // the map concurrently.
-    MPPDB_CHECK(!parallel_run_);
-    auto exchange = std::make_unique<MotionExchange>();
-    exchange->source_rows.resize(static_cast<size_t>(num_segments_));
-    exchange->lazily_registered = true;
-    std::lock_guard<std::mutex> exchanges_lock(exchanges_mu_);
-    it = exchanges_.emplace(&node, std::move(exchange)).first;
-  }
-  MotionExchange& exchange = *it->second;
-
-  if (!parallel_run_) {
-    // Serial: the first segment to arrive plays every source's part of the
-    // exchange, then all segments read their buffer.
-    if (!exchange.built) {
-      std::vector<std::vector<Row>> source_rows(static_cast<size_t>(num_segments_));
-      for (int source = 0; source < num_segments_; ++source) {
-        MPPDB_ASSIGN_OR_RETURN(source_rows[static_cast<size_t>(source)],
-                               ExecNode(node.child(0), source));
-        MPPDB_RETURN_IF_ERROR(CheckExec(source, "motion.send"));
-        seg_stats_[static_cast<size_t>(source)].rows_moved +=
-            source_rows[static_cast<size_t>(source)].size();
-      }
-      MPPDB_RETURN_IF_ERROR(
-          BuildMotionBuffers(node, segment, std::move(source_rows), &exchange));
-      exchange.built = true;
-    }
-    MPPDB_RETURN_IF_ERROR(CheckExec(segment, "motion.recv"));
-    return ReadMotionBuffer(node, exchange, segment);
-  }
-
-  // Parallel: a worker-count-independent exchange. Arrival is a counter each
-  // segment bumps when it deposits; a segment whose peers are outstanding
-  // suspends (unwinds, then registers a continuation) instead of blocking a
-  // worker, and the last arriver builds the buffers and reschedules the
-  // suspended peers.
+  MotionExchange& exchange = *exchanges_.at(&node);
+  // A worker-count-independent exchange. Arrival is a counter each segment
+  // bumps when it deposits; a segment whose peers are outstanding suspends
+  // (unwinds, then registers a continuation) instead of blocking a thread,
+  // and the last arriver builds the buffers and resumes the suspended peers.
   {
     std::unique_lock<std::mutex> lock(exchange.mu);
     if (!exchange.deposited[static_cast<size_t>(segment)]) {
@@ -1651,9 +1606,7 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
         std::vector<int> waiters;
         waiters.swap(exchange.waiters);
         lock.unlock();
-        for (int waiter : waiters) {
-          scheduler_->Submit([this, waiter]() { RunSegmentTask(waiter); });
-        }
+        for (int waiter : waiters) ResumeSegment(waiter);
       } else {
         // Suspend; RunSegmentTask registers the continuation once the walk
         // has unwound.

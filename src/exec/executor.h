@@ -23,7 +23,7 @@ namespace mppdb {
 
 class SpillFileManager;
 
-/// Suspension sentinel for the morsel-driven parallel path (executor.cc):
+/// Suspension sentinel for segment tasks (executor.cc):
 /// a segment task that reaches a Motion whose peers have not all arrived
 /// unwinds by returning this status through the ordinary error plumbing,
 /// and registers its continuation once fully unwound. Operators with multi-child state to
@@ -78,7 +78,7 @@ struct ExecStats {
   size_t joinfilter_motion_rows_saved = 0;
 
   /// Memory-budget shedding counters (zero unless the query ran with a
-  /// limited QueryContext budget — so the serial/parallel bit-identity
+  /// limited QueryContext budget — so the worker-count bit-identity
   /// matrix, which runs budget-free, is unaffected). Shedding
   /// order under pressure: join-filter summaries first, stale zone-map
   /// rebuilds second, and only then do mandatory charges fail the query with
@@ -155,7 +155,7 @@ struct ExecStats {
   size_t TotalPartitionsScanned() const;
 
   /// Folds another accumulator in (set-union partitions, sum counters).
-  /// Used to merge per-segment stats after a parallel run; commutative, so
+  /// Used to merge per-segment stats after a run; commutative, so
   /// merge order does not affect the result.
   void MergeFrom(const ExecStats& other);
 
@@ -170,27 +170,25 @@ struct ExecStats {
 /// always completes before the DynamicScan in children[1] starts, on the
 /// same segment, matching the paper's producer/consumer contract.
 ///
-/// Serial vs parallel mode (Options::parallel):
-///  * Serial (the oracle): one thread walks segments 0..S-1 in order. The
-///    first segment to reach a Motion node executes the Motion's child for
-///    every source segment and materializes the per-destination buffers;
-///    later segments read their buffer.
-///  * Parallel (morsel-driven, DESIGN.md §10): segments are tasks, not
-///    threads. Each segment's slice chain runs as a sequence of tasks on a
-///    shared work-stealing MorselScheduler sized to the hardware (or to
-///    max_workers), and heavy scan loops additionally split into fixed-size
-///    chunk-aligned morsels that idle workers steal. Motion nodes act like a
-///    real interconnect exchange, but arrival is a counter, not a blocked
-///    thread: a segment that reaches a Motion deposits its rows, bumps the
-///    arrival count, and — when peers are still outstanding — suspends by
-///    unwinding its task, then registering a continuation; the last arriver
-///    partitions the rows into per-destination buffers exactly once and
-///    reschedules every suspended peer as a new task. No task ever blocks on
-///    another, so any worker count — including one — makes progress, and
-///    there is no minimum pool size. If any segment fails, the executor
-///    raises an abort flag and reschedules every suspended continuation so
-///    it observes the abort; queued-but-unstarted tasks fail their liveness
-///    gate.
+/// Segments are tasks, not threads (DESIGN.md §10). Each
+/// segment's slice chain runs as a sequence of tasks, and Motion nodes act
+/// like a real interconnect exchange whose arrival is a counter, not a
+/// blocked thread: a segment that reaches a Motion deposits its rows, bumps
+/// the arrival count, and — when peers are still outstanding — suspends by
+/// unwinding its task, then registering a continuation; the last arriver
+/// partitions the rows into per-destination buffers exactly once and resumes
+/// every suspended peer as a new task. No task ever blocks on another, so
+/// any worker count makes progress. If any segment fails, the executor
+/// raises an abort flag and resumes every suspended continuation so it
+/// observes the abort; queued-but-unstarted tasks fail their liveness gate.
+///
+/// Who runs the ready tasks is the only thing Options::workers changes:
+///  * 1 worker (the default): the calling thread drains a queue local to the
+///    run until every segment has a verdict — no pool, no thread hop.
+///  * N > 1 workers (or a scheduler injected via SetScheduler): a shared
+///    work-stealing MorselScheduler runs the tasks, and heavy scan loops
+///    additionally split into fixed-size chunk-aligned morsels that idle
+///    workers steal.
 ///    Runtime state is concurrency-safe by construction: the propagation hub
 ///    is segment-scoped (each segment task re-binds its channels' owner at
 ///    task start — a segment's tasks form a chain, never overlapping, so the
@@ -198,10 +196,13 @@ struct ExecStats {
 ///    accumulate into per-segment ExecStats (plus per-morsel shards merged
 ///    in range order at each scan's join), and storage writes follow the
 ///    single-writer DML rule below.
-///    Parallel output is byte-identical to serial output: per-segment
-///    results are concatenated in segment order, Motion buffers are
-///    assembled in source-segment order, and per-morsel outputs land in
-///    pre-assigned slots concatenated in range order.
+/// Output is worker-count independent: per-segment results are concatenated
+/// in segment order, Motion buffers are assembled in source-segment order,
+/// and per-morsel outputs land in pre-assigned slots concatenated in range
+/// order, so N workers give rows and ExecStats identical to 1 worker.
+///
+/// Every Motion node must appear once in the plan: Execute rejects a plan
+/// that shares a Motion node between parents with kInvalidArgument.
 ///
 /// Simulation conventions (documented deviations from a multi-process MPP):
 ///  * Gather delivers to segment 0 (standing in for the coordinator).
@@ -212,7 +213,7 @@ struct ExecStats {
 ///    TableStore (which re-routes rows to partitions and segments). Because
 ///    DML input is gathered, all reads complete at the Gather barrier before
 ///    any write applies, and only segment 0 carries rows — the single-writer
-///    rule that keeps TableStore mutation safe in parallel mode (guarded by
+///    rule that keeps TableStore mutation safe on a pool (guarded by
 ///    a DML mutex as defense in depth).
 ///
 /// An Executor is reusable across Execute calls — including after a failed
@@ -221,18 +222,16 @@ struct ExecStats {
 class Executor {
  public:
   struct Options {
-    /// Fan segment slices out across the morsel scheduler (see class
-    /// comment).
-    bool parallel = false;
-    /// Exact size of the lazily-created scheduler pool; 0 means
-    /// hardware_concurrency. Any positive value works — Motion rendezvous is
-    /// an arrival counter, not a set of blocked threads, so there is no
-    /// minimum worker count and no serial fallback. Ignored when a shared
-    /// scheduler was injected via SetScheduler.
-    int max_workers = 0;
+    /// Threads that run the segment tasks (see class comment). 1: the
+    /// calling thread runs them; 0: a pool of hardware_concurrency workers;
+    /// N > 1: a lazily-created pool of N. Any value works — Motion
+    /// rendezvous is an arrival counter, not a set of blocked threads, so
+    /// there is no minimum. Ignored when a shared scheduler was injected via
+    /// SetScheduler.
+    int workers = 1;
     /// Split heavy scan loops into fixed-size chunk-aligned morsels that idle
-    /// workers steal (parallel mode only). Off: each segment slice still runs
-    /// as one schedulable task, but scans stay whole. Output is bit-identical
+    /// workers steal (pool runs only). Off: each segment slice still runs as
+    /// one schedulable task, but scans stay whole. Output is bit-identical
     /// either way.
     bool morsels = true;
     /// Rows per scan morsel; 0 means auto (4 storage chunks = 4096 rows).
@@ -306,28 +305,31 @@ class Executor {
 
   const Options& options() const { return options_; }
 
-  /// Points parallel runs at an externally-owned scheduler instead of a
-  /// private lazily-created one — Database uses this to share one
-  /// hardware-sized pool across every Execute call (and, eventually, across
-  /// queries). `scheduler` must outlive the executor; null reverts to the
-  /// private pool. Call only between Execute calls.
+  /// Points runs at an externally-owned scheduler instead of the calling
+  /// thread or a private lazily-created pool — Database uses this to share
+  /// one pool across every statement. `scheduler` must outlive the
+  /// executor; null reverts to Options::workers. Call only between Execute
+  /// calls.
   void SetScheduler(MorselScheduler* scheduler);
 
-  /// Pool size implied by an Options::max_workers value: the value itself
+  /// Thread count implied by an Options::workers value: the value itself
   /// when positive, otherwise hardware_concurrency (min 1).
-  static int ResolveWorkerCount(int max_workers);
+  static int ResolveWorkerCount(int workers);
 
  private:
   /// Per-Motion-node exchange state: deposited source rows, the rendezvous
   /// barrier, and the per-destination buffers built exactly once.
   struct MotionExchange;
 
-  Result<std::vector<Row>> ExecuteSerial(const PhysPtr& plan);
-  Result<std::vector<Row>> ExecuteParallel(const PhysPtr& plan);
+  /// Runs one task per segment (plus one continuation per Motion
+  /// suspension) until every segment has a verdict, then concatenates the
+  /// segment outputs in segment order.
+  Result<std::vector<Row>> RunSegments(const PhysPtr& plan);
 
-  /// Completion state of one parallel run: per-segment verdicts and the
-  /// count of finished segments, waited on by the Execute thread (the only
-  /// blocking wait in parallel mode — scheduler tasks never block).
+  /// Completion state of one run: per-segment verdicts, the count of
+  /// finished segments, and — when no scheduler exists — the queue of ready
+  /// segment tasks the calling thread drains. The Execute thread waits on it
+  /// (the only blocking wait — segment tasks never block).
   struct ParallelRun;
 
   /// Per-segment memo for the suspension/re-walk protocol (see DESIGN.md
@@ -357,10 +359,16 @@ class Executor {
     MotionExchange* suspended_at = nullptr;
   };
 
-  /// Ensures scheduler_ points at a live pool (the injected one, or a
-  /// lazily-created private pool of max_workers / hardware_concurrency
-  /// workers).
+  /// Points scheduler_ at the pool the run's tasks go to: the injected one,
+  /// or a lazily-created private pool when Options::workers resolves above
+  /// 1. Leaves it null at 1 worker (the calling thread runs the tasks).
   void EnsureScheduler();
+
+  /// Makes `segment`'s next task runnable: submits it to the scheduler, or
+  /// pushes it onto the run's ready queue under ParallelRun::mu when there
+  /// is none. Safe from any thread (SignalAbort may call it from a cancel
+  /// callback).
+  void ResumeSegment(int segment);
 
   /// The body of one segment task: binds the hub owner, runs the segment's
   /// plan walk, and either records the verdict in run_ (scheduling no
@@ -377,12 +385,12 @@ class Executor {
                            std::vector<Row>* out)>;
 
   /// Runs `body` over [0, row_count): inline when morsels are ineligible
-  /// (serial mode, morsels off, single worker, or a slice smaller than one
+  /// (no pool, morsels off, single worker, or a slice smaller than one
   /// morsel), otherwise split into chunk-aligned morsels spawned on a
   /// TaskGroup. Per-morsel rows land in pre-assigned slots appended to `out`
   /// in range order and per-morsel stats merge in range order, so output and
   /// stats are bit-identical to the inline run; on error the lowest range's
-  /// status is returned (the serial loop's first error).
+  /// status is returned (the inline loop's first error).
   Status RunMorselScan(int segment, size_t row_count, const MorselBody& body,
                        std::vector<Row>* out);
 
@@ -390,11 +398,11 @@ class Executor {
   /// up to a whole number of storage chunks.
   size_t MorselRows() const;
 
-  /// Pre-registers an exchange for every Motion node in the plan. Returns
-  /// false if a Motion node object appears more than once (a shared subtree),
-  /// in which case parallel execution falls back to serial, whose lazy
-  /// exchange handles re-visits.
-  bool CollectMotions(const PhysPtr& node);
+  /// Registers an exchange for every Motion node in the plan. Fails with
+  /// kInvalidArgument naming the node if a Motion node object appears more
+  /// than once (a shared subtree): an exchange is built exactly once per
+  /// run, so a second parent could never read it.
+  Status CollectMotions(const PhysPtr& node);
 
   /// Routes per-source rows into the exchange's per-destination buffers
   /// according to the Motion kind, in source-segment order (determinism).
@@ -409,16 +417,15 @@ class Executor {
 
   /// Reads `segment`'s output of a built exchange: the shared broadcast
   /// buffer is copied (every destination reads it), per-destination buffers
-  /// are moved out unless the exchange was lazily registered for a shared
-  /// Motion subtree, whose buffers may be re-read.
+  /// are moved out (each has exactly one reader).
   std::vector<Row> ReadMotionBuffer(const MotionNode& node, MotionExchange& exchange,
                                     int segment);
 
-  /// Marks the current run failed and reschedules every continuation
-  /// suspended at a Motion exchange, so each observes the abort and records
-  /// its verdict instead of waiting for peers that will never arrive. Safe
-  /// from any thread, including a QueryContext cancel callback racing a
-  /// serial run's lazy exchange registration (exchanges_mu_).
+  /// Marks the current run failed and resumes every continuation suspended
+  /// at a Motion exchange, so each observes the abort and records its
+  /// verdict instead of waiting for peers that will never arrive. Safe from
+  /// any thread, including a QueryContext cancel callback: exchanges_ is
+  /// immutable while the callback is registered.
   void SignalAbort();
 
   /// The batch-granularity liveness + fault check, called at operator
@@ -445,7 +452,7 @@ class Executor {
   Result<bool> TryChargeSpill(int segment, size_t bytes);
 
   /// Lazily creates the per-run spill file manager rooted at the context's
-  /// spill_dir. Thread-safe (parallel segments may spill concurrently); the
+  /// spill_dir. Thread-safe (segments on a pool may spill concurrently); the
   /// manager — and with it every spill file — is destroyed by Execute's
   /// end-of-run teardown on success, cancellation, deadline expiry, fault,
   /// and retry alike.
@@ -627,14 +634,10 @@ class Executor {
   /// Per-segment accumulators for the run in progress; each is written only
   /// by the thread executing that segment's slices.
   std::vector<ExecStats> seg_stats_;
-  /// Exchange state per Motion node, pre-built for the run in progress.
+  /// Exchange state per Motion node, pre-built for the run in progress and
+  /// immutable (as a map) until the run ends, so tasks and SignalAbort read
+  /// it lock-free.
   std::unordered_map<const PhysicalNode*, std::unique_ptr<MotionExchange>> exchanges_;
-  /// Guards exchanges_ mutations (serial-mode lazy registration, end-of-run
-  /// clear) against SignalAbort's iteration from a cancel thread. Parallel
-  /// workers read the map lock-free: it is immutable during a parallel run.
-  std::mutex exchanges_mu_;
-  /// True while the current run is fanned out across workers.
-  bool parallel_run_ = false;
   std::atomic<bool> abort_flag_{false};
   /// Context of the run in progress; never null while executing (a shared
   /// unlimited default stands in when the caller passed none).
@@ -647,18 +650,17 @@ class Executor {
   std::mutex spill_mu_;
   /// Defense in depth for the single-writer DML rule (see class comment).
   std::mutex dml_mu_;
-  /// The pool parallel runs schedule onto: an injected shared scheduler
-  /// (SetScheduler) or the lazily-created private one below.
+  /// The pool runs schedule onto: an injected shared scheduler
+  /// (SetScheduler), the lazily-created private one below, or null — the
+  /// calling thread runs every task.
   MorselScheduler* scheduler_ = nullptr;
   std::unique_ptr<MorselScheduler> owned_scheduler_;
-  /// Per-segment suspension memos for the run in progress (parallel mode).
+  /// Per-segment suspension memos for the run in progress.
   std::vector<SegmentRunState> seg_run_;
-  /// Completion state of the parallel run in progress (owned by
-  /// ExecuteParallel's frame); null otherwise. Segment tasks record their
-  /// verdicts here.
+  /// Completion state of the run in progress (owned by RunSegments' frame);
+  /// null otherwise. Segment tasks record their verdicts here.
   ParallelRun* run_ = nullptr;
-  /// Root of the plan being run in parallel; continuations re-enter through
-  /// it.
+  /// Root of the plan being run; continuations re-enter through it.
   const PhysPtr* current_plan_ = nullptr;
 };
 

@@ -254,7 +254,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
   for (size_t i = 0; i < frag.prefix.size(); ++i) {
     Result<std::vector<Row>> discarded = ExecNode(frag.prefix[i], segment);
     if (!discarded.ok()) {
-      if (parallel_run_ && IsSuspendedStatus(discarded.status())) {
+      if (IsSuspendedStatus(discarded.status())) {
         // Prefix outputs are discarded; mark completed ones done so the
         // re-walk skips their side-effecting subtrees (see kSequence).
         SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
@@ -466,7 +466,6 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
   // performed them on an earlier walk (the hub rejects a second publication
   // of the same filter id, and the budget must not be charged twice).
   const bool effects_pending =
-      !parallel_run_ ||
       seg_run_[static_cast<size_t>(segment)].effects_done.erase(&node) == 0;
   if (effects_pending) {
     // The build table pins every build row plus hash-table nodes for the
@@ -500,7 +499,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
   }
   Result<std::vector<Row>> probe_result = ExecNode(node.child(1), segment);
   if (!probe_result.ok()) {
-    if (parallel_run_ && IsSuspendedStatus(probe_result.status())) {
+    if (IsSuspendedStatus(probe_result.status())) {
       SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
       memo.cache[node.child(0).get()] = std::move(build_rows);
       memo.effects_done.insert(&node);

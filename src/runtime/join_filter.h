@@ -16,7 +16,7 @@ namespace mppdb {
 /// lane derived from its low hash bits through per-lane odd multipliers. One
 /// cache line per probe, and insertion is a pure bit-OR — commutative, so a
 /// filter built from the same key multiset is bit-identical regardless of
-/// insertion order (serial and parallel builds agree).
+/// insertion order (1-worker and pool builds agree).
 class BlockedBloomFilter {
  public:
   BlockedBloomFilter() = default;

@@ -24,8 +24,8 @@ namespace mppdb {
 /// per-segment vector is sized once at construction, and the contract — which
 /// makes concurrent slice execution safe without locks — is that all accesses
 /// for a given segment come from the one thread currently executing that
-/// segment's slices. The parallel executor registers that thread via
-/// BindOwner at slice start, and every access checks it (a violated contract
+/// segment's slices. The executor registers that thread via BindOwner
+/// at every segment task start, and every access checks it (a violated contract
 /// is a data race, so it aborts rather than limping on). Reset and BindOwner
 /// are the only cross-segment calls; both happen while no slices run.
 class PartitionPropagationHub {
@@ -104,7 +104,7 @@ class PartitionPropagationHub {
     /// later publishes.
     std::map<int, JoinFilterSummary> filters;
     /// Owning thread; default (no thread) means unbound — any thread may
-    /// claim by access in serial mode, where BindOwner is still called.
+    /// access (the executor binds every segment at each task start).
     std::atomic<std::thread::id> owner{std::thread::id()};
   };
 

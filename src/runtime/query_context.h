@@ -18,7 +18,7 @@ namespace mppdb {
 /// deadline, a memory budget, and an optional fault injector. The executor
 /// checks it at batch granularity in every hot loop (CheckAlive), in Motion
 /// exchanges, and in scheduler task bodies, so Cancel() and deadline expiry
-/// terminate any query — serial or parallel — within one batch, with a typed
+/// terminate any query — at any worker count — within one batch, with a typed
 /// Status (kCancelled / kDeadlineExceeded), all threads joined, and storage
 /// untouched (DML re-checks liveness before applying any write, never
 /// mid-apply).

@@ -4,7 +4,7 @@
 // column-oriented table returns bit-identical rows and (modulo the encoded-
 // path counters, which are exactly what the fast path is allowed to change)
 // bit-identical ExecStats to the row-store oracle, across
-// {serial, parallel} x {skipping on, off} x {encoded eval on, off},
+// {1 worker, pool} x {skipping on, off} x {encoded eval on, off},
 // including error outcomes.
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ class ColumnarExecTest : public ::testing::Test {
   ColumnarExecTest()
       : row_(3),
         col_(3),
-        col_par_(3, Executor::Options{.parallel = true}),
+        col_par_(3, Executor::Options{.workers = 0}),
         col_noskip_(3, Executor::Options{.data_skipping = false}),
         col_noenc_(3, Executor::Options{.encoded_eval = false}),
         mixed_(3) {
@@ -111,14 +111,14 @@ class ColumnarExecTest : public ::testing::Test {
       ASSERT_TRUE(mode.ok()) << sql << "\n" << mode.status().ToString();
       const bool skipping = db->exec_options().data_skipping;
       EXPECT_TRUE(reference->rows == mode->rows)
-          << sql << " (parallel=" << db->exec_options().parallel
+          << sql << " (workers=" << db->exec_options().workers
           << " skipping=" << skipping
           << " encoded=" << db->exec_options().encoded_eval << ")";
       ExecStats mode_stats = mode->stats;
       ZeroEncodedCounters(&mode_stats);
       if (skipping) {
         EXPECT_TRUE(reference->stats == mode_stats)
-            << sql << " (parallel=" << db->exec_options().parallel
+            << sql << " (workers=" << db->exec_options().workers
             << " encoded=" << db->exec_options().encoded_eval << ")";
       } else {
         ZeroSkipCounters(&mode_stats);
@@ -193,7 +193,7 @@ TEST_F(ColumnarExecTest, ErrorOutcomesMatchRowOracle) {
   ASSERT_FALSE(reference.ok());
   for (Database* db : ColumnDbs()) {
     auto mode = db->Run(sql);
-    ASSERT_FALSE(mode.ok()) << "parallel=" << db->exec_options().parallel
+    ASSERT_FALSE(mode.ok()) << "workers=" << db->exec_options().workers
                             << " skipping=" << db->exec_options().data_skipping
                             << " encoded=" << db->exec_options().encoded_eval;
     EXPECT_EQ(mode.status().code(), reference.status().code());

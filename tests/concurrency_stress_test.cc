@@ -23,7 +23,7 @@ namespace mppdb {
 namespace {
 
 std::unique_ptr<Database> BuildStressDb() {
-  auto db = std::make_unique<Database>(4, Executor::Options{.parallel = true});
+  auto db = std::make_unique<Database>(4, Executor::Options{.workers = 0});
   MPPDB_CHECK(db->CreatePartitionedTable(
                      "fact",
                      Schema({{"sk", TypeId::kInt64}, {"v", TypeId::kInt64}}),

@@ -303,7 +303,7 @@ TEST_F(PlanCacheTest, DateStringCoercionMatchesBinderVerdicts) {
 // --- Concurrent Execute ------------------------------------------------------
 
 TEST(ConcurrentExecuteTest, ParallelSelectsShareSchedulerAndCache) {
-  Database db(2, Executor::Options{.parallel = true});
+  Database db(2, Executor::Options{.workers = 0});
   ASSERT_TRUE(db.CreatePartitionedTable(
                     "t", Schema({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}}),
                     TableDistribution::kHashed, {0}, {{0, PartitionMethod::kRange}},

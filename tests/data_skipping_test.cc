@@ -444,30 +444,28 @@ TEST_F(DataSkippingExecTest, SelectiveEqualitySkipsNearlyEverything) {
 TEST_F(DataSkippingExecTest, ParallelMorselsSkipIdentically) {
   PhysPtr plan =
       FilterOverAllLeaves(fact_, MakeComparison(CompareOp::kLt, ColA(), Lit(2000)));
-  auto serial_result = db_.executor.Execute(plan);
-  ASSERT_TRUE(serial_result.ok());
+  auto one_worker_result = db_.executor.Execute(plan);
+  ASSERT_TRUE(one_worker_result.ok());
 
   // 1024-row morsels put every chunk in its own stealable range.
   Executor parallel(&db_.catalog, &db_.storage,
-                    Executor::Options{.parallel = true,
-                                      .max_workers = 4,
+                    Executor::Options{.workers = 4,
                                       .morsel_rows = 1024});
   auto parallel_result = parallel.Execute(plan);
   ASSERT_TRUE(parallel_result.ok());
-  EXPECT_TRUE(*serial_result == *parallel_result);
-  // Including the skip counters: per-morsel decisions add up to the serial
+  EXPECT_TRUE(*one_worker_result == *parallel_result);
+  // Including the skip counters: per-morsel decisions add up to the 1-worker
   // ones.
   EXPECT_TRUE(db_.executor.stats() == parallel.stats());
   EXPECT_GT(parallel.stats().chunks_skipped, 0u);
 
   Executor parallel_noskip(&db_.catalog, &db_.storage,
-                           Executor::Options{.parallel = true,
-                                             .max_workers = 4,
+                           Executor::Options{.workers = 4,
                                              .morsel_rows = 1024,
                                              .data_skipping = false});
   auto parallel_noskip_result = parallel_noskip.Execute(plan);
   ASSERT_TRUE(parallel_noskip_result.ok());
-  EXPECT_TRUE(*serial_result == *parallel_noskip_result);
+  EXPECT_TRUE(*one_worker_result == *parallel_noskip_result);
   EXPECT_EQ(parallel_noskip.stats().chunks_skipped, 0u);
 }
 

@@ -334,6 +334,35 @@ TEST_F(ExecutorTest, RedistributeMotionPreservesMultiset) {
   EXPECT_EQ(db_.executor.stats().rows_moved, baseline->size());
 }
 
+// An exchange is built once per run and each destination buffer has one
+// reader, so a plan whose Motion node has two parents is rejected up front
+// with a typed error naming the node — and the executor stays usable.
+TEST_F(ExecutorTest, PlanSharingAMotionNodeIsRejected) {
+  PhysPtr redist = std::make_shared<MotionNode>(MotionKind::kRedistribute,
+                                                std::vector<ColRefId>{1},
+                                                OrdersDynamicScan());
+  auto selector = std::make_shared<PartitionSelectorNode>(
+      orders_->oid, /*scan_id=*/1, std::vector<ColRefId>{1},
+      std::vector<ExprPtr>{nullptr}, /*child=*/nullptr);
+  auto shared = std::make_shared<SequenceNode>(
+      std::vector<PhysPtr>{selector, std::make_shared<AppendNode>(
+                                         std::vector<PhysPtr>{redist, redist})});
+  auto rejected = db_.executor.Execute(shared);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("RedistributeMotion([1])"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_TRUE(db_.executor.stats() == ExecStats());
+
+  // The same subtree under a single parent runs, on the same executor.
+  auto tree = std::make_shared<SequenceNode>(std::vector<PhysPtr>{selector, redist});
+  auto result = db_.executor.Execute(tree);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), 24u);
+  EXPECT_EQ(db_.executor.stats().rows_moved, 24u);
+}
+
 TEST_F(ExecutorTest, InsertThenDeleteWithRowids) {
   const TableDescriptor* t =
       db_.CreatePlainTable("dml_t", Schema({{"x", TypeId::kInt64}}), {0});

@@ -1,13 +1,13 @@
 // Fault-matrix property test: random SQL queries over a partitioned star
 // schema, executed under every named fault point × fault kind ×
-// {serial, parallel} — plus a morsel-scheduler mode with
+// {1 worker, pool} — plus a morsel-scheduler mode with
 // the pool (4 workers) wider than the segment count (3), so faults fire
 // across Motion suspension/resume and continuation rescheduling — with
 // query-level transient retries enabled. The contract for every cell of the
 // matrix:
 //
 //   - success means BIT-IDENTICAL rows and ExecStats to the fault-free
-//     serial oracle (a cured transient retry leaves no trace);
+//     1-worker oracle (a cured transient retry leaves no trace);
 //   - failure means a clean typed Status from the resilience taxonomy —
 //     never a hang, a crash, or an untyped error;
 //   - the Database (executor, hub, exchanges, join filters) is immediately
@@ -39,9 +39,8 @@ class FaultMatrixTest : public ::testing::Test {
  protected:
   FaultMatrixTest()
       : db_(3),
-        db_parallel_(3, Executor::Options{.parallel = true}),
-        db_parallel_morsel_(3, Executor::Options{.parallel = true,
-                                                 .max_workers = 4,
+        db_parallel_(3, Executor::Options{.workers = 0}),
+        db_parallel_morsel_(3, Executor::Options{.workers = 4,
                                                  .morsel_rows = 1024}) {
     Random rng(20260807);
     std::vector<Row> fact_rows;
@@ -130,14 +129,13 @@ TEST_F(FaultMatrixTest, EveryFaultPointInEveryModeIsIdenticalOrTyped) {
   const std::vector<std::string> queries = RandomQueries(&rng);
 
   for (const std::string& sql : queries) {
-    // Fault-free oracle: serial.
+    // Fault-free oracle: 1 worker.
     auto oracle = db_.Run(sql);
     ASSERT_TRUE(oracle.ok()) << sql << "\n" << oracle.status().ToString();
 
     for (Database* db : AllModes()) {
       const std::string mode =
-          std::string(" [parallel=") +
-          (db->exec_options().parallel ? "1" : "0") +
+          " [workers=" + std::to_string(db->exec_options().workers) +
           " morsel_rows=" + std::to_string(db->exec_options().morsel_rows) + "]";
       for (const char* point : FaultInjector::kPoints) {
         for (FaultKind kind : {FaultKind::kTransient, FaultKind::kFatal}) {
@@ -247,8 +245,8 @@ TEST(SpillFaultMatrixTest, SpillPointsAreCuredOrTypedAndLeakFree) {
 
   const Executor::Options modes[] = {
       {},
-      {.parallel = true},
-      {.parallel = true, .max_workers = 4, .morsel_rows = 1024},
+      {.workers = 0},
+      {.workers = 4, .morsel_rows = 1024},
   };
 
   Random rng(20260809);
@@ -293,7 +291,7 @@ TEST(SpillFaultMatrixTest, SpillPointsAreCuredOrTypedAndLeakFree) {
               std::string("point=") + point +
               (kind == FaultKind::kTransient ? " transient" : " fatal") +
               " max_fires=" + std::to_string(max_fires) +
-              " parallel=" + (mode.parallel ? "1" : "0") +
+              " workers=" + std::to_string(mode.workers) +
               " morsel_rows=" + std::to_string(mode.morsel_rows);
           EXPECT_GT(injector.hits(point), 0u) << cell << ": query never spilled";
           if (kind == FaultKind::kTransient && max_fires == 1) {

@@ -1,7 +1,7 @@
 // Runtime join-filter correctness suite.
 //
 // The hard invariant under test: join filters never change results or any
-// pre-existing ExecStats counter — across {serial, parallel} x {data
+// pre-existing ExecStats counter — across {1 worker, pool} x {data
 // skipping on, off} — and every observable difference is
 // confined to the joinfilter_* counter family. On top of that, the suite
 // pins down the semantic corners: an empty build side rejects every probe
@@ -133,11 +133,11 @@ ModeResult CheckTransparent(Database* db, const std::string& sql) {
 std::vector<Executor::Options> ExecutorModeMatrix(bool with_noskip) {
   std::vector<Executor::Options> modes = {
       {},
-      {.parallel = true},
+      {.workers = 0},
   };
   if (with_noskip) {
     modes.push_back({.data_skipping = false});
-    modes.push_back({.parallel = true, .data_skipping = false});
+    modes.push_back({.workers = 0, .data_skipping = false});
   }
   return modes;
 }

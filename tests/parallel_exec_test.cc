@@ -1,9 +1,12 @@
-// Parallel segment execution: determinism against the serial oracle across
-// the TPC-DS-style workload, worker-count independence (pools smaller than
-// the segment count), abort propagation on segment failure, and executor
-// reusability after failed executions.
+// Worker-count independence: N workers give rows and ExecStats identical to
+// a 1-worker run across the TPC-DS-style workload, pools smaller than the
+// segment count, abort propagation on segment failure, executor reusability
+// after failed executions, and which threads a Database creates.
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <string>
 
 #include "db/database.h"
 #include "exec/executor.h"
@@ -20,27 +23,27 @@ using testutil::TestDb;
 
 ExprPtr Lit(int64_t v) { return MakeConst(Datum::Int64(v)); }
 
-// Parallel execution must produce row-for-row identical results and
-// identical ExecStats (partitions scanned, tuples scanned, rows moved) to
-// serial execution for every workload query. Two databases loaded from the
-// same deterministic generator have identical storage contents, so any
-// divergence is an executor-mode difference.
+// A pool must produce row-for-row identical results and identical ExecStats
+// (partitions scanned, tuples scanned, rows moved) to a 1-worker run for
+// every workload query. Two databases loaded from the same deterministic
+// generator have identical storage contents, so any divergence is a
+// worker-count difference.
 TEST(ParallelDeterminismTest, TpcdsWorkloadMatchesSerialExactly) {
   workload::TpcdsConfig config;
   config.base_rows = 1000;
-  Database serial_db(4);
-  Database parallel_db(4, Executor::Options{.parallel = true});
-  ASSERT_TRUE(workload::CreateAndLoadTpcds(&serial_db, config).ok());
+  Database one_worker_db(4);
+  Database parallel_db(4, Executor::Options{.workers = 0});
+  ASSERT_TRUE(workload::CreateAndLoadTpcds(&one_worker_db, config).ok());
   ASSERT_TRUE(workload::CreateAndLoadTpcds(&parallel_db, config).ok());
 
   for (const auto& query : workload::TpcdsQueries(config)) {
-    auto serial = serial_db.Run(query.sql);
+    auto one_worker = one_worker_db.Run(query.sql);
     auto parallel = parallel_db.Run(query.sql);
-    ASSERT_TRUE(serial.ok()) << query.name << ": " << serial.status().ToString();
+    ASSERT_TRUE(one_worker.ok()) << query.name << ": " << one_worker.status().ToString();
     ASSERT_TRUE(parallel.ok()) << query.name << ": " << parallel.status().ToString();
     // Row-for-row: same rows in the same order, bitwise-equal datums.
-    EXPECT_TRUE(serial->rows == parallel->rows) << query.name;
-    EXPECT_TRUE(serial->stats == parallel->stats) << query.name;
+    EXPECT_TRUE(one_worker->rows == parallel->rows) << query.name;
+    EXPECT_TRUE(one_worker->stats == parallel->stats) << query.name;
   }
 }
 
@@ -49,9 +52,9 @@ TEST(ParallelDeterminismTest, TpcdsWorkloadMatchesSerialExactly) {
 TEST(ParallelDeterminismTest, TpchQueriesMatchSerialAt8Segments) {
   workload::TpchConfig config;
   config.rows = 4000;
-  Database serial_db(8);
-  Database parallel_db(8, Executor::Options{.parallel = true});
-  for (Database* db : {&serial_db, &parallel_db}) {
+  Database one_worker_db(8);
+  Database parallel_db(8, Executor::Options{.workers = 0});
+  for (Database* db : {&one_worker_db, &parallel_db}) {
     ASSERT_TRUE(workload::CreateAndLoadLineitem(
                     db, config, workload::LineitemPartitioning::kMonthly84, "lineitem")
                     .ok());
@@ -64,22 +67,23 @@ TEST(ParallelDeterminismTest, TpchQueriesMatchSerialAt8Segments) {
       "'1999-03-31'",
   };
   for (const char* sql : queries) {
-    auto serial = serial_db.Run(sql);
+    auto one_worker = one_worker_db.Run(sql);
     auto parallel = parallel_db.Run(sql);
-    ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status().ToString();
+    ASSERT_TRUE(one_worker.ok()) << sql << ": " << one_worker.status().ToString();
     ASSERT_TRUE(parallel.ok()) << sql << ": " << parallel.status().ToString();
-    EXPECT_TRUE(serial->rows == parallel->rows) << sql;
-    EXPECT_TRUE(serial->stats == parallel->stats) << sql;
+    EXPECT_TRUE(one_worker->rows == parallel->rows) << sql;
+    EXPECT_TRUE(one_worker->stats == parallel->stats) << sql;
   }
 }
 
-// Morsel scheduling decouples segments from threads: a pool capped below
-// num_segments (even a single worker) still runs the plan in parallel mode —
-// Motion arrival is a counter bumped by suspending tasks, not a blocked
-// thread — and matches the serial oracle row for row. The old executor
-// silently fell back to serial here; that fallback is gone.
+// Morsel scheduling decouples segments from threads: any thread count below
+// num_segments — the calling thread alone, a pool of 2 or 3, or an injected
+// 1-worker pool — runs the plan, because Motion arrival is a counter bumped
+// by suspending tasks, not a blocked thread, and matches the 1-worker run
+// row for row.
 TEST(ParallelExecTest, PoolSmallerThanSegmentCountStillRunsParallel) {
-  for (int max_workers : {1, 2, 3}) {
+  MorselScheduler single_worker_pool(1);
+  for (int workers : {1, 2, 3, -1}) {
     TestDb db(4);
     const TableDescriptor* t =
         db.CreatePlainTable("t", Schema({{"k", TypeId::kInt64}}), {0});
@@ -93,18 +97,20 @@ TEST(ParallelExecTest, PoolSmallerThanSegmentCountStillRunsParallel) {
       return std::make_shared<MotionNode>(MotionKind::kGather,
                                           std::vector<ColRefId>{}, scan);
     };
-    Executor serial(&db.catalog, &db.storage, Executor::Options{});
-    auto oracle = serial.Execute(make_plan());
+    Executor one_worker(&db.catalog, &db.storage, Executor::Options{});
+    auto oracle = one_worker.Execute(make_plan());
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
+    // -1 stands for the injected 1-worker pool.
     Executor capped(&db.catalog, &db.storage,
-                    Executor::Options{.parallel = true, .max_workers = max_workers});
+                    Executor::Options{.workers = workers < 0 ? 1 : workers});
+    if (workers < 0) capped.SetScheduler(&single_worker_pool);
     auto result = capped.Execute(make_plan());
-    ASSERT_TRUE(result.ok()) << "max_workers=" << max_workers << ": "
+    ASSERT_TRUE(result.ok()) << "workers=" << workers << ": "
                              << result.status().ToString();
-    EXPECT_TRUE(*result == *oracle) << "max_workers=" << max_workers;
+    EXPECT_TRUE(*result == *oracle) << "workers=" << workers;
     EXPECT_EQ(capped.stats().tuples_scanned, 40u);
-    EXPECT_TRUE(capped.stats() == serial.stats()) << "max_workers=" << max_workers;
+    EXPECT_TRUE(capped.stats() == one_worker.stats()) << "workers=" << workers;
   }
 }
 
@@ -133,7 +139,7 @@ TEST(ParallelExecTest, SingleSegmentFailureAbortsPeersAtMotionBarrier) {
   auto gather = std::make_shared<MotionNode>(MotionKind::kGather,
                                              std::vector<ColRefId>{}, filter);
 
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   auto result = parallel.Execute(gather);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("division by zero"), std::string::npos)
@@ -154,21 +160,21 @@ TEST(ParallelExecTest, SingleSegmentFailureAbortsPeersAtMotionBarrier) {
 // Failure paths must leave the executor clean and reusable in both modes:
 // stats zeroed, no stale propagation channels or Motion buffers.
 TEST(ParallelExecTest, ExecutorReusableAfterFailure) {
-  for (bool parallel_mode : {false, true}) {
+  for (int workers : {1, 0}) {
     TestDb db(4);
     const TableDescriptor* t =
         db.CreatePlainTable("t", Schema({{"k", TypeId::kInt64}}), {0});
     db.Insert(t, {{Datum::Int64(1)}, {Datum::Int64(2)}});
 
     Executor executor(&db.catalog, &db.storage,
-                      Executor::Options{.parallel = parallel_mode});
+                      Executor::Options{.workers = workers});
     // Scan of a table with no storage: fails on every segment.
     auto bogus = std::make_shared<TableScanNode>(/*table_oid=*/987654,
                                                  /*unit_oid=*/987654,
                                                  std::vector<ColRefId>{1});
     auto failed = executor.Execute(bogus);
     ASSERT_FALSE(failed.ok());
-    EXPECT_TRUE(executor.stats() == ExecStats()) << "mode parallel=" << parallel_mode;
+    EXPECT_TRUE(executor.stats() == ExecStats()) << "workers=" << workers;
 
     // A DynamicScan whose selector never ran exercises the stale-channel
     // check; a fresh executor state must report the ordering bug, not serve
@@ -190,6 +196,40 @@ TEST(ParallelExecTest, ExecutorReusableAfterFailure) {
     EXPECT_EQ(executor.stats().tuples_scanned, 2u);
   }
 }
+
+#ifdef __linux__
+// Threads of this process, from /proc/self/status.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// The default Database creates no scheduler: every statement runs its segment
+// tasks on the calling thread, so running queries starts no thread. Only
+// workers > 1 creates a pool, of exactly that size.
+TEST(ParallelExecTest, DefaultDatabaseRunsStatementsOnTheCallingThread) {
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
+  {
+    Database db(4);
+    ASSERT_TRUE(db.Run("CREATE TABLE t (k int, v int) DISTRIBUTED BY (k)").ok());
+    ASSERT_TRUE(db.Run("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)").ok());
+    auto result = db.Run("SELECT v, count(*) FROM t GROUP BY v");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows.size(), 3u);
+    EXPECT_EQ(ProcessThreadCount(), before);
+  }
+  {
+    Database db(4, Executor::Options{.workers = 2});
+    EXPECT_EQ(ProcessThreadCount(), before + 2);
+  }
+  EXPECT_EQ(ProcessThreadCount(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace mppdb

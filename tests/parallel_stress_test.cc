@@ -1,5 +1,5 @@
 // Concurrency stress: a PartitionSelector/DynamicScan join executed
-// repeatedly on 8 segments in parallel mode to shake out races in
+// repeatedly on 8 segments on a worker pool to shake out races in
 // PartitionPropagationHub, the Motion exchange barrier, the per-segment stats
 // accumulators, and the per-worker kernel contexts and join pipelines. Built
 // and run under ThreadSanitizer by the tsan_parallel_stress ctest entry (see
@@ -70,7 +70,7 @@ TEST(ParallelStressTest, SelectorDynamicScanJoinOn8Segments) {
 
   PhysPtr plan = BuildSelectorJoinPlan(fact, dim);
 
-  // Serial oracle, once.
+  // 1-worker oracle, once.
   auto oracle = db.executor.Execute(plan);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ASSERT_FALSE(oracle->empty());
@@ -80,7 +80,7 @@ TEST(ParallelStressTest, SelectorDynamicScanJoinOn8Segments) {
 
   // Hammer the parallel path: fresh rendezvous state every iteration, same
   // rows and stats every time.
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   for (int iteration = 0; iteration < 25; ++iteration) {
     auto result = parallel.Execute(plan);
     ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
@@ -114,7 +114,7 @@ TEST(ParallelStressTest, RedistributeExchangeRepeated) {
   ASSERT_EQ(oracle->size(), 400u);
   ExecStats oracle_stats = db.executor.stats();
 
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   for (int iteration = 0; iteration < 25; ++iteration) {
     auto result = parallel.Execute(gather);
     ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
@@ -266,7 +266,7 @@ TEST(ParallelStressTest, JoinFilterPublicationRacesParallelProbeScans) {
   ASSERT_EQ(oracle_stats.joinfilter_built, 1u);
   ASSERT_GT(oracle_stats.joinfilter_motion_rows_saved, 0u);
 
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   for (int iteration = 0; iteration < 25; ++iteration) {
     auto result = parallel.Execute(gather);
     ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
@@ -281,7 +281,7 @@ TEST(ParallelStressTest, JoinFilterPublicationRacesParallelProbeScans) {
 // that are not chunk multiples, exercising the round-up) and random pool
 // sizes — pools smaller than the segment count force every Motion
 // suspension/resume path, and single-digit morsel sizes on a shared deque
-// force steals. Every combination must reproduce the serial oracle's rows
+// force steals. Every combination must reproduce the 1-worker oracle's rows
 // and stats bit for bit. Runs under the tsan_parallel_stress gate with the
 // rest of this target.
 TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
@@ -325,8 +325,7 @@ TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
     const size_t morsel_rows = 1 + rng() % 3000;
     const bool morsels = iteration % 5 != 4;  // sprinkle morsels-off runs
     Executor parallel(&db.catalog, &db.storage,
-                      Executor::Options{.parallel = true,
-                                        .max_workers = max_workers,
+                      Executor::Options{.workers = max_workers,
                                         .morsels = morsels,
                                         .morsel_rows = morsel_rows});
     auto result = parallel.Execute(plan);
@@ -345,8 +344,7 @@ TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
   // next iteration. Which morsel draws the fault is scheduling-dependent by
   // design; the outcome contract is not.
   Executor faulty(&db.catalog, &db.storage,
-                  Executor::Options{.parallel = true,
-                                    .max_workers = 4,
+                  Executor::Options{.workers = 4,
                                     .morsel_rows = 1024});
   for (const char* point : {"storage.scan_chunk", "motion.send", "motion.recv"}) {
     for (int iteration = 0; iteration < 6; ++iteration) {
@@ -404,7 +402,7 @@ TEST(ParallelStressTest, CancellationRacesParallelWorkers) {
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ExecStats oracle_stats = db.executor.stats();
 
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   for (int iteration = 0; iteration < 15; ++iteration) {
     QueryContext ctx;
     // The cancel lands at an arbitrary point of the run — before the first
@@ -435,6 +433,76 @@ TEST(ParallelStressTest, CancellationRacesParallelWorkers) {
   }
 }
 
+// A 1-worker run has no pool: the calling thread drains a run-local queue of
+// ready segment tasks. A Cancel() from another thread resumes the segments
+// suspended at a Motion by pushing them onto that queue while the calling
+// thread is busy. A delay on segment 7's first motion.send (the Broadcast,
+// reached after segments 0..6 suspended there) holds the calling thread
+// still while the canceller fires, so every iteration exercises that push.
+TEST(ParallelStressTest, CancelPushesWaitersOntoOneWorkerDrainQueue) {
+  TestDb db(8);
+  const TableDescriptor* fact = db.CreateIntPartitionedTable("fact", 16);
+  std::vector<Row> fact_rows;
+  for (int64_t i = 0; i < 512; ++i) {
+    fact_rows.push_back({Datum::Int64(i), Datum::Int64(i % 160)});
+  }
+  db.Insert(fact, fact_rows);
+  const TableDescriptor* dim = db.CreatePlainTable(
+      "dim", Schema({{"id", TypeId::kInt64}, {"tag", TypeId::kInt64}}), {0});
+  std::vector<Row> dim_rows;
+  for (int64_t id : {3, 17, 42, 88, 131}) {
+    dim_rows.push_back({Datum::Int64(id), Datum::Int64(id * 2)});
+  }
+  db.Insert(dim, dim_rows);
+  PhysPtr plan = BuildSelectorJoinPlan(fact, dim);  // Broadcast + Gather
+
+  auto oracle = db.executor.Execute(plan);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ExecStats oracle_stats = db.executor.stats();
+
+  Executor one_worker(&db.catalog, &db.storage, Executor::Options{.workers = 1});
+  for (int iteration = 0; iteration < 12; ++iteration) {
+    FaultInjector injector(static_cast<uint64_t>(iteration) + 1);
+    FaultSpec stall;
+    stall.kind = FaultKind::kDelay;
+    stall.delay_ms = 200;
+    stall.segment = 7;
+    stall.max_fires = 1;
+    injector.Arm("motion.send", stall);
+    QueryContext ctx;
+    ctx.set_fault_injector(&injector);
+    std::thread canceller([&ctx, &injector, iteration]() {
+      // Wait until segment 7 sleeps in its delay, then land the cancel at a
+      // varying point inside it.
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (injector.fires("motion.send") == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      for (int spin = 0; spin < iteration * 97; ++spin) std::this_thread::yield();
+      ctx.Cancel();
+    });
+    auto result = one_worker.Execute(plan, &ctx);
+    canceller.join();
+    ASSERT_EQ(injector.fires("motion.send"), 1u) << "iter " << iteration;
+    if (result.ok()) {
+      // Only if the canceller was descheduled past the whole delay.
+      ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
+      ASSERT_TRUE(one_worker.stats() == oracle_stats) << "iter " << iteration;
+    } else {
+      ASSERT_EQ(result.status().code(), StatusCode::kCancelled)
+          << "iter " << iteration << ": " << result.status().ToString();
+    }
+    ctx.Reset();
+    ctx.set_fault_injector(nullptr);
+    auto retry = one_worker.Execute(plan, &ctx);
+    ASSERT_TRUE(retry.ok()) << "iter " << iteration << ": "
+                            << retry.status().ToString();
+    ASSERT_TRUE(*retry == *oracle) << "iter " << iteration;
+    ASSERT_TRUE(one_worker.stats() == oracle_stats) << "iter " << iteration;
+  }
+}
+
 TEST(ParallelStressTest, DeadlinesExpireAcrossParallelRendezvous) {
   TestDb db(8);
   const TableDescriptor* t = db.CreatePlainTable(
@@ -454,7 +522,7 @@ TEST(ParallelStressTest, DeadlinesExpireAcrossParallelRendezvous) {
   auto oracle = db.executor.Execute(plan);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   for (int iteration = 0; iteration < 15; ++iteration) {
     QueryContext ctx;
     // Deadlines from "already expired" to "comfortably far": each must yield
@@ -499,7 +567,7 @@ TEST(ParallelStressTest, BudgetExhaustionRacesParallelCharges) {
 
   // Find the parallel run's peak, then sweep budgets across it: eight
   // workers race TryCharge against the shared accountant at every limit.
-  Executor parallel(&db.catalog, &db.storage, Executor::Options{.parallel = true});
+  Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 0});
   QueryContext probe_ctx;
   probe_ctx.budget().set_limit(size_t{1} << 40);
   auto probe = parallel.Execute(plan, &probe_ctx);

@@ -10,12 +10,12 @@
 // query results, only the partitions touched.
 //
 // Each query additionally runs through the executor-mode matrix
-// {serial, parallel} x {data skipping on, off} x {morsels on, off,
+// {1 worker, pool} x {data skipping on, off} x {morsels on, off,
 // fine-grained} x {row-store, column-store, mixed-per-partition} — the
 // morsel legs use a 4-worker pool above the 3 segments, and the
 // fine-grained leg forces 1024-row morsels so steals and per-morsel stat
 // shards are exercised — asserting bit-identical rows and ExecStats against
-// the serial run (zone-map skip counters are zeroed before comparing
+// the 1-worker run (zone-map skip counters are zeroed before comparing
 // on-vs-off, since those are exactly what skipping is allowed to change),
 // plus a runtime join-filter on/off toggle whose only allowed stats
 // difference is the joinfilter_* counter family.
@@ -239,21 +239,19 @@ class RandomQueryTest : public ::testing::Test {
  protected:
   RandomQueryTest()
       : db_(3),
-        db_parallel_(3, Executor::Options{.parallel = true}),
+        db_parallel_(3, Executor::Options{.workers = 0}),
         db_noskip_(3, Executor::Options{.data_skipping = false}),
-        db_noskip_parallel_(3, Executor::Options{.parallel = true,
+        db_noskip_parallel_(3, Executor::Options{.workers = 0,
                                                  .data_skipping = false}),
-        db_parallel_nomorsel_(3, Executor::Options{.parallel = true,
-                                                   .max_workers = 4,
+        db_parallel_nomorsel_(3, Executor::Options{.workers = 4,
                                                    .morsels = false}),
-        db_parallel_fine_(3, Executor::Options{.parallel = true,
-                                               .max_workers = 4,
+        db_parallel_fine_(3, Executor::Options{.workers = 4,
                                                .morsel_rows = 1024}),
         db_column_(3),
-        db_column_parallel_(3, Executor::Options{.parallel = true}),
+        db_column_parallel_(3, Executor::Options{.workers = 0}),
         db_mixed_(3),
         db_nospill_(3, Executor::Options{.spill = false}),
-        db_nospill_parallel_(3, Executor::Options{.parallel = true,
+        db_nospill_parallel_(3, Executor::Options{.workers = 0,
                                                   .spill = false}) {
     Random rng(4242);
     std::vector<Row> fact_rows;
@@ -292,7 +290,7 @@ class RandomQueryTest : public ::testing::Test {
       MPPDB_CHECK(db->Run("CREATE INDEX ON fact (sk)").ok());
       MPPDB_CHECK(db->Run("CREATE INDEX ON dim (k)").ok());
     }
-    // Storage axis: same data, column-oriented (serial and parallel) and
+    // Storage axis: same data, column-oriented (1 worker and pool) and
     // mixed-per-partition. Encoded-data evaluation may only
     // change its own counters, never rows or downstream stats.
     for (Database* db : {&db_column_, &db_column_parallel_}) {
@@ -390,10 +388,10 @@ class RandomQueryTest : public ::testing::Test {
     auto reference = db_.Run(sql, reference_options);
     ASSERT_TRUE(reference.ok()) << sql << "\n" << reference.status().ToString();
 
-    // Independent oracle first: the serial run must match SQLite.
+    // Independent oracle first: the 1-worker run must match SQLite.
     CheckAgainstSqlite(sql, reference->rows);
 
-    // Executor-mode matrix: serial vs parallel with morsels on, off and
+    // Executor-mode matrix: 1 worker vs a pool with morsels on, off and
     // fine-grained must be bit-identical — same rows in the same order,
     // same ExecStats.
     for (Database* db : {&db_parallel_, &db_parallel_nomorsel_, &db_parallel_fine_}) {
@@ -419,9 +417,9 @@ class RandomQueryTest : public ::testing::Test {
       ExecStats mode_stats = mode_result->stats;
       ZeroEncodedCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (columnar, parallel=" << db->exec_options().parallel << ")";
+          << sql << " (columnar, workers=" << db->exec_options().workers << ")";
       EXPECT_TRUE(reference->stats == mode_stats)
-          << sql << " (columnar, parallel=" << db->exec_options().parallel << ")";
+          << sql << " (columnar, workers=" << db->exec_options().workers << ")";
     }
 
     // Skipping-off modes: identical rows, and identical stats once the skip
@@ -441,9 +439,9 @@ class RandomQueryTest : public ::testing::Test {
       ExecStats mode_stats = mode_result->stats;
       ZeroJoinFilterCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (skipping off, parallel=" << db->exec_options().parallel << ")";
+          << sql << " (skipping off, workers=" << db->exec_options().workers << ")";
       EXPECT_TRUE(reference_noskip == mode_stats)
-          << sql << " (skipping off, parallel=" << db->exec_options().parallel << ")";
+          << sql << " (skipping off, workers=" << db->exec_options().workers << ")";
     }
 
     // Runtime join filters are transparent: with filters disabled the same
@@ -599,7 +597,7 @@ TEST_F(RandomQueryTest, GroupByQueries) {
 }
 
 // Spill axis (DESIGN.md §14): random queries under random memory budgets,
-// spill on vs off, composed with {serial, parallel}.
+// spill on vs off, composed with {1 worker, pool}.
 // The property, per (query, budget, mode) cell:
 //   - if spill-off succeeds, the budget never constrained anything mandatory
 //     and spill-on must be bit-identical — rows, order, AND stats, so the
@@ -661,7 +659,7 @@ TEST_F(RandomQueryTest, SpillOnOffBudgetSweepAgrees) {
         auto on = spill_db->Run(sql, options);
         const std::string cell =
             sql + " budget=" + std::to_string(budget) +
-            " parallel=" + (spill_db->exec_options().parallel ? "1" : "0");
+            " workers=" + std::to_string(spill_db->exec_options().workers);
         if (off.ok()) {
           ASSERT_TRUE(on.ok()) << cell << ": " << on.status().ToString();
           EXPECT_TRUE(on->rows == off->rows) << cell;

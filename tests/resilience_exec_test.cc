@@ -90,12 +90,12 @@ struct JoinFixture {
 
 // Both executor modes every resilience behavior must hold in.
 const Executor::Options kModes[] = {
-    {.parallel = false},
-    {.parallel = true},
+    {.workers = 1},
+    {.workers = 0},
 };
 
 std::string ModeName(const Executor::Options& mode) {
-  return mode.parallel ? "parallel" : "serial";
+  return "workers=" + std::to_string(mode.workers);
 }
 
 // --- Cancellation ---------------------------------------------------------
@@ -188,7 +188,7 @@ TEST(ResilienceExecTest, DeadlineExpiryIsTypedAndPrompt) {
 TEST(ResilienceExecTest, MotionRendezvousStalledPeerDoesNotHang) {
   JoinFixture fx(4);
   Executor exec(&fx.db.catalog, &fx.db.storage,
-                Executor::Options{.parallel = true});
+                Executor::Options{.workers = 0});
   FaultInjector injector(1);
   FaultSpec stall;
   stall.kind = FaultKind::kDelay;

@@ -35,12 +35,12 @@ using testutil::TestDb;
 
 // Both executor modes; `spill` defaults on.
 const Executor::Options kModes[] = {
-    {.parallel = false},
-    {.parallel = true},
+    {.workers = 1},
+    {.workers = 0},
 };
 
 std::string ModeName(const Executor::Options& mode) {
-  return mode.parallel ? "parallel" : "serial";
+  return "workers=" + std::to_string(mode.workers);
 }
 
 Executor::Options SpillOff(Executor::Options mode) {
@@ -278,12 +278,12 @@ TEST(SpillExecTest, EmptySidesWithSpillConfigured) {
   }
 }
 
-// Probe side behind a Motion (broadcast): in parallel mode the probe child
-// suspends at the exchange and the join frame unwinds mid-decision — the
-// spill decision must survive the suspension (segment memo, not a local).
+// Probe side behind a Motion (broadcast): at any worker count the probe
+// child suspends at the exchange and the join frame unwinds mid-decision —
+// the spill decision must survive the suspension (segment memo, not a local).
 // dim is hash-distributed on its join key, fact is broadcast, so the
 // multi-segment join is distribution-correct and the gathered result
-// matches the serial oracle as a set.
+// matches the 1-worker oracle as a set.
 TEST(SpillExecTest, JoinSpillSurvivesProbeSideMotionSuspension) {
   TestDb db(4);
   const TableDescriptor* dim = db.CreatePlainTable(

@@ -1,5 +1,5 @@
 // Batch-kernel execution: every workload query must return bit-identical
-// rows and ExecStats whether the plan runs serially or in parallel (with
+// rows and ExecStats whether the plan runs on 1 worker or on a pool (with
 // default and with fine-grained morsels), runtime errors must surface as
 // typed statuses, and the kernel evaluator itself must agree with the
 // scalar EvalExpr on random expression trees including every error path.
@@ -23,21 +23,20 @@
 namespace mppdb {
 namespace {
 
-/// Serial execution is the reference; a parallel run and a parallel run
+/// The 1-worker run is the reference; a pool run and a pool run
 /// with 1024-row morsels (steals and per-morsel stat shards) must reproduce
 /// it exactly.
-struct SerialParallelDbs {
-  explicit SerialParallelDbs(int segments)
-      : serial(segments),
-        parallel(segments, Executor::Options{.parallel = true}),
-        parallel_fine(segments, Executor::Options{.parallel = true,
-                                                  .max_workers = 4,
+struct WorkerCountDbs {
+  explicit WorkerCountDbs(int segments)
+      : one_worker(segments),
+        parallel(segments, Executor::Options{.workers = 0}),
+        parallel_fine(segments, Executor::Options{.workers = 4,
                                                   .morsel_rows = 1024}) {}
 
-  std::vector<Database*> All() { return {&serial, &parallel, &parallel_fine}; }
+  std::vector<Database*> All() { return {&one_worker, &parallel, &parallel_fine}; }
 
   void ExpectAgree(const std::string& label, const std::string& sql) {
-    auto reference = serial.Run(sql);
+    auto reference = one_worker.Run(sql);
     ASSERT_TRUE(reference.ok()) << label << ": " << reference.status().ToString();
     for (Database* db : {&parallel, &parallel_fine}) {
       auto result = db->Run(sql);
@@ -51,7 +50,7 @@ struct SerialParallelDbs {
     }
   }
 
-  Database serial;
+  Database one_worker;
   Database parallel;
   Database parallel_fine;
 };
@@ -61,7 +60,7 @@ struct SerialParallelDbs {
 TEST(BatchExecutionTest, TpcdsWorkloadBitIdenticalInSerialAndParallel) {
   workload::TpcdsConfig config;
   config.base_rows = 800;
-  SerialParallelDbs dbs(4);
+  WorkerCountDbs dbs(4);
   for (Database* db : dbs.All()) {
     ASSERT_TRUE(workload::CreateAndLoadTpcds(db, config).ok());
   }
@@ -75,7 +74,7 @@ TEST(BatchExecutionTest, TpcdsWorkloadBitIdenticalInSerialAndParallel) {
 TEST(BatchExecutionTest, TpchQueriesBitIdenticalAt8Segments) {
   workload::TpchConfig config;
   config.rows = 3000;
-  SerialParallelDbs dbs(8);
+  WorkerCountDbs dbs(8);
   for (Database* db : dbs.All()) {
     ASSERT_TRUE(workload::CreateAndLoadLineitem(
                     db, config, workload::LineitemPartitioning::kMonthly84, "lineitem")
@@ -95,10 +94,10 @@ TEST(BatchExecutionTest, TpchQueriesBitIdenticalAt8Segments) {
   for (const char* sql : queries) dbs.ExpectAgree(sql, sql);
 }
 
-// Interleaved writes and reads leave serial and parallel databases in
+// Interleaved writes and reads leave 1-worker and pool databases in
 // identical states.
 TEST(BatchExecutionTest, DmlProducesIdenticalStateInSerialAndParallel) {
-  SerialParallelDbs dbs(4);
+  WorkerCountDbs dbs(4);
   const char* ddl =
       "CREATE TABLE t (k BIGINT, v DOUBLE) DISTRIBUTED BY (k) "
       "PARTITION BY RANGE (k) START 0 END 40 EVERY 10";
@@ -149,10 +148,10 @@ TEST(BatchExecutionTest, RuntimeErrorsAreTypedAndExecutorStaysReusable) {
   auto plan = std::make_shared<MotionNode>(MotionKind::kGather,
                                            std::vector<ColRefId>{}, filter);
 
-  for (bool parallel : {false, true}) {
-    Executor exec(&db.catalog, &db.storage, Executor::Options{.parallel = parallel});
+  for (int workers : {1, 0}) {
+    Executor exec(&db.catalog, &db.storage, Executor::Options{.workers = workers});
     auto result = exec.Execute(plan);
-    ASSERT_FALSE(result.ok()) << "parallel=" << parallel;
+    ASSERT_FALSE(result.ok()) << "workers=" << workers;
     EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
     EXPECT_EQ(result.status().message(), "division by zero");
     EXPECT_TRUE(exec.stats() == ExecStats());
