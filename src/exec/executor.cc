@@ -483,7 +483,7 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
   if (!memo.cache.empty()) {
     auto cached = memo.cache.find(node.get());
     if (cached != memo.cache.end()) {
-      std::vector<Row> rows = std::move(cached->second);
+      std::vector<Row> rows = std::move(cached->second).Take();
       memo.cache.erase(cached);
       return rows;
     }
@@ -531,7 +531,7 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
           if (IsSuspendedStatus(rows.status())) {
             // Re-cache completed children for the re-walk to consume.
             for (size_t j = 0; j < i; ++j) {
-              memo.cache[children[j].get()] = std::move(parts[j]);
+              memo.cache[children[j].get()] = InputRows(std::move(parts[j]));
             }
           }
           return rows.status();
@@ -757,7 +757,7 @@ Result<std::vector<Executor::BoundJoinFilter>> Executor::BindJoinFilterProbes(
 
 Status Executor::PublishLocalJoinFilters(const PhysicalNode& node,
                                          const ColumnLayout& build_layout,
-                                         const std::vector<Row>& build_rows,
+                                         const InputRows& build,
                                          int segment) {
   if (!options_.join_filters) return Status::OK();
   for (const JoinFilterSpec& spec : node.join_filters().publishes) {
@@ -766,13 +766,16 @@ Status Executor::PublishLocalJoinFilters(const PhysicalNode& node,
                            ResolvePositions(build_layout, spec.key_columns));
     // Summaries are advisory: under budget pressure the publish is shed
     // (consumers tolerate a missing summary) instead of failing the query.
-    const size_t summary_bytes = 64 + positions.size() * 48 + build_rows.size();
+    const size_t build_count = build.size();
+    const size_t summary_bytes = 64 + positions.size() * 48 + build_count;
     if (!TryChargeOptional(summary_bytes)) {
       ++seg_stats_[static_cast<size_t>(segment)].joinfilter_shed;
       continue;
     }
-    JoinFilterSummaryBuilder builder(positions.size(), build_rows.size());
-    for (const Row& row : build_rows) builder.Add(row, positions);
+    JoinFilterSummaryBuilder builder(positions.size(), build_count);
+    for (size_t s = 0; s < build.num_slices(); ++s) {
+      for (const Row& row : build.slice(s)) builder.Add(row, positions);
+    }
     hub_.PublishJoinFilter(segment, spec.filter_id, builder.Finish());
     ++seg_stats_[static_cast<size_t>(segment)].joinfilter_built;
   }
@@ -1133,7 +1136,7 @@ Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& 
   if (!inner_result.ok()) {
     if (IsSuspendedStatus(inner_result.status())) {
       seg_run_[static_cast<size_t>(segment)].cache[node.child(0).get()] =
-          std::move(outer_rows);
+          InputRows(std::move(outer_rows));
     }
     return inner_result.status();
   }

@@ -162,6 +162,45 @@ struct ExecStats {
   bool operator==(const ExecStats& other) const = default;
 };
 
+/// An operator's input as Executor::ExecInput returns it: the storage slices
+/// of a bare scan fragment read in place, or any other child's own output.
+/// Slices point into TableStore and are valid only until the consuming
+/// operator returns (DESIGN.md §15).
+struct InputRows {
+  /// The child's output, when it is not read in place.
+  std::vector<Row> owned;
+  /// Storage slices read in place, in scan order (empty ones omitted). Used
+  /// only when `in_place`.
+  std::vector<const std::vector<Row>*> slices;
+  bool in_place = false;
+
+  InputRows() = default;
+  explicit InputRows(std::vector<Row> rows) : owned(std::move(rows)) {}
+
+  /// Slices in input order; owned rows are a single slice.
+  size_t num_slices() const { return in_place ? slices.size() : 1; }
+  const std::vector<Row>& slice(size_t i) const { return in_place ? *slices[i] : owned; }
+
+  size_t size() const {
+    if (!in_place) return owned.size();
+    size_t total = 0;
+    for (const std::vector<Row>* s : slices) total += s->size();
+    return total;
+  }
+
+  /// The rows as an owned vector: moved out when owned, copied in input order
+  /// when in place (for the spill fallbacks, which take ownership).
+  std::vector<Row> Take() && {
+    if (!in_place) return std::move(owned);
+    std::vector<Row> rows;
+    rows.reserve(size());
+    for (const std::vector<Row>* s : slices) {
+      rows.insert(rows.end(), s->begin(), s->end());
+    }
+    return rows;
+  }
+};
+
 /// Executes physical plans against the simulated MPP cluster.
 ///
 /// Execution model: every plan slice (maximal Motion-free subtree) runs once
@@ -339,8 +378,10 @@ class Executor {
   /// the segment's own task chain — no locks.
   struct SegmentRunState {
     /// Completed-child results cached across a suspension; consumed (moved
-    /// out and erased) by the first re-visit.
-    std::unordered_map<const PhysicalNode*, std::vector<Row>> cache;
+    /// out and erased) by the first re-visit. A hash join caches its build
+    /// input as ExecInput resolved it, so a build side read in place is
+    /// neither re-scanned, re-counted nor copied by the re-walk.
+    std::unordered_map<const PhysicalNode*, InputRows> cache;
     /// Nodes that completed and whose output is discardable (Sequence
     /// prefixes); re-visits return {} without executing.
     std::unordered_set<const PhysicalNode*> done;
@@ -532,12 +573,12 @@ class Executor {
       const PhysicalNode& node, const ColumnLayout& layout, int segment);
 
   /// Publishes the segment-local build-key summaries a hash join's
-  /// JoinFilterSpec annotations describe, from the already-materialized
-  /// build rows. Must run after the build child and before the probe child,
-  /// so probe-side consumers on the same slice thread can find them.
+  /// JoinFilterSpec annotations describe, from the resolved build input.
+  /// Must run after the build child and before the probe child, so
+  /// probe-side consumers on the same slice thread can find them.
   Status PublishLocalJoinFilters(const PhysicalNode& node,
                                  const ColumnLayout& build_layout,
-                                 const std::vector<Row>& build_rows, int segment);
+                                 const InputRows& build, int segment);
 
   Result<std::vector<Row>> ExecTableScan(const TableScanNode& node, int segment);
   Result<std::vector<Row>> ExecCheckedPartScan(const CheckedPartScanNode& node,
@@ -565,9 +606,10 @@ class Executor {
 
   // --- Batch-kernel operators (src/exec/vectorized.cc) ----------------------
 
-  /// A Motion-free scan subtree a Filter can fuse with: optional Sequence
-  /// prefixes (PartitionSelectors) followed by TableScan/DynamicScan/
-  /// CheckedPartScan leaves, possibly under an Append.
+  /// A Motion-free scan subtree a Filter can fuse with (or ExecInput can
+  /// read in place): optional Sequence prefixes (PartitionSelectors)
+  /// followed by TableScan/DynamicScan/CheckedPartScan leaves, possibly
+  /// under an Append.
   struct ScanFragment {
     /// Sequence prefix children (PartitionSelectors feeding DynamicScans),
     /// executed in order for their side effects before any scanning; their
@@ -581,6 +623,20 @@ class Executor {
   /// for shapes the fused path does not cover (`out` may be partially
   /// filled and must only be used on success).
   static bool MatchScanFragment(const PhysPtr& node, ScanFragment* out);
+
+  /// Executes the fragment's Sequence prefixes in order, discarding their
+  /// outputs. On a Motion suspension it marks the completed prefixes done,
+  /// so the re-walk skips their side-effecting subtrees (see kSequence).
+  Status RunFragmentPrefix(const ScanFragment& frag, int segment);
+
+  /// The input of HashAgg, HashJoin and Project. When `child` is a bare scan
+  /// fragment (MatchScanFragment's grammar, with no join-filter probes
+  /// annotated while join filters are on), runs the prefixes and returns the
+  /// storage slices by reference, recording scan stats and running the
+  /// storage.scan_chunk check exactly as ScanUnit does; any other child runs
+  /// through ExecNode and its output is returned owned. A cached entry in
+  /// the suspension memo is returned as is.
+  Result<InputRows> ExecInput(const PhysPtr& child, int segment);
 
   /// Runs `fn(store, table_oid, unit_oid)` for every storage unit the
   /// fragment's scan leaves cover on `segment`, applying each leaf kind's
@@ -610,6 +666,9 @@ class Executor {
   /// rows that fail the predicate are never copied.
   Result<std::vector<Row>> ExecFusedFilterScan(const FilterNode& node,
                                                const ScanFragment& frag, int segment);
+  // Project, HashJoin and HashAgg read their children through ExecInput:
+  // storage slices in place over bare scans, copied only into output rows
+  // or into a spill fallback.
   Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
   Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
   Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);

@@ -7,9 +7,12 @@
 // (column-major evaluation), but whether the query fails is not (see
 // DESIGN.md §6).
 //
-// Also home of the scan-fragment grammar the fused filter-over-scan uses:
-// MatchScanFragment and ForEachScanUnit, which walk the storage units a
-// fragment's scan leaves cover with the same gating as the scan operators.
+// Also home of the scan-fragment grammar the fused filter-over-scan and the
+// in-place operator input (ExecInput) use: MatchScanFragment and
+// ForEachScanUnit, which walk the storage units a fragment's scan leaves
+// cover with the same gating as the scan operators. Project, HashJoin and
+// HashAgg read a bare scan fragment's storage slices in place and copy rows
+// only when they emit them (or hand their input to a spill fallback).
 
 #include <algorithm>
 #include <functional>
@@ -68,6 +71,47 @@ void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
     (*hashes)[i] = h;
   }
 }
+
+/// Walks an operator input in kernel batches: row ranges [base, end) within
+/// one slice, cut at slice boundaries and at every kDefaultChunkRows-th row
+/// of the concatenated input. A batch that starts on that grid is where a
+/// chunk loop over the concatenated rows would start a chunk, so consumers
+/// run their exec.batch check exactly there: the same checks at the same
+/// rows whether the input is owned or read in place. An owned input yields
+/// exactly that chunk loop's batches.
+class InputBatches {
+ public:
+  explicit InputBatches(const InputRows& input) : input_(input) {}
+
+  /// Advances to the next non-empty batch; false once the input is done.
+  bool Next() {
+    for (; slice_ < input_.num_slices(); ++slice_, end_ = 0) {
+      const size_t slice_rows = input_.slice(slice_).size();
+      if (end_ == slice_rows) continue;
+      constexpr size_t kChunk = KernelContext::kDefaultChunkRows;
+      base_ = end_;
+      grid_start_ = offset_ % kChunk == 0;
+      end_ = std::min(slice_rows, base_ + (kChunk - offset_ % kChunk));
+      offset_ += end_ - base_;
+      return true;
+    }
+    return false;
+  }
+
+  const std::vector<Row>& rows() const { return input_.slice(slice_); }
+  size_t base() const { return base_; }
+  size_t end() const { return end_; }
+  bool grid_start() const { return grid_start_; }
+
+ private:
+  const InputRows& input_;
+  size_t slice_ = 0;
+  size_t base_ = 0;
+  size_t end_ = 0;
+  /// Rows of the concatenated input consumed so far.
+  size_t offset_ = 0;
+  bool grid_start_ = false;
+};
 
 }  // namespace
 
@@ -219,6 +263,62 @@ Status Executor::ForEachScanUnit(
   return Status::OK();
 }
 
+Status Executor::RunFragmentPrefix(const ScanFragment& frag, int segment) {
+  for (size_t i = 0; i < frag.prefix.size(); ++i) {
+    Result<std::vector<Row>> discarded = ExecNode(frag.prefix[i], segment);
+    if (!discarded.ok()) {
+      if (IsSuspendedStatus(discarded.status())) {
+        SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
+        for (size_t j = 0; j < i; ++j) memo.done.insert(frag.prefix[j].get());
+      }
+      return discarded.status();
+    }
+  }
+  return Status::OK();
+}
+
+Result<InputRows> Executor::ExecInput(const PhysPtr& child, int segment) {
+  SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
+  if (!memo.cache.empty()) {
+    auto cached = memo.cache.find(child.get());
+    if (cached != memo.cache.end()) {
+      InputRows input = std::move(cached->second);
+      memo.cache.erase(cached);
+      return input;
+    }
+  }
+  ScanFragment frag;
+  bool in_place = MatchScanFragment(child, &frag) && memo.done.count(child.get()) == 0;
+  // Bound join-filter probes reject rows inside ScanUnit; such scans keep
+  // the materializing path.
+  for (size_t i = 0; in_place && options_.join_filters && i < frag.scans.size(); ++i) {
+    in_place = frag.scans[i]->join_filters().probes.empty();
+  }
+  if (!in_place) {
+    MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(child, segment));
+    return InputRows(std::move(rows));
+  }
+  // The dispatch-time liveness check ExecNode would have made.
+  MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
+  MPPDB_RETURN_IF_ERROR(RunFragmentPrefix(frag, segment));
+  InputRows input;
+  input.in_place = true;
+  ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
+  MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
+      frag, segment, [&](const TableStore& store, Oid table_oid, Oid unit_oid) -> Status {
+        // Stats and per-chunk checks exactly as ScanUnit records and runs them.
+        const std::vector<Row>& rows = store.UnitRows(unit_oid, segment);
+        seg_stats.partitions_scanned[table_oid].insert(unit_oid);
+        seg_stats.tuples_scanned += rows.size();
+        for (size_t base = 0; base < rows.size(); base += TableStore::kChunkRows) {
+          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
+        }
+        if (!rows.empty()) input.slices.push_back(&rows);
+        return Status::OK();
+      }));
+  return input;
+}
+
 Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
   ScanFragment frag;
   if (MatchScanFragment(node.child(0), &frag)) {
@@ -251,18 +351,7 @@ Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segmen
 Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
                                                        const ScanFragment& frag,
                                                        int segment) {
-  for (size_t i = 0; i < frag.prefix.size(); ++i) {
-    Result<std::vector<Row>> discarded = ExecNode(frag.prefix[i], segment);
-    if (!discarded.ok()) {
-      if (IsSuspendedStatus(discarded.status())) {
-        // Prefix outputs are discarded; mark completed ones done so the
-        // re-walk skips their side-effecting subtrees (see kSequence).
-        SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
-        for (size_t j = 0; j < i; ++j) memo.done.insert(frag.prefix[j].get());
-      }
-      return discarded.status();
-    }
-  }
+  MPPDB_RETURN_IF_ERROR(RunFragmentPrefix(frag, segment));
 
   ColumnLayout layout = node.child(0)->OutputLayout();
   // The program is compiled once and shared read-only across morsels; each
@@ -421,7 +510,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
 }
 
 Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecInput(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   const size_t num_items = node.items().size();
   std::vector<KernelProgram> programs;
@@ -432,15 +521,15 @@ Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segm
     ctxs[i].Prepare(programs[i], KernelContext::kDefaultChunkRows);
   }
   std::vector<Row> out;
-  out.reserve(rows.size());
+  out.reserve(input.size());
   SelVec sel;
-  const size_t chunk = KernelContext::kDefaultChunkRows;
-  for (size_t base = 0; base < rows.size(); base += chunk) {
-    MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-    size_t end = std::min(rows.size(), base + chunk);
-    IdentitySel(base, end, &sel);
+  for (InputBatches batch(input); batch.Next();) {
+    if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
+    const size_t base = batch.base();
+    IdentitySel(base, batch.end(), &sel);
     for (size_t i = 0; i < num_items; ++i) {
-      MPPDB_RETURN_IF_ERROR(EvalExprBatch(programs[i], &ctxs[i], rows, base, sel));
+      MPPDB_RETURN_IF_ERROR(
+          EvalExprBatch(programs[i], &ctxs[i], batch.rows(), base, sel));
     }
     for (uint32_t r : sel) {
       Row projected;
@@ -460,7 +549,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
                                                 int segment) {
   // children[0] (build) runs to completion first — the property
   // PartitionSelector placement relies on.
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> build_rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows build, ExecInput(node.child(0), segment));
   ColumnLayout build_layout = node.child(0)->OutputLayout();
   // One-shot effects, skipped when a probe-side Motion suspension already
   // performed them on an earlier walk (the hub rejects a second publication
@@ -473,10 +562,12 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     // before the advisory filter publication so that under budget pressure
     // the optional summary sheds while the mandatory table still fits.
     // String payloads count (RowsPayloadBytes), so wide-varchar builds
-    // don't undercharge and defeat the spill trigger.
-    const size_t build_bytes =
-        ApproxRowsBytes(build_rows.size(), build_layout.ids().size()) +
-        RowsPayloadBytes(build_rows);
+    // don't undercharge and defeat the spill trigger. The charge is the same
+    // whether the build rows are read in place or owned.
+    size_t build_bytes = ApproxRowsBytes(build.size(), build_layout.ids().size());
+    for (size_t s = 0; s < build.num_slices(); ++s) {
+      build_bytes += RowsPayloadBytes(build.slice(s));
+    }
     if (options_.spill) {
       // A refusal is the spill trigger, not a failure. The decision lands in
       // the segment memo (not a local) because the probe child may suspend
@@ -494,19 +585,20 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     // so probe-side consumers (same segment, same slice chain) can find it.
     // Published when spilling too: filters are advisory (their own charges
     // shed under pressure) and only ever reject non-joining probe rows.
-    MPPDB_RETURN_IF_ERROR(
-        PublishLocalJoinFilters(node, build_layout, build_rows, segment));
+    MPPDB_RETURN_IF_ERROR(PublishLocalJoinFilters(node, build_layout, build, segment));
   }
-  Result<std::vector<Row>> probe_result = ExecNode(node.child(1), segment);
+  Result<InputRows> probe_result = ExecInput(node.child(1), segment);
   if (!probe_result.ok()) {
     if (IsSuspendedStatus(probe_result.status())) {
+      // The resolved build input waits in the memo: the re-walk's ExecInput
+      // returns it without re-scanning, re-counting stats or copying.
       SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
-      memo.cache[node.child(0).get()] = std::move(build_rows);
+      memo.cache[node.child(0).get()] = std::move(build);
       memo.effects_done.insert(&node);
     }
     return probe_result.status();
   }
-  std::vector<Row> probe_rows = std::move(probe_result).value();
+  InputRows probe = std::move(probe_result).value();
 
   ColumnLayout probe_layout = node.child(1)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<int> build_pos,
@@ -515,58 +607,77 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
                          ResolvePositions(probe_layout, node.probe_keys()));
 
   if (seg_run_[static_cast<size_t>(segment)].spill_decided.erase(&node) > 0) {
-    return SpillHashJoin(node, segment, std::move(build_rows),
-                         std::move(probe_rows), build_layout, probe_layout,
-                         build_pos, probe_pos);
+    return SpillHashJoin(node, segment, std::move(build).Take(), std::move(probe).Take(),
+                         build_layout, probe_layout, build_pos, probe_pos);
   }
 
-  // Batch key passes: one tight loop per side computes every key's 64-bit
+  // Batch key passes: one tight loop per slice computes every key's 64-bit
   // hash and null flag up front. The hash table then stores only (hash, row
-  // pointer) — no JoinKey datum copies — and its equality check rejects
-  // almost every bucket collision with a single integer compare. The hash
-  // codes and equality verdicts are those of a JoinKey table (see
-  // join_hash.h), which the spill path's per-partition joins build, so the
-  // output row order is the same whether or not the join spilled.
-  std::vector<uint64_t> build_hashes, probe_hashes;
-  std::vector<uint8_t> build_null, probe_null;
-  HashRowKeys(build_rows, build_pos, &build_hashes, &build_null);
-  HashRowKeys(probe_rows, probe_pos, &probe_hashes, &probe_null);
-
+  // pointer) — no JoinKey datum copies, and no copy of a build row read in
+  // place — and its equality check rejects almost every bucket collision
+  // with a single integer compare. The hash codes and equality verdicts are
+  // those of a JoinKey table (see join_hash.h), which the spill path's
+  // per-partition joins build, so the output row order is the same whether
+  // or not the join spilled.
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> has_null;
   std::unordered_multiset<RowKeyRef, RowKeyRefHash, RowKeyRefEq> table;
-  table.reserve(build_rows.size());
-  for (size_t i = 0; i < build_rows.size(); ++i) {
-    if (build_null[i]) continue;  // NULL keys never join
-    table.insert(RowKeyRef{build_hashes[i], &build_rows[i], &build_pos});
+  table.reserve(build.size());
+  for (size_t s = 0; s < build.num_slices(); ++s) {
+    const std::vector<Row>& rows = build.slice(s);
+    HashRowKeys(rows, build_pos, &hashes, &has_null);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (has_null[i]) continue;  // NULL keys never join
+      table.insert(RowKeyRef{hashes[i], &rows[i], &build_pos});
+    }
   }
 
   const bool semi = node.join_type() == JoinType::kSemi;
   std::vector<Row> out;
-  out.reserve(probe_rows.size());
+  out.reserve(probe.size());
 
-  auto join_pair = [](const Row& build, const Row& probe) {
+  auto join_pair = [](const Row& build_row, const Row& probe_row) {
     Row joined;
-    joined.reserve(build.size() + probe.size());
-    joined.insert(joined.end(), build.begin(), build.end());
-    joined.insert(joined.end(), probe.begin(), probe.end());
+    joined.reserve(build_row.size() + probe_row.size());
+    joined.insert(joined.end(), build_row.begin(), build_row.end());
+    joined.insert(joined.end(), probe_row.begin(), probe_row.end());
     return joined;
   };
 
-  if (node.residual() == nullptr) {
-    for (size_t p = 0; p < probe_rows.size(); ++p) {
-      if (p % TableStore::kChunkRows == 0) {
-        MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      }
-      if (probe_null[p]) continue;
-      auto [begin, end] =
-          table.equal_range(RowKeyRef{probe_hashes[p], &probe_rows[p], &probe_pos});
-      if (semi) {
-        if (begin != end) out.push_back(probe_rows[p]);
-        continue;
-      }
-      for (auto it = begin; it != end; ++it) {
-        out.push_back(join_pair(*it->row, probe_rows[p]));
+  // Visits every probe row with a non-NULL key in input order, with its
+  // build-side matches, running the exec.batch check at every
+  // kChunkRows-th probe row of the concatenated input.
+  using Matches = std::pair<decltype(table)::const_iterator,
+                            decltype(table)::const_iterator>;
+  auto for_each_probe = [&](const auto& visit) -> Status {
+    size_t p = 0;
+    for (size_t s = 0; s < probe.num_slices(); ++s) {
+      const std::vector<Row>& rows = probe.slice(s);
+      HashRowKeys(rows, probe_pos, &hashes, &has_null);
+      for (size_t i = 0; i < rows.size(); ++i, ++p) {
+        if (p % TableStore::kChunkRows == 0) {
+          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
+        }
+        if (has_null[i]) continue;
+        Matches matches = table.equal_range(RowKeyRef{hashes[i], &rows[i], &probe_pos});
+        MPPDB_RETURN_IF_ERROR(visit(rows[i], matches));
       }
     }
+    return Status::OK();
+  };
+
+  if (node.residual() == nullptr) {
+    MPPDB_RETURN_IF_ERROR(
+        for_each_probe([&](const Row& probe_row, const Matches& matches) -> Status {
+          if (semi) {
+            if (matches.first != matches.second) out.push_back(probe_row);
+            return Status::OK();
+          }
+          for (auto it = matches.first; it != matches.second; ++it) {
+            out.push_back(join_pair(*it->row, probe_row));
+          }
+          return Status::OK();
+        }));
     return out;
   }
 
@@ -582,23 +693,19 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     std::vector<Row> candidate(1);
     const SelVec kOne{0};
     SelVec keep;
-    for (size_t p = 0; p < probe_rows.size(); ++p) {
-      if (p % TableStore::kChunkRows == 0) {
-        MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-      }
-      if (probe_null[p]) continue;
-      auto [begin, end] =
-          table.equal_range(RowKeyRef{probe_hashes[p], &probe_rows[p], &probe_pos});
-      for (auto it = begin; it != end; ++it) {
-        candidate[0] = join_pair(*it->row, probe_rows[p]);
-        MPPDB_RETURN_IF_ERROR(
-            EvalPredicateBatch(residual, &ctx, candidate, 0, kOne, &keep));
-        if (!keep.empty()) {
-          out.push_back(probe_rows[p]);
-          break;
-        }
-      }
-    }
+    MPPDB_RETURN_IF_ERROR(
+        for_each_probe([&](const Row& probe_row, const Matches& matches) -> Status {
+          for (auto it = matches.first; it != matches.second; ++it) {
+            candidate[0] = join_pair(*it->row, probe_row);
+            MPPDB_RETURN_IF_ERROR(
+                EvalPredicateBatch(residual, &ctx, candidate, 0, kOne, &keep));
+            if (!keep.empty()) {
+              out.push_back(probe_row);
+              break;
+            }
+          }
+          return Status::OK();
+        }));
     return out;
   }
 
@@ -616,24 +723,20 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     pending.clear();
     return Status::OK();
   };
-  for (size_t p = 0; p < probe_rows.size(); ++p) {
-    if (p % TableStore::kChunkRows == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-    }
-    if (probe_null[p]) continue;
-    auto [begin, end] =
-        table.equal_range(RowKeyRef{probe_hashes[p], &probe_rows[p], &probe_pos});
-    for (auto it = begin; it != end; ++it) {
-      pending.push_back(join_pair(*it->row, probe_rows[p]));
-      if (pending.size() == ctx.chunk_capacity()) MPPDB_RETURN_IF_ERROR(flush());
-    }
-  }
+  MPPDB_RETURN_IF_ERROR(
+      for_each_probe([&](const Row& probe_row, const Matches& matches) -> Status {
+        for (auto it = matches.first; it != matches.second; ++it) {
+          pending.push_back(join_pair(*it->row, probe_row));
+          if (pending.size() == ctx.chunk_capacity()) MPPDB_RETURN_IF_ERROR(flush());
+        }
+        return Status::OK();
+      }));
   MPPDB_RETURN_IF_ERROR(flush());
   return out;
 }
 
 Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecInput(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<int> group_pos,
                          ResolvePositions(layout, node.group_by()));
@@ -650,9 +753,13 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
   }
 
   // Groups in first-appearance order, accumulated with the code the spill
-  // path shares (AccumulateAgg) in input row order.
-  std::unordered_map<JoinKey, std::vector<AggState>, JoinKeyHash> groups;
-  std::vector<JoinKey> group_order;
+  // path shares (AccumulateAgg) in input row order. The index is keyed in
+  // place by each group's first input row (RowKeyRef: JoinKey's hash and
+  // equality), so a lookup hashes the key columns and copies nothing; a
+  // JoinKey is built only when a group appears.
+  std::unordered_map<RowKeyRef, size_t, RowKeyRefHash, RowKeyRefEq> group_index;
+  std::vector<JoinKey> group_keys;
+  std::vector<std::vector<AggState>> group_states;
   // Grouping state grows with distinct keys, not input rows — charge it
   // incrementally as groups appear. String key payloads count on top of the
   // fixed per-group estimate.
@@ -660,22 +767,26 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
   size_t charged_bytes = 0;
   bool spill = false;
   SelVec sel;
-  const size_t chunk = KernelContext::kDefaultChunkRows;
-  for (size_t base = 0; base < rows.size() && !spill; base += chunk) {
-    MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-    size_t end = std::min(rows.size(), base + chunk);
-    IdentitySel(base, end, &sel);
+  for (InputBatches batch(input); !spill && batch.Next();) {
+    if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
+    const std::vector<Row>& rows = batch.rows();
+    const size_t base = batch.base();
+    IdentitySel(base, batch.end(), &sel);
     for (size_t i = 0; i < num_aggs; ++i) {
       if (!programs[i].has_value()) continue;
       MPPDB_RETURN_IF_ERROR(EvalExprBatch(*programs[i], &ctxs[i], rows, base, sel));
     }
     for (uint32_t r : sel) {
       const Row& row = rows[r];
-      JoinKey key = ExtractKey(row, group_pos);
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        const size_t this_group_bytes =
-            group_bytes + RowPayloadBytes(key.values);
+      uint64_t hash = kKeyHashSeed;
+      for (int pos : group_pos) {
+        hash = CombineKeyHash(hash, row[static_cast<size_t>(pos)]);
+      }
+      const RowKeyRef ref{hash, &row, &group_pos};
+      auto it = group_index.find(ref);
+      if (it == group_index.end()) {
+        JoinKey key = ExtractKey(row, group_pos);
+        const size_t this_group_bytes = group_bytes + RowPayloadBytes(key.values);
         if (options_.spill) {
           MPPDB_ASSIGN_OR_RETURN(bool charged,
                                  TryChargeSpill(segment, this_group_bytes));
@@ -688,10 +799,11 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
               ChargeBudget(segment, this_group_bytes, "hash aggregate group"));
         }
         charged_bytes += this_group_bytes;
-        it = groups.emplace(key, std::vector<AggState>(num_aggs)).first;
-        group_order.push_back(key);
+        it = group_index.emplace(ref, group_keys.size()).first;
+        group_keys.push_back(std::move(key));
+        group_states.emplace_back(num_aggs);
       }
-      std::vector<AggState>& states = it->second;
+      std::vector<AggState>& states = group_states[it->second];
       for (size_t i = 0; i < num_aggs; ++i) {
         AggState& state = states[i];
         if (node.aggs()[i].func == AggFunc::kCountStar) {
@@ -706,29 +818,31 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
   }
 
   if (spill) {
-    // Hand the intact input to the out-of-core path, which re-aggregates
-    // from scratch partition by partition; the charges accumulated so far
-    // return to the pool (the spill path charges per partition instead).
+    // Hand the intact input, in input order, to the out-of-core path, which
+    // re-aggregates from scratch partition by partition; the charges
+    // accumulated so far return to the pool (the spill path charges per
+    // partition instead).
     ctx_->budget().Release(charged_bytes);
-    groups.clear();
-    group_order.clear();
+    group_index.clear();
+    group_keys.clear();
+    group_states.clear();
+    const std::vector<Row> rows = std::move(input).Take();
     return SpillHashAgg(node, segment, rows, layout, group_pos);
   }
 
   // Scalar aggregate over empty input still has one (empty-keyed) group —
   // emitted on segment 0 only (see executor.h).
-  if (node.group_by().empty() && group_order.empty() && segment == 0) {
-    groups.emplace(JoinKey{}, std::vector<AggState>(num_aggs));
-    group_order.push_back(JoinKey{});
+  if (node.group_by().empty() && group_keys.empty() && segment == 0) {
+    group_keys.emplace_back();
+    group_states.emplace_back(num_aggs);
   }
 
   std::vector<Row> out;
-  out.reserve(group_order.size());
-  for (const JoinKey& key : group_order) {
-    const std::vector<AggState>& states = groups.at(key);
-    Row row = key.values;
+  out.reserve(group_keys.size());
+  for (size_t g = 0; g < group_keys.size(); ++g) {
+    Row row = std::move(group_keys[g].values);
     for (size_t i = 0; i < num_aggs; ++i) {
-      row.push_back(FinalizeAgg(states[i], node.aggs()[i].func));
+      row.push_back(FinalizeAgg(group_states[g][i], node.aggs()[i].func));
     }
     out.push_back(std::move(row));
   }

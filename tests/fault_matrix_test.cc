@@ -94,7 +94,10 @@ class FaultMatrixTest : public ::testing::Test {
   // sargable predicates (storage.scan_chunk, exec.batch), joins with
   // selector-driven dynamic elimination and runtime filters (hub.push,
   // joinfilter.publish, alloc.budget), aggregation and ordering (exec.batch,
-  // alloc.budget), and Motions everywhere (motion.send / motion.recv).
+  // alloc.budget), and Motions everywhere (motion.send / motion.recv). The
+  // two unfiltered statements read bare scans in place: the aggregate's
+  // input and the join's build side are storage slices, and the join's
+  // probe side suspends at a Redistribute Motion.
   std::vector<std::string> RandomQueries(Random* rng) {
     return {
         "SELECT sk, qty FROM fact WHERE " + RandomPredicate(rng),
@@ -103,6 +106,8 @@ class FaultMatrixTest : public ::testing::Test {
         "SELECT count(*) FROM fact f JOIN dim d ON f.sk = d.k WHERE " +
             RandomPredicate(rng),
         "SELECT sk FROM fact WHERE " + RandomPredicate(rng) + " ORDER BY sk",
+        "SELECT qty, count(*), sum(v) FROM fact GROUP BY qty ORDER BY qty",
+        "SELECT count(*), sum(d.grp) FROM fact f JOIN dim d ON f.sk = d.k",
     };
   }
 

@@ -114,6 +114,75 @@ TEST(ParallelExecTest, PoolSmallerThanSegmentCountStillRunsParallel) {
   }
 }
 
+// The hash join reads its build side (a bare scan of a partitioned table) in
+// place, then suspends at the probe side's Redistribute Motion until every
+// segment has arrived. The memo keeps the resolved build input, so the
+// re-walk neither re-scans nor re-counts it: tuples_scanned is exactly the
+// two tables' row counts at any worker count.
+TEST(ParallelExecTest, InPlaceBuildSurvivesProbeSideRedistributeSuspension) {
+  TestDb db(4);
+  // dim(a, b): 3000 rows, a = 0..2999, hash-distributed on a, 12 partitions.
+  const TableDescriptor* dim = db.CreateIntPartitionedTable("dim", 12);
+  std::vector<Row> drows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    drows.push_back({Datum::Int64(i), Datum::Int64(i % 120)});
+  }
+  db.Insert(dim, drows);
+  // fact(a, b) distributed on a; the first 1000 rows have b = a, which joins
+  // exactly one dim row each; b of the other 1000 matches no dim row.
+  const TableDescriptor* fact = db.CreatePlainTable(
+      "fact", Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64}}), {0});
+  std::vector<Row> frows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    frows.push_back({Datum::Int64(i), Datum::Int64(i < 1000 ? i : 100000 + i)});
+  }
+  db.Insert(fact, frows);
+
+  auto make_plan = [&]() -> PhysPtr {
+    auto selector = std::make_shared<PartitionSelectorNode>(
+        dim->oid, 1, std::vector<ColRefId>{12}, std::vector<ExprPtr>{nullptr}, nullptr);
+    auto dim_scan = std::make_shared<DynamicScanNode>(dim->oid, 1,
+                                                      std::vector<ColRefId>{11, 12});
+    auto build = std::make_shared<SequenceNode>(std::vector<PhysPtr>{selector, dim_scan});
+    auto fact_scan = std::make_shared<TableScanNode>(fact->oid, fact->oid,
+                                                     std::vector<ColRefId>{1, 2});
+    // Route fact rows by b to the segment holding the dim row with a = b.
+    auto redistribute = std::make_shared<MotionNode>(
+        MotionKind::kRedistribute, std::vector<ColRefId>{2}, fact_scan);
+    auto join = std::make_shared<HashJoinNode>(
+        JoinType::kInner, std::vector<ColRefId>{11}, std::vector<ColRefId>{2}, nullptr,
+        build, redistribute);
+    return std::make_shared<MotionNode>(MotionKind::kGather, std::vector<ColRefId>{},
+                                        join);
+  };
+
+  std::vector<Row> first;
+  ExecStats first_stats;
+  for (int workers : {1, 4}) {
+    Executor exec(&db.catalog, &db.storage, Executor::Options{.workers = workers});
+    auto result = exec.Execute(make_plan());
+    ASSERT_TRUE(result.ok()) << "workers=" << workers << ": "
+                             << result.status().ToString();
+    ASSERT_EQ(result->size(), 1000u) << "workers=" << workers;
+    for (const Row& row : *result) {
+      // (dim.a, dim.b, fact.a, fact.b) with dim.a = fact.b = fact.a.
+      EXPECT_EQ(row[0].AsInt64(), row[3].AsInt64());
+      EXPECT_EQ(row[1].AsInt64(), row[0].AsInt64() % 120);
+      EXPECT_EQ(row[2].AsInt64(), row[3].AsInt64());
+    }
+    EXPECT_EQ(exec.stats().tuples_scanned, 5000u) << "workers=" << workers;
+    EXPECT_EQ(exec.stats().PartitionsScanned(dim->oid), 12u) << "workers=" << workers;
+    EXPECT_EQ(exec.stats().rows_moved, 2000u + 1000u) << "workers=" << workers;
+    if (workers == 1) {
+      first = std::move(result).value();
+      first_stats = exec.stats();
+    } else {
+      EXPECT_TRUE(*result == first);
+      EXPECT_TRUE(exec.stats() == first_stats);
+    }
+  }
+}
+
 // A failure on one segment only (data-dependent division by zero on the
 // segment holding k = 7) must abort the peers parked at the Gather barrier
 // instead of deadlocking, and must surface the originating error.

@@ -124,6 +124,70 @@ TEST(ParallelStressTest, RedistributeExchangeRepeated) {
   }
 }
 
+// HashAgg and HashJoin over bare scans read storage slices in place. Four
+// workers run the 8 segments' aggregates and joins concurrently over the
+// same TableStore, each reading its own segment's slices; rows and stats
+// must match the 1-worker run every time.
+TEST(ParallelStressTest, InPlaceAggAndJoinOverBareScansRepeated) {
+  TestDb db(8);
+  // fact: 2000 rows over 16 partitions (b in [0, 160)), hashed on a.
+  const TableDescriptor* fact = db.CreateIntPartitionedTable("fact", 16);
+  std::vector<Row> fact_rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    fact_rows.push_back({Datum::Int64(i), Datum::Int64(i % 160)});
+  }
+  db.Insert(fact, fact_rows);
+  // other: hashed on k, so a join on fact.a = other.k is colocated and both
+  // of its inputs are bare scans.
+  const TableDescriptor* other = db.CreatePlainTable(
+      "other", Schema({{"k", TypeId::kInt64}, {"w", TypeId::kInt64}}), {0});
+  std::vector<Row> other_rows;
+  for (int64_t i = 0; i < 3000; i += 3) {
+    other_rows.push_back({Datum::Int64(i), Datum::Int64(i % 11)});
+  }
+  db.Insert(other, other_rows);
+
+  auto bare_fact = [&](int scan_id) -> PhysPtr {
+    auto selector = std::make_shared<PartitionSelectorNode>(
+        fact->oid, scan_id, std::vector<ColRefId>{2}, std::vector<ExprPtr>{nullptr},
+        nullptr);
+    auto scan = std::make_shared<DynamicScanNode>(fact->oid, scan_id,
+                                                  std::vector<ColRefId>{1, 2});
+    return std::make_shared<SequenceNode>(std::vector<PhysPtr>{selector, scan});
+  };
+  auto gather = [](PhysPtr child) -> PhysPtr {
+    return std::make_shared<MotionNode>(MotionKind::kGather, std::vector<ColRefId>{},
+                                        std::move(child));
+  };
+  PhysPtr agg_plan = gather(std::make_shared<HashAggNode>(
+      std::vector<ColRefId>{2},
+      std::vector<AggItem>{{AggFunc::kCountStar, nullptr, 20, "cnt"},
+                           {AggFunc::kSum, MakeColumnRef(1, "a", TypeId::kInt64), 21,
+                            "sa"}},
+      bare_fact(1)));
+  auto other_scan = std::make_shared<TableScanNode>(other->oid, other->oid,
+                                                    std::vector<ColRefId>{11, 12});
+  PhysPtr join_plan = gather(std::make_shared<HashJoinNode>(
+      JoinType::kInner, std::vector<ColRefId>{1}, std::vector<ColRefId>{11}, nullptr,
+      bare_fact(2), other_scan));
+
+  for (const PhysPtr& plan : {agg_plan, join_plan}) {
+    auto oracle = db.executor.Execute(plan);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_FALSE(oracle->empty());
+    ExecStats oracle_stats = db.executor.stats();
+
+    Executor parallel(&db.catalog, &db.storage, Executor::Options{.workers = 4});
+    for (int iteration = 0; iteration < 25; ++iteration) {
+      auto result = parallel.Execute(plan);
+      ASSERT_TRUE(result.ok()) << "iter " << iteration << ": "
+                               << result.status().ToString();
+      ASSERT_TRUE(*result == *oracle) << "iter " << iteration;
+      ASSERT_TRUE(parallel.stats() == oracle_stats) << "iter " << iteration;
+    }
+  }
+}
+
 // Zone-map synopses and secondary indexes both (re)build lazily on read
 // paths with different protection: UnitSynopsis is lock-free under the
 // segment-ownership contract, IndexLookup serializes on index_mu_. This

@@ -412,6 +412,100 @@ TEST(SpillExecTest, AggSkewedGroupsStreamAtMaxDepth) {
                            /*min_spill_passes=*/4);
 }
 
+// --- In-place scan input --------------------------------------------------
+
+// HashAgg and HashJoin read a bare scan fragment's storage slices in place
+// and copy them only when they spill. A 16-partition table makes the input
+// 16 slices, so a refusal lands partway through it; the spilled run must
+// match the unlimited run bit for bit and count every scanned tuple and
+// partition exactly once.
+struct InPlaceSpillFixture {
+  static constexpr int kParts = 16;
+
+  InPlaceSpillFixture() : db(1) {
+    // r(a, b) partitioned on b into 16 ranges of 10: a repeats every 3000
+    // rows, so most groups collect rows from several partitions.
+    r = db.CreateIntPartitionedTable("r", kParts);
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 8000; ++i) {
+      rows.push_back({Datum::Int64(i % 3000), Datum::Int64(i % (kParts * 10))});
+    }
+    db.Insert(r, rows);
+    fact = db.CreatePlainTable(
+        "fact", Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64}}), {0});
+    std::vector<Row> frows;
+    for (int64_t i = 0; i < 600; ++i) {
+      frows.push_back({Datum::Int64(i), Datum::Int64(i < 300 ? i * 7 : 100000 + i)});
+    }
+    db.Insert(fact, frows);
+  }
+
+  // Sequence(PartitionSelector, DynamicScan) over every partition of r.
+  PhysPtr BareScanOfR(int scan_id) const {
+    auto selector = std::make_shared<PartitionSelectorNode>(
+        r->oid, scan_id, std::vector<ColRefId>{12}, std::vector<ExprPtr>{nullptr},
+        nullptr);
+    auto scan = std::make_shared<DynamicScanNode>(r->oid, scan_id,
+                                                  std::vector<ColRefId>{11, 12});
+    return std::make_shared<SequenceNode>(std::vector<PhysPtr>{selector, scan});
+  }
+
+  PhysPtr AggPlan() const {
+    return std::make_shared<HashAggNode>(
+        std::vector<ColRefId>{11},
+        std::vector<AggItem>{
+            {AggFunc::kCountStar, nullptr, 20, "cnt"},
+            {AggFunc::kSum, MakeColumnRef(12, "b", TypeId::kInt64), 21, "sb"}},
+        BareScanOfR(1));
+  }
+
+  PhysPtr JoinPlan() const {
+    auto probe = std::make_shared<TableScanNode>(fact->oid, fact->oid,
+                                                 std::vector<ColRefId>{1, 2});
+    auto join = std::make_shared<HashJoinNode>(
+        JoinType::kInner, std::vector<ColRefId>{11}, std::vector<ColRefId>{2}, nullptr,
+        BareScanOfR(2), probe);
+    return std::make_shared<MotionNode>(MotionKind::kGather, std::vector<ColRefId>{},
+                                        join);
+  }
+
+  // Spills under `limit` bit-identically (ExpectSpillMatchesOracle), and the
+  // oracle, whose stats the spilled run matches, scanned each table once.
+  void ExpectSpillsCountingScansOnce(const PhysPtr& plan, size_t limit,
+                                     size_t tuples, size_t r_parts, size_t fact_parts) {
+    ExpectSpillMatchesOracle(db, plan, limit);
+    for (const Executor::Options& mode : kModes) {
+      Executor exec(&db.catalog, &db.storage, mode);
+      auto oracle = exec.Execute(plan);
+      ASSERT_TRUE(oracle.ok()) << ModeName(mode) << ": " << oracle.status().ToString();
+      EXPECT_EQ(exec.stats().tuples_scanned, tuples) << ModeName(mode);
+      EXPECT_EQ(exec.stats().PartitionsScanned(r->oid), r_parts) << ModeName(mode);
+      EXPECT_EQ(exec.stats().PartitionsScanned(fact->oid), fact_parts) << ModeName(mode);
+    }
+  }
+
+  TestDb db;
+  const TableDescriptor* r;
+  const TableDescriptor* fact;
+};
+
+// 3000 groups ≈ 400 KB of grouping state against 150 KB: the aggregate
+// refuses its budget about a third of the way through the slices, copies
+// them in input order and re-aggregates out of core.
+TEST(SpillExecTest, InPlaceAggSpillsPartwayThroughSlices) {
+  InPlaceSpillFixture fx;
+  fx.ExpectSpillsCountingScansOnce(fx.AggPlan(), 150 * 1000, 8000,
+                                   InPlaceSpillFixture::kParts, 0);
+}
+
+// An 8000-row build read in place (≈ 640 KB estimated) against 200 KB: the
+// build charge is refused, both inputs are copied and the join spills.
+TEST(SpillExecTest, InPlaceJoinSpillsBitIdentical) {
+  InPlaceSpillFixture fx;
+  fx.ExpectSpillsCountingScansOnce(fx.JoinPlan(), 200 * 1000, 8600,
+                                   InPlaceSpillFixture::kParts, 1);
+}
+
 // --- Sort -----------------------------------------------------------------
 
 struct SpillSortFixture {
