@@ -1,5 +1,7 @@
 // 1 worker vs a pool under the morsel scheduler: wall-clock for a
-// scan-heavy aggregation at S ∈ {1, 2, 4, 8} segments in three modes —
+// scan-heavy aggregation (which reads the storage slices in place) and for
+// SELECT * (whose rows are copied once, when each segment deposits its
+// scan into the Gather) at S ∈ {1, 2, 4, 8} segments in three modes —
 // 1 worker (the calling thread runs every segment task), a pool with morsels off (each segment slice is one schedulable
 // task), and parallel with morsels on (slices decompose into chunk-aligned
 // morsels that idle workers steal). The simulated cluster splits the same
@@ -14,14 +16,16 @@
 // peers idle; stealing levels the load (slowest-worker busy time close to
 // the mean).
 //
-// Emits BENCH_parallel.json (entries keyed "S=<n>" plus "zipf-*" rows and an
+// Emits BENCH_parallel.json (entries keyed "S=<n>" for the aggregation,
+// "scan-S=<n>" for SELECT *, plus "zipf-*" rows and an
 // "env" entry with hardware_concurrency — on a 1-core box the expected
 // wall-clock speedup is ~1x regardless of S, so record the context with the
 // numbers; the busy-time balance columns are meaningful even there).
 //
 // `--smoke` shrinks the data and iteration counts for the ctest gate
 // (release_morsel_smoke), which asserts correctness — 1 worker, morsel-off,
-// morsel-on, and fine-grained-morsel results bit-identical — not speed.
+// morsel-on, and fine-grained-morsel results bit-identical, for both
+// queries — not speed.
 
 #include <cmath>
 #include <cstdio>
@@ -40,6 +44,7 @@ namespace {
 constexpr const char* kQuery =
     "SELECT count(*), sum(l_quantity), avg(l_extendedprice), min(l_shipdate), "
     "max(l_discount) FROM lineitem";
+constexpr const char* kScanQuery = "SELECT * FROM lineitem";
 
 struct BenchSizes {
   int64_t rows = 120000;
@@ -52,9 +57,9 @@ BenchSizes SmokeSizes() { return BenchSizes{20000, 20000, 2}; }
 // Uniform-vs-skewed sweep over segment counts: 1 worker, morsel-off, morsel-on.
 void RunSpeedupSection(const BenchSizes& sizes,
                        std::vector<benchutil::BenchJsonEntry>* entries) {
-  std::printf("%-6s %12s %14s %13s %9s %9s\n", "S", "1 worker (ms)",
+  std::printf("%-6s %-6s %12s %14s %13s %9s %9s\n", "S", "query", "1 worker (ms)",
               "morsel-off(ms)", "morsel-on(ms)", "off spd", "on spd");
-  benchutil::Rule(70);
+  benchutil::Rule(77);
   workload::TpchConfig config;
   config.rows = sizes.rows;
   for (int segments : {1, 2, 4, 8}) {
@@ -63,53 +68,55 @@ void RunSpeedupSection(const BenchSizes& sizes,
                                                 workload::LineitemPartitioning::kNone,
                                                 "lineitem")
                     .ok());
-    Result<PhysPtr> plan = db.PlanSql(kQuery);
-    MPPDB_CHECK(plan.ok());
+    for (const bool scan : {false, true}) {
+      Result<PhysPtr> plan = db.PlanSql(scan ? kScanQuery : kQuery);
+      MPPDB_CHECK(plan.ok());
 
-    Executor one_worker(&db.catalog(), &db.storage());
-    Executor morsel_off(&db.catalog(), &db.storage(),
-                        Executor::Options{.workers = 0, .morsels = false});
-    Executor morsel_on(&db.catalog(), &db.storage(),
-                       Executor::Options{.workers = 0});
-    // Identical-result check rides along with the measurement: all three
-    // modes must agree bit for bit, rows and stats.
-    Result<std::vector<Row>> one_worker_rows = one_worker.Execute(*plan);
-    Result<std::vector<Row>> off_rows = morsel_off.Execute(*plan);
-    Result<std::vector<Row>> on_rows = morsel_on.Execute(*plan);
-    MPPDB_CHECK(one_worker_rows.ok() && off_rows.ok() && on_rows.ok());
-    MPPDB_CHECK(*one_worker_rows == *off_rows);
-    MPPDB_CHECK(*one_worker_rows == *on_rows);
-    MPPDB_CHECK(one_worker.stats() == morsel_off.stats());
-    MPPDB_CHECK(one_worker.stats() == morsel_on.stats());
+      Executor one_worker(&db.catalog(), &db.storage());
+      Executor morsel_off(&db.catalog(), &db.storage(),
+                          Executor::Options{.workers = 0, .morsels = false});
+      Executor morsel_on(&db.catalog(), &db.storage(),
+                         Executor::Options{.workers = 0});
+      // Identical-result check rides along with the measurement: all three
+      // modes must agree bit for bit, rows and stats.
+      Result<std::vector<Row>> one_worker_rows = one_worker.Execute(*plan);
+      Result<std::vector<Row>> off_rows = morsel_off.Execute(*plan);
+      Result<std::vector<Row>> on_rows = morsel_on.Execute(*plan);
+      MPPDB_CHECK(one_worker_rows.ok() && off_rows.ok() && on_rows.ok());
+      MPPDB_CHECK(*one_worker_rows == *off_rows);
+      MPPDB_CHECK(*one_worker_rows == *on_rows);
+      MPPDB_CHECK(one_worker.stats() == morsel_off.stats());
+      MPPDB_CHECK(one_worker.stats() == morsel_on.stats());
 
-    benchutil::TimingStats one_worker_t =
-        benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
-          MPPDB_CHECK(one_worker.Execute(*plan).ok());
-        });
-    benchutil::TimingStats off_t =
-        benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
-          MPPDB_CHECK(morsel_off.Execute(*plan).ok());
-        });
-    benchutil::TimingStats on_t =
-        benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
-          MPPDB_CHECK(morsel_on.Execute(*plan).ok());
-        });
-    double off_speedup = one_worker_t.median_ms / off_t.median_ms;
-    double on_speedup = one_worker_t.median_ms / on_t.median_ms;
-    std::printf("%-6d %12.2f %14.2f %13.2f %8.2fx %8.2fx\n", segments,
-                one_worker_t.median_ms, off_t.median_ms, on_t.median_ms,
-                off_speedup, on_speedup);
-    entries->push_back({"S=" + std::to_string(segments),
-                        {{"segments", static_cast<double>(segments)},
-                         {"one_worker_ms", one_worker_t.median_ms},
-                         {"one_worker_min_ms", one_worker_t.min_ms},
-                         {"one_worker_mean_ms", one_worker_t.mean_ms},
-                         {"morsel_off_ms", off_t.median_ms},
-                         {"morsel_off_min_ms", off_t.min_ms},
-                         {"morsel_on_ms", on_t.median_ms},
-                         {"morsel_on_min_ms", on_t.min_ms},
-                         {"morsel_off_speedup", off_speedup},
-                         {"morsel_on_speedup", on_speedup}}});
+      benchutil::TimingStats one_worker_t =
+          benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
+            MPPDB_CHECK(one_worker.Execute(*plan).ok());
+          });
+      benchutil::TimingStats off_t =
+          benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
+            MPPDB_CHECK(morsel_off.Execute(*plan).ok());
+          });
+      benchutil::TimingStats on_t =
+          benchutil::MeasureMillis(/*warmup=*/1, sizes.iterations, [&]() {
+            MPPDB_CHECK(morsel_on.Execute(*plan).ok());
+          });
+      double off_speedup = one_worker_t.median_ms / off_t.median_ms;
+      double on_speedup = one_worker_t.median_ms / on_t.median_ms;
+      std::printf("%-6d %-6s %12.2f %14.2f %13.2f %8.2fx %8.2fx\n", segments,
+                  scan ? "scan" : "agg", one_worker_t.median_ms, off_t.median_ms,
+                  on_t.median_ms, off_speedup, on_speedup);
+      entries->push_back({(scan ? "scan-S=" : "S=") + std::to_string(segments),
+                          {{"segments", static_cast<double>(segments)},
+                           {"one_worker_ms", one_worker_t.median_ms},
+                           {"one_worker_min_ms", one_worker_t.min_ms},
+                           {"one_worker_mean_ms", one_worker_t.mean_ms},
+                           {"morsel_off_ms", off_t.median_ms},
+                           {"morsel_off_min_ms", off_t.min_ms},
+                           {"morsel_on_ms", on_t.median_ms},
+                           {"morsel_on_min_ms", on_t.min_ms},
+                           {"morsel_off_speedup", off_speedup},
+                           {"morsel_on_speedup", on_speedup}}});
+    }
   }
 }
 

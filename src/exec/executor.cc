@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -285,7 +286,7 @@ Result<std::vector<Row>> Executor::Execute(const PhysPtr& plan,
   seg_stats_.assign(static_cast<size_t>(num_segments_), ExecStats());
   abort_flag_.store(false);
   Status collected = CollectMotions(plan);
-  seg_run_.assign(static_cast<size_t>(num_segments_), SegmentRunState());
+  seg_run_ = std::vector<SegmentRunState>(static_cast<size_t>(num_segments_));
   // Cancel() resumes every suspended segment through the abort flag, so they
   // notice within one resume instead of one batch. Registered on the
   // caller's context only — nobody can cancel the default.
@@ -431,7 +432,7 @@ void Executor::RunSegmentTask(int segment) {
   // this task sat queued never starts executing.
   Status alive = CheckExec(segment, nullptr);
   Result<std::vector<Row>> rows = alive.ok()
-                                      ? ExecNode(*current_plan_, segment)
+                                      ? ExecOwned(*current_plan_, segment)
                                       : Result<std::vector<Row>>(alive);
   if (!rows.ok() && IsSuspendedStatus(rows.status())) {
     // The walk has unwound, so every memo entry its re-walk needs is written:
@@ -470,7 +471,17 @@ void Executor::RunSegmentTask(int segment) {
   if (++run->done == num_segments_) run->cv.notify_all();
 }
 
-Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
+namespace {
+
+/// An operator's owned output as a one-slice input.
+Result<InputRows> Owned(Result<std::vector<Row>> rows) {
+  if (!rows.ok()) return rows.status();
+  return InputRows(std::move(rows).value());
+}
+
+}  // namespace
+
+Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
   // Suspension memo: a re-walk after a Motion suspension must not repeat
   // subtrees that already completed. Entries are consumed on use and
   // re-created on the next unwind, so the memo is empty whenever the segment
@@ -478,121 +489,121 @@ Result<std::vector<Row>> Executor::ExecNode(const PhysPtr& node, int segment) {
   // shared non-Motion subtrees correct (their repeat visits find no entry).
   SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
   if (!memo.done.empty() && memo.done.erase(node.get()) > 0) {
-    return std::vector<Row>{};
+    return InputRows();
   }
   if (!memo.cache.empty()) {
     auto cached = memo.cache.find(node.get());
     if (cached != memo.cache.end()) {
-      std::vector<Row> rows = std::move(cached->second).Take();
+      InputRows input = std::move(cached->second);
       memo.cache.erase(cached);
-      return rows;
+      return input;
     }
   }
   // Per-operator liveness check; the hot loops below add per-batch checks.
   MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
   switch (node->kind()) {
     case PhysNodeKind::kTableScan:
-      return ExecTableScan(static_cast<const TableScanNode&>(*node), segment);
     case PhysNodeKind::kCheckedPartScan:
-      return ExecCheckedPartScan(static_cast<const CheckedPartScanNode&>(*node),
-                                 segment);
     case PhysNodeKind::kDynamicScan:
-      return ExecDynamicScan(static_cast<const DynamicScanNode&>(*node), segment);
+      return ExecScan(*node, segment);
     case PhysNodeKind::kDynamicIndexScan:
-      return ExecDynamicIndexScan(static_cast<const DynamicIndexScanNode&>(*node),
-                                  segment);
+      return Owned(ExecDynamicIndexScan(static_cast<const DynamicIndexScanNode&>(*node),
+                                        segment));
     case PhysNodeKind::kPartitionSelector:
-      return ExecPartitionSelector(static_cast<const PartitionSelectorNode&>(*node),
-                                   segment);
+      return Owned(ExecPartitionSelector(
+          static_cast<const PartitionSelectorNode&>(*node), segment));
     case PhysNodeKind::kSequence: {
       const auto& children = node->children();
-      std::vector<Row> last;
+      InputRows last;
       for (size_t i = 0; i < children.size(); ++i) {
-        Result<std::vector<Row>> rows = ExecNode(children[i], segment);
-        if (!rows.ok()) {
-          if (IsSuspendedStatus(rows.status())) {
+        Result<InputRows> input = ExecNode(children[i], segment);
+        if (!input.ok()) {
+          if (IsSuspendedStatus(input.status())) {
             // Earlier children completed and their outputs were discarded
             // (only the last child's output survives a Sequence); mark them
             // done so the re-walk skips their side-effecting subtrees.
             for (size_t j = 0; j < i; ++j) memo.done.insert(children[j].get());
           }
-          return rows.status();
+          return input.status();
         }
-        last = std::move(rows).value();
+        last = std::move(input).value();
       }
       return last;
     }
     case PhysNodeKind::kAppend: {
       const auto& children = node->children();
-      std::vector<std::vector<Row>> parts(children.size());
+      std::vector<InputRows> parts(children.size());
       for (size_t i = 0; i < children.size(); ++i) {
-        Result<std::vector<Row>> rows = ExecNode(children[i], segment);
-        if (!rows.ok()) {
-          if (IsSuspendedStatus(rows.status())) {
-            // Re-cache completed children for the re-walk to consume.
+        Result<InputRows> input = ExecNode(children[i], segment);
+        if (!input.ok()) {
+          if (IsSuspendedStatus(input.status())) {
+            // Park completed children, as they are, for the re-walk.
             for (size_t j = 0; j < i; ++j) {
-              memo.cache[children[j].get()] = InputRows(std::move(parts[j]));
+              memo.cache[children[j].get()] = std::move(parts[j]);
             }
           }
-          return rows.status();
+          return input.status();
         }
-        parts[i] = std::move(rows).value();
+        parts[i] = std::move(input).value();
       }
-      std::vector<Row> out;
-      size_t total = 0;
-      for (const auto& part : parts) total += part.size();
-      out.reserve(total);
-      for (auto& part : parts) {
-        out.insert(out.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-      }
+      InputRows out;
+      for (InputRows& part : parts) out.Append(std::move(part));
       return out;
     }
     case PhysNodeKind::kFilter:
-      return ExecFilter(static_cast<const FilterNode&>(*node), segment);
+      return Owned(ExecFilter(static_cast<const FilterNode&>(*node), segment));
     case PhysNodeKind::kProject:
-      return ExecProject(static_cast<const ProjectNode&>(*node), segment);
+      return Owned(ExecProject(static_cast<const ProjectNode&>(*node), segment));
     case PhysNodeKind::kHashJoin:
-      return ExecHashJoin(static_cast<const HashJoinNode&>(*node), segment);
+      return Owned(ExecHashJoin(static_cast<const HashJoinNode&>(*node), segment));
     case PhysNodeKind::kNestedLoopJoin:
-      return ExecNestedLoopJoin(static_cast<const NestedLoopJoinNode&>(*node), segment);
+      return Owned(
+          ExecNestedLoopJoin(static_cast<const NestedLoopJoinNode&>(*node), segment));
     case PhysNodeKind::kIndexNLJoin:
-      return ExecIndexNLJoin(static_cast<const IndexNLJoinNode&>(*node), segment);
+      return Owned(ExecIndexNLJoin(static_cast<const IndexNLJoinNode&>(*node), segment));
     case PhysNodeKind::kHashAgg:
-      return ExecHashAgg(static_cast<const HashAggNode&>(*node), segment);
+      return Owned(ExecHashAgg(static_cast<const HashAggNode&>(*node), segment));
     case PhysNodeKind::kSort:
-      return ExecSort(static_cast<const SortNode&>(*node), segment);
+      return Owned(ExecSort(static_cast<const SortNode&>(*node), segment));
     case PhysNodeKind::kLimit: {
       const auto& limit = static_cast<const LimitNode&>(*node);
-      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(limit.child(0), segment));
+      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(limit.child(0), segment));
       if (rows.size() > limit.limit()) rows.resize(limit.limit());
-      return rows;
+      return InputRows(std::move(rows));
     }
     case PhysNodeKind::kTopN:
-      return ExecTopN(static_cast<const TopNNode&>(*node), segment);
+      return Owned(ExecTopN(static_cast<const TopNNode&>(*node), segment));
     case PhysNodeKind::kMotion:
-      return ExecMotion(static_cast<const MotionNode&>(*node), segment);
+      return Owned(ExecMotion(static_cast<const MotionNode&>(*node), segment));
     case PhysNodeKind::kValues: {
       const auto& values = static_cast<const ValuesNode&>(*node);
-      if (segment != 0) return std::vector<Row>{};
-      return values.rows();
+      if (segment != 0) return InputRows();
+      return InputRows(values.rows());
     }
     case PhysNodeKind::kInsert:
-      return ExecInsert(static_cast<const InsertNode&>(*node), segment);
+      return Owned(ExecInsert(static_cast<const InsertNode&>(*node), segment));
     case PhysNodeKind::kUpdate:
-      return ExecUpdate(static_cast<const UpdateNode&>(*node), segment);
+      return Owned(ExecUpdate(static_cast<const UpdateNode&>(*node), segment));
     case PhysNodeKind::kDelete:
-      return ExecDelete(static_cast<const DeleteNode&>(*node), segment);
+      return Owned(ExecDelete(static_cast<const DeleteNode&>(*node), segment));
   }
   return Status::Internal("unreachable physical node kind");
+}
+
+Result<std::vector<Row>> Executor::ExecOwned(const PhysPtr& node, int segment) {
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node, segment));
+  return std::move(input).Take();
 }
 
 size_t Executor::MorselRows() const {
   const size_t rows =
       options_.morsel_rows == 0 ? 4 * TableStore::kChunkRows : options_.morsel_rows;
-  // Chunk-aligned so zone-map chunk skipping never straddles a morsel.
-  const size_t chunks =
-      (rows + TableStore::kChunkRows - 1) / TableStore::kChunkRows;
+  // Chunk-aligned so zone-map chunk skipping never straddles a morsel. The
+  // round-up cannot wrap, and saturates: a value too large to round up
+  // means one morsel per slice.
+  constexpr size_t kMaxChunks =
+      std::numeric_limits<size_t>::max() / TableStore::kChunkRows;
+  const size_t chunks = std::min(kMaxChunks, (rows - 1) / TableStore::kChunkRows + 1);
   return chunks * TableStore::kChunkRows;
 }
 
@@ -634,30 +645,12 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
   return Status::OK();
 }
 
-Status Executor::ScanUnit(const TableStore& store, Oid table_oid, Oid unit_oid,
-                          int segment, bool emit_rowids,
+Status Executor::ScanUnit(const TableStore& store, Oid unit_oid,
+                          const std::vector<Row>& rows, int segment, bool emit_rowids,
                           const std::vector<BoundJoinFilter>& join_filters,
                           std::vector<Row>* out) {
-  const std::vector<Row>& rows = store.UnitRows(unit_oid, segment);
-  ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
-  seg_stats.partitions_scanned[table_oid].insert(unit_oid);
-  // Logical accounting: join-filter-rejected rows still count as scanned.
-  seg_stats.tuples_scanned += rows.size();
   if (join_filters.empty()) {
-    if (!emit_rowids) {
-      auto body = [this, segment, &rows](size_t begin, size_t end, ExecStats*,
-                                         std::vector<Row>* mout) -> Status {
-        for (size_t base = begin; base < end; base += TableStore::kChunkRows) {
-          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-          const size_t chunk_end = std::min(end, base + TableStore::kChunkRows);
-          mout->insert(mout->end(),
-                       rows.begin() + static_cast<std::ptrdiff_t>(base),
-                       rows.begin() + static_cast<std::ptrdiff_t>(chunk_end));
-        }
-        return Status::OK();
-      };
-      return RunMorselScan(segment, rows.size(), body, out);
-    }
+    MPPDB_CHECK(emit_rowids);
     auto body = [this, segment, unit_oid, &rows](size_t begin, size_t end,
                                                  ExecStats*,
                                                  std::vector<Row>* mout) -> Status {
@@ -782,78 +775,38 @@ Status Executor::PublishLocalJoinFilters(const PhysicalNode& node,
   return Status::OK();
 }
 
-Result<std::vector<Row>> Executor::ExecTableScan(const TableScanNode& node,
-                                                 int segment) {
-  const TableStore* store = storage_->GetStore(node.table_oid());
-  if (store == nullptr) {
-    return Status::ExecutionError("no storage for table oid " +
-                                  std::to_string(node.table_oid()));
+Result<InputRows> Executor::ExecScan(const PhysicalNode& node, int segment) {
+  bool emit_rowids = false;
+  if (node.kind() == PhysNodeKind::kTableScan) {
+    emit_rowids = !static_cast<const TableScanNode&>(node).rowid_ids().empty();
+  } else if (node.kind() == PhysNodeKind::kDynamicScan) {
+    emit_rowids = !static_cast<const DynamicScanNode&>(node).rowid_ids().empty();
   }
-  // Replicated base tables produce rows on one segment only (see header).
-  if (store->descriptor().distribution == TableDistribution::kReplicated &&
-      segment != 0) {
-    return std::vector<Row>{};
-  }
-  MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
-                         BindJoinFilterProbes(node, node.OutputLayout(), segment));
-  std::vector<Row> out;
-  MPPDB_RETURN_IF_ERROR(ScanUnit(*store, node.table_oid(), node.unit_oid(), segment,
-                                 !node.rowid_ids().empty(), join_filters, &out));
-  return out;
-}
-
-Result<std::vector<Row>> Executor::ExecCheckedPartScan(const CheckedPartScanNode& node,
-                                                       int segment) {
-  const TableStore* store = storage_->GetStore(node.table_oid());
-  if (store == nullptr) {
-    return Status::ExecutionError("no storage for table oid " +
-                                  std::to_string(node.table_oid()));
-  }
-  if (!hub_.HasChannel(segment, node.scan_id())) {
-    return Status::ExecutionError(
-        "CheckedPartScan: no partition parameter for scan id " +
-        std::to_string(node.scan_id()));
-  }
-  const std::vector<Oid>& selected = hub_.Selected(segment, node.scan_id());
-  std::vector<Row> out;
-  if (std::find(selected.begin(), selected.end(), node.leaf_oid()) != selected.end()) {
-    MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
+  // The output layout is built only for a leaf that has probes to bind.
+  std::vector<BoundJoinFilter> join_filters;
+  if (!node.join_filters().probes.empty()) {
+    MPPDB_ASSIGN_OR_RETURN(join_filters,
                            BindJoinFilterProbes(node, node.OutputLayout(), segment));
-    MPPDB_RETURN_IF_ERROR(ScanUnit(*store, node.table_oid(), node.leaf_oid(),
-                                   segment, false, join_filters, &out));
   }
-  return out;
-}
-
-Result<std::vector<Row>> Executor::ExecDynamicScan(const DynamicScanNode& node,
-                                                   int segment) {
-  const TableStore* store = storage_->GetStore(node.table_oid());
-  if (store == nullptr) {
-    return Status::ExecutionError("no storage for table oid " +
-                                  std::to_string(node.table_oid()));
-  }
-  if (!hub_.HasChannel(segment, node.scan_id())) {
-    return Status::ExecutionError(
-        "DynamicScan executed before its PartitionSelector (scan id " +
-        std::to_string(node.scan_id()) + ", segment " + std::to_string(segment) + ")");
-  }
-  if (store->descriptor().distribution == TableDistribution::kReplicated &&
-      segment != 0) {
-    return std::vector<Row>{};
-  }
-  MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
-                         BindJoinFilterProbes(node, node.OutputLayout(), segment));
+  const bool in_place = !emit_rowids && join_filters.empty();
+  ScanFragment frag;
+  frag.scans.push_back(&node);
+  InputRows input;
   std::vector<Row> out;
-  for (Oid oid : hub_.Selected(segment, node.scan_id())) {
-    if (!store->HasUnit(oid)) {
-      return Status::ExecutionError("selected partition oid " + std::to_string(oid) +
-                                    " is not a leaf of table " +
-                                    std::to_string(node.table_oid()));
-    }
-    MPPDB_RETURN_IF_ERROR(ScanUnit(*store, node.table_oid(), oid, segment,
-                                   !node.rowid_ids().empty(), join_filters, &out));
-  }
-  return out;
+  MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
+      frag, segment,
+      [&](const TableStore& store, Oid unit_oid, const std::vector<Row>& rows) -> Status {
+        if (!in_place) {
+          return ScanUnit(store, unit_oid, rows, segment, emit_rowids, join_filters, &out);
+        }
+        for (size_t base = 0; base < rows.size(); base += TableStore::kChunkRows) {
+          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
+        }
+        input.AddRef(rows);
+        return Status::OK();
+      }));
+  if (!in_place) return InputRows(std::move(out));
+  return input;
 }
 
 Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
@@ -1020,7 +973,7 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
     return std::vector<Row>{};
   }
 
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
 
   // Predicates that reference no child column are row-invariant; evaluate
@@ -1131,16 +1084,17 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
 
 Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& node,
                                                       int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> outer_rows, ExecNode(node.child(0), segment));
-  Result<std::vector<Row>> inner_result = ExecNode(node.child(1), segment);
+  MPPDB_ASSIGN_OR_RETURN(InputRows outer, ExecNode(node.child(0), segment));
+  Result<InputRows> inner_result = ExecNode(node.child(1), segment);
   if (!inner_result.ok()) {
     if (IsSuspendedStatus(inner_result.status())) {
       seg_run_[static_cast<size_t>(segment)].cache[node.child(0).get()] =
-          InputRows(std::move(outer_rows));
+          std::move(outer);
     }
     return inner_result.status();
   }
-  std::vector<Row> inner_rows = std::move(inner_result).value();
+  std::vector<Row> outer_rows = std::move(outer).Take();
+  std::vector<Row> inner_rows = std::move(inner_result).value().Take();
   // No pairs, no output — skip the O(n*m) loop entirely. The children have
   // already run (side effects and stats), and with zero pairs the row path
   // never evaluates the predicate either, so this is behavior-preserving.
@@ -1220,7 +1174,7 @@ Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& 
 
 Result<std::vector<Row>> Executor::ExecIndexNLJoin(const IndexNLJoinNode& node,
                                                    int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> outer_rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> outer_rows, ExecOwned(node.child(0), segment));
   TableStore* store = storage_->GetStore(node.inner_table());
   if (store == nullptr) {
     return Status::ExecutionError("no storage for table oid " +
@@ -1294,7 +1248,7 @@ Result<std::vector<Row>> Executor::ExecIndexNLJoin(const IndexNLJoinNode& node,
 }
 
 Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   std::vector<int> positions;
   std::vector<bool> ascending;
@@ -1357,7 +1311,7 @@ Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
 }
 
 Result<std::vector<Row>> Executor::ExecTopN(const TopNNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   std::vector<int> positions;
   std::vector<bool> ascending;
@@ -1589,7 +1543,10 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
     std::unique_lock<std::mutex> lock(exchange.mu);
     if (!exchange.deposited[static_cast<size_t>(segment)]) {
       lock.unlock();
-      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+      // Ownership is taken here, on the source segment's own task, so a
+      // child read in place is copied in parallel across segments and never
+      // by the last arriver.
+      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
       MPPDB_RETURN_IF_ERROR(CheckExec(segment, "motion.send"));
       seg_stats_[static_cast<size_t>(segment)].rows_moved += rows.size();
       lock.lock();
@@ -1634,7 +1591,9 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
 }
 
 Result<std::vector<Row>> Executor::ExecInsert(const InsertNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  // DML writes only owned rows: no storage slice it reads may be one it
+  // mutates (DESIGN.md §15).
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   TableStore* store = storage_->GetStore(node.table_oid());
   if (store == nullptr) {
     return Status::ExecutionError("no storage for table oid " +
@@ -1690,7 +1649,7 @@ void ApplyDeletes(TableStore* store, std::vector<RowLocator> locators) {
 }  // namespace
 
 Result<std::vector<Row>> Executor::ExecUpdate(const UpdateNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   if (rows.empty()) {
     if (segment != 0) return std::vector<Row>{};
     return std::vector<Row>{{Datum::Int64(0)}};
@@ -1740,7 +1699,7 @@ Result<std::vector<Row>> Executor::ExecUpdate(const UpdateNode& node, int segmen
 }
 
 Result<std::vector<Row>> Executor::ExecDelete(const DeleteNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   if (rows.empty()) {
     if (segment != 0) return std::vector<Row>{};
     return std::vector<Row>{{Datum::Int64(0)}};

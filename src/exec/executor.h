@@ -162,49 +162,76 @@ struct ExecStats {
   bool operator==(const ExecStats& other) const = default;
 };
 
-/// An operator's input as Executor::ExecInput returns it: the storage slices
-/// of a bare scan fragment read in place, or any other child's own output.
-/// Slices point into TableStore and are valid only until the consuming
-/// operator returns (DESIGN.md §15).
-struct InputRows {
-  /// The child's output, when it is not read in place.
-  std::vector<Row> owned;
-  /// Storage slices read in place, in scan order (empty ones omitted). Used
-  /// only when `in_place`.
-  std::vector<const std::vector<Row>*> slices;
-  bool in_place = false;
-
+/// An operator's output as Executor::ExecNode returns it: a list of row
+/// slices in input order. A slice is either a storage slice read in place (a
+/// scan leaf's TableStore::UnitRows) or an owned vector held at a stable
+/// address. Storage slices are valid only until the consuming operator
+/// returns (DESIGN.md §15). Owned slices are held by unique_ptr, which makes
+/// the type move-only: no copy can keep slice pointers into another
+/// object's owned rows.
+class InputRows {
+ public:
   InputRows() = default;
-  explicit InputRows(std::vector<Row> rows) : owned(std::move(rows)) {}
+  explicit InputRows(std::vector<Row> rows) { AddOwned(std::move(rows)); }
 
-  /// Slices in input order; owned rows are a single slice.
-  size_t num_slices() const { return in_place ? slices.size() : 1; }
-  const std::vector<Row>& slice(size_t i) const { return in_place ? *slices[i] : owned; }
+  /// Appends a storage slice, read in place. Empty slices are omitted.
+  void AddRef(const std::vector<Row>& rows) {
+    if (!rows.empty()) slices_.push_back(Slice{&rows, nullptr});
+  }
+  /// Appends an owned slice. Empty slices are omitted.
+  void AddOwned(std::vector<Row> rows) {
+    if (rows.empty()) return;
+    auto owned = std::make_unique<std::vector<Row>>(std::move(rows));
+    const std::vector<Row>* ptr = owned.get();
+    slices_.push_back(Slice{ptr, std::move(owned)});
+  }
+  /// Appends `other`'s slices after this input's, without copying rows.
+  void Append(InputRows other) {
+    for (Slice& s : other.slices_) slices_.push_back(std::move(s));
+  }
+
+  size_t num_slices() const { return slices_.size(); }
+  const std::vector<Row>& slice(size_t i) const { return *slices_[i].rows; }
 
   size_t size() const {
-    if (!in_place) return owned.size();
     size_t total = 0;
-    for (const std::vector<Row>* s : slices) total += s->size();
+    for (const Slice& s : slices_) total += s.rows->size();
     return total;
   }
 
-  /// The rows as an owned vector: moved out when owned, copied in input order
-  /// when in place (for the spill fallbacks, which take ownership).
+  /// The rows as one owned vector, in input order: a single owned slice is
+  /// moved out, owned rows are moved, and storage slices are copied.
   std::vector<Row> Take() && {
-    if (!in_place) return std::move(owned);
+    if (slices_.size() == 1 && slices_[0].owned != nullptr) {
+      return std::move(*slices_[0].owned);
+    }
     std::vector<Row> rows;
     rows.reserve(size());
-    for (const std::vector<Row>* s : slices) {
-      rows.insert(rows.end(), s->begin(), s->end());
+    for (Slice& s : slices_) {
+      if (s.owned != nullptr) {
+        rows.insert(rows.end(), std::make_move_iterator(s.owned->begin()),
+                    std::make_move_iterator(s.owned->end()));
+      } else {
+        rows.insert(rows.end(), s.rows->begin(), s.rows->end());
+      }
     }
     return rows;
   }
+
+ private:
+  struct Slice {
+    const std::vector<Row>* rows;
+    /// Set for owned slices; `rows` then points at it.
+    std::unique_ptr<std::vector<Row>> owned;
+  };
+  std::vector<Slice> slices_;
 };
 
 /// Executes physical plans against the simulated MPP cluster.
 ///
 /// Execution model: every plan slice (maximal Motion-free subtree) runs once
-/// per segment, operators materialize their outputs, and children execute
+/// per segment, operators materialize their outputs (scan leaves hand back
+/// storage slices instead; see InputRows), and children execute
 /// left to right — so a PartitionSelector placed in children[0] of a join
 /// always completes before the DynamicScan in children[1] starts, on the
 /// same segment, matching the paper's producer/consumer contract.
@@ -378,9 +405,9 @@ class Executor {
   /// the segment's own task chain — no locks.
   struct SegmentRunState {
     /// Completed-child results cached across a suspension; consumed (moved
-    /// out and erased) by the first re-visit. A hash join caches its build
-    /// input as ExecInput resolved it, so a build side read in place is
-    /// neither re-scanned, re-counted nor copied by the re-walk.
+    /// out and erased) by the first re-visit, which returns them as they
+    /// were parked. A storage slice read in place is therefore neither
+    /// re-scanned, re-counted nor copied by the re-walk.
     std::unordered_map<const PhysicalNode*, InputRows> cache;
     /// Nodes that completed and whose output is discardable (Sequence
     /// prefixes); re-visits return {} without executing.
@@ -436,7 +463,8 @@ class Executor {
                        std::vector<Row>* out);
 
   /// Effective rows-per-morsel: Options::morsel_rows (0 = 4 chunks) rounded
-  /// up to a whole number of storage chunks.
+  /// up to a whole number of storage chunks, saturating at the largest
+  /// chunk-aligned size_t (one morsel per slice).
   size_t MorselRows() const;
 
   /// Registers an exchange for every Motion node in the plan. Fails with
@@ -552,7 +580,14 @@ class Executor {
   const SliceColumns* AcquireColumns(const TableStore& store, Oid unit_oid,
                                      int segment);
 
-  Result<std::vector<Row>> ExecNode(const PhysPtr& node, int segment);
+  /// Runs `node` on `segment`. Scan leaves hand back storage slices read in
+  /// place (ExecScan), Sequence its last child's input and Append its
+  /// children's slices concatenated; every other operator's output is one
+  /// owned slice. A result parked in the suspension memo is returned as is.
+  Result<InputRows> ExecNode(const PhysPtr& node, int segment);
+  /// ExecNode's output as an owned vector (InputRows::Take), for operators
+  /// that move, reorder or store their input rows.
+  Result<std::vector<Row>> ExecOwned(const PhysPtr& node, int segment);
 
   /// A JoinFilterProbe resolved against a consumer's output layout, with the
   /// published summary in hand. Bound once per operator execution.
@@ -580,10 +615,12 @@ class Executor {
                                  const ColumnLayout& build_layout,
                                  const InputRows& build, int segment);
 
-  Result<std::vector<Row>> ExecTableScan(const TableScanNode& node, int segment);
-  Result<std::vector<Row>> ExecCheckedPartScan(const CheckedPartScanNode& node,
-                                               int segment);
-  Result<std::vector<Row>> ExecDynamicScan(const DynamicScanNode& node, int segment);
+  /// TableScan, DynamicScan and CheckedPartScan: walks the leaf's storage
+  /// units through ForEachScanUnit. A leaf without rowids and without bound
+  /// join-filter probes adds each unit as a storage slice read in place, with
+  /// the storage.scan_chunk check run once per chunk; otherwise ScanUnit
+  /// materializes its units into one owned slice.
+  Result<InputRows> ExecScan(const PhysicalNode& node, int segment);
   /// Partition-aware index access; the residual runs as a compiled kernel
   /// over each unit's candidates. One morsel-scheduler task per surviving
   /// unit when morsels are eligible.
@@ -606,10 +643,10 @@ class Executor {
 
   // --- Batch-kernel operators (src/exec/vectorized.cc) ----------------------
 
-  /// A Motion-free scan subtree a Filter can fuse with (or ExecInput can
-  /// read in place): optional Sequence prefixes (PartitionSelectors)
-  /// followed by TableScan/DynamicScan/CheckedPartScan leaves, possibly
-  /// under an Append.
+  /// A Motion-free scan subtree a Filter can fuse with: optional Sequence
+  /// prefixes (PartitionSelectors) followed by TableScan/DynamicScan/
+  /// CheckedPartScan leaves, possibly under an Append. ExecScan walks a
+  /// one-leaf fragment.
   struct ScanFragment {
     /// Sequence prefix children (PartitionSelectors feeding DynamicScans),
     /// executed in order for their side effects before any scanning; their
@@ -629,22 +666,18 @@ class Executor {
   /// so the re-walk skips their side-effecting subtrees (see kSequence).
   Status RunFragmentPrefix(const ScanFragment& frag, int segment);
 
-  /// The input of HashAgg, HashJoin and Project. When `child` is a bare scan
-  /// fragment (MatchScanFragment's grammar, with no join-filter probes
-  /// annotated while join filters are on), runs the prefixes and returns the
-  /// storage slices by reference, recording scan stats and running the
-  /// storage.scan_chunk check exactly as ScanUnit does; any other child runs
-  /// through ExecNode and its output is returned owned. A cached entry in
-  /// the suspension memo is returned as is.
-  Result<InputRows> ExecInput(const PhysPtr& child, int segment);
+  /// A storage-unit visitor: `rows` is the unit's slice on the segment.
+  using ScanUnitFn = std::function<Status(const TableStore& store, Oid unit_oid,
+                                          const std::vector<Row>& rows)>;
 
-  /// Runs `fn(store, table_oid, unit_oid)` for every storage unit the
-  /// fragment's scan leaves cover on `segment`, applying each leaf kind's
-  /// gating (replicated-on-segment-0, CheckedPartScan membership, DynamicScan
-  /// propagation) exactly as the unfused scan operators do. The Sequence
-  /// prefixes must already have been executed.
-  Status ForEachScanUnit(const ScanFragment& frag, int segment,
-                         const std::function<Status(const TableStore&, Oid, Oid)>& fn);
+  /// Runs `fn` for every storage unit the fragment's scan leaves cover on
+  /// `segment`, after recording the unit in the logical scan stats
+  /// (partitions_scanned, tuples_scanned). The only copy of each leaf kind's
+  /// gating: replicated tables scan on segment 0 only, CheckedPartScan
+  /// checks membership, DynamicScan checks that its propagation channel
+  /// exists and that every selected oid is a unit of the table. The
+  /// Sequence prefixes must already have been executed.
+  Status ForEachScanUnit(const ScanFragment& frag, int segment, const ScanUnitFn& fn);
 
   /// Join-filter probe over a selection: hashes each bound filter's key
   /// columns over the selected rows in one batch pass, then tests every row
@@ -666,19 +699,20 @@ class Executor {
   /// rows that fail the predicate are never copied.
   Result<std::vector<Row>> ExecFusedFilterScan(const FilterNode& node,
                                                const ScanFragment& frag, int segment);
-  // Project, HashJoin and HashAgg read their children through ExecInput:
-  // storage slices in place over bare scans, copied only into output rows
-  // or into a spill fallback.
+  // Project, HashJoin and HashAgg read ExecNode's slices without taking
+  // them: storage slices stay in place, and rows are copied only into output
+  // rows or into a spill fallback.
   Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
   Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
   Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);
 
-  /// Scans one storage unit on one segment, appending (optionally
-  /// rowid-extended) rows to `out` and recording stats against the segment's
-  /// accumulator. Bound join filters (never combined with rowid emission)
-  /// reject non-joining rows before they are materialized, skipping whole
-  /// chunks via the slice synopsis when Options::data_skipping allows.
-  Status ScanUnit(const TableStore& store, Oid table_oid, Oid unit_oid,
+  /// Materializes one storage unit's slice `rows` for a scan leaf that
+  /// cannot hand it back in place: either every row extended with its rowid
+  /// columns (`emit_rowids`), or the rows that pass the bound join filters,
+  /// skipping whole chunks via the slice synopsis when
+  /// Options::data_skipping allows. The two are never combined. Splits into
+  /// morsels (RunMorselScan).
+  Status ScanUnit(const TableStore& store, Oid unit_oid, const std::vector<Row>& rows,
                   int segment, bool emit_rowids,
                   const std::vector<BoundJoinFilter>& join_filters,
                   std::vector<Row>* out);

@@ -7,12 +7,12 @@
 // (column-major evaluation), but whether the query fails is not (see
 // DESIGN.md §6).
 //
-// Also home of the scan-fragment grammar the fused filter-over-scan and the
-// in-place operator input (ExecInput) use: MatchScanFragment and
-// ForEachScanUnit, which walk the storage units a fragment's scan leaves
-// cover with the same gating as the scan operators. Project, HashJoin and
-// HashAgg read a bare scan fragment's storage slices in place and copy rows
-// only when they emit them (or hand their input to a spill fallback).
+// Also home of the scan-fragment grammar: MatchScanFragment, which the fused
+// filter-over-scan matches, and ForEachScanUnit, the one walk over the
+// storage units a fragment's scan leaves cover (the scan leaves themselves,
+// ExecScan, walk a one-leaf fragment). Project, HashJoin and HashAgg read
+// their input's slices without taking them, so storage slices stay in place
+// and rows are copied only when emitted (or handed to a spill fallback).
 
 #include <algorithm>
 #include <functional>
@@ -189,9 +189,17 @@ bool Executor::MatchScanFragment(const PhysPtr& node, ScanFragment* out) {
 static_assert(TableStore::kChunkRows == KernelContext::kDefaultChunkRows,
               "storage chunk size must match the kernel batch size");
 
-Status Executor::ForEachScanUnit(
-    const ScanFragment& frag, int segment,
-    const std::function<Status(const TableStore&, Oid, Oid)>& fn) {
+Status Executor::ForEachScanUnit(const ScanFragment& frag, int segment,
+                                 const ScanUnitFn& fn) {
+  ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
+  // Logical accounting: the unit counts as scanned whatever the visitor
+  // skips or rejects (zone maps, join filters).
+  auto visit = [&](const TableStore& store, Oid table_oid, Oid unit_oid) {
+    const std::vector<Row>& rows = store.UnitRows(unit_oid, segment);
+    seg_stats.partitions_scanned[table_oid].insert(unit_oid);
+    seg_stats.tuples_scanned += rows.size();
+    return fn(store, unit_oid, rows);
+  };
   for (const PhysicalNode* scan : frag.scans) {
     switch (scan->kind()) {
       case PhysNodeKind::kTableScan: {
@@ -206,7 +214,7 @@ Status Executor::ForEachScanUnit(
             segment != 0) {
           break;
         }
-        MPPDB_RETURN_IF_ERROR(fn(*store, ts.table_oid(), ts.unit_oid()));
+        MPPDB_RETURN_IF_ERROR(visit(*store, ts.table_oid(), ts.unit_oid()));
         break;
       }
       case PhysNodeKind::kCheckedPartScan: {
@@ -224,7 +232,7 @@ Status Executor::ForEachScanUnit(
         const std::vector<Oid>& selected = hub_.Selected(segment, cs.scan_id());
         if (std::find(selected.begin(), selected.end(), cs.leaf_oid()) !=
             selected.end()) {
-          MPPDB_RETURN_IF_ERROR(fn(*store, cs.table_oid(), cs.leaf_oid()));
+          MPPDB_RETURN_IF_ERROR(visit(*store, cs.table_oid(), cs.leaf_oid()));
         }
         break;
       }
@@ -252,12 +260,12 @@ Status Executor::ForEachScanUnit(
                                           " is not a leaf of table " +
                                           std::to_string(ds.table_oid()));
           }
-          MPPDB_RETURN_IF_ERROR(fn(*store, ds.table_oid(), oid));
+          MPPDB_RETURN_IF_ERROR(visit(*store, ds.table_oid(), oid));
         }
         break;
       }
       default:
-        return Status::Internal("unexpected scan kind in fused filter fragment");
+        return Status::Internal("unexpected scan kind in scan fragment");
     }
   }
   return Status::OK();
@@ -265,7 +273,7 @@ Status Executor::ForEachScanUnit(
 
 Status Executor::RunFragmentPrefix(const ScanFragment& frag, int segment) {
   for (size_t i = 0; i < frag.prefix.size(); ++i) {
-    Result<std::vector<Row>> discarded = ExecNode(frag.prefix[i], segment);
+    Result<InputRows> discarded = ExecNode(frag.prefix[i], segment);
     if (!discarded.ok()) {
       if (IsSuspendedStatus(discarded.status())) {
         SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
@@ -277,54 +285,12 @@ Status Executor::RunFragmentPrefix(const ScanFragment& frag, int segment) {
   return Status::OK();
 }
 
-Result<InputRows> Executor::ExecInput(const PhysPtr& child, int segment) {
-  SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
-  if (!memo.cache.empty()) {
-    auto cached = memo.cache.find(child.get());
-    if (cached != memo.cache.end()) {
-      InputRows input = std::move(cached->second);
-      memo.cache.erase(cached);
-      return input;
-    }
-  }
-  ScanFragment frag;
-  bool in_place = MatchScanFragment(child, &frag) && memo.done.count(child.get()) == 0;
-  // Bound join-filter probes reject rows inside ScanUnit; such scans keep
-  // the materializing path.
-  for (size_t i = 0; in_place && options_.join_filters && i < frag.scans.size(); ++i) {
-    in_place = frag.scans[i]->join_filters().probes.empty();
-  }
-  if (!in_place) {
-    MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(child, segment));
-    return InputRows(std::move(rows));
-  }
-  // The dispatch-time liveness check ExecNode would have made.
-  MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
-  MPPDB_RETURN_IF_ERROR(RunFragmentPrefix(frag, segment));
-  InputRows input;
-  input.in_place = true;
-  ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
-  MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
-      frag, segment, [&](const TableStore& store, Oid table_oid, Oid unit_oid) -> Status {
-        // Stats and per-chunk checks exactly as ScanUnit records and runs them.
-        const std::vector<Row>& rows = store.UnitRows(unit_oid, segment);
-        seg_stats.partitions_scanned[table_oid].insert(unit_oid);
-        seg_stats.tuples_scanned += rows.size();
-        for (size_t base = 0; base < rows.size(); base += TableStore::kChunkRows) {
-          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-        }
-        if (!rows.empty()) input.slices.push_back(&rows);
-        return Status::OK();
-      }));
-  return input;
-}
-
 Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
   ScanFragment frag;
   if (MatchScanFragment(node.child(0), &frag)) {
     return ExecFusedFilterScan(node, frag, segment);
   }
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecNode(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
                          BindJoinFilterProbes(node, layout, segment));
@@ -399,18 +365,15 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
 
   // Evaluates the predicate in chunks directly over the storage slice and
   // copies only the surviving rows — filtered-out tuples are never
-  // materialized. Stats are recorded exactly as ScanUnit would, so the
-  // logical counters match an unfused Filter over the scan; only chunks_*
-  // and units_skipped reveal the skipping. The chunk loop is morsel-ranged:
+  // materialized. ForEachScanUnit records the logical stats, so they match
+  // an unfused Filter over the scan; only chunks_* and units_skipped reveal
+  // the skipping. The chunk loop is morsel-ranged:
   // chunk-aligned sub-ranges of the slice run as stealable tasks, each with
   // its own kernel context and stats shard, concatenated in range order.
-  auto scan_unit_filtered = [&](const TableStore& store, Oid table_oid,
-                                Oid unit_oid) -> Status {
-    const std::vector<Row>& rows = store.UnitRows(unit_oid, segment);
-    ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
-    seg_stats.partitions_scanned[table_oid].insert(unit_oid);
-    seg_stats.tuples_scanned += rows.size();
+  auto scan_unit_filtered = [&](const TableStore& store, Oid unit_oid,
+                                const std::vector<Row>& rows) -> Status {
     if (rows.empty()) return Status::OK();
+    ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
     const SliceSynopsis* synopsis = nullptr;
     if (options_.data_skipping) {
       seg_stats.chunks_total +=
@@ -510,7 +473,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
 }
 
 Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecInput(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   const size_t num_items = node.items().size();
   std::vector<KernelProgram> programs;
@@ -549,7 +512,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
                                                 int segment) {
   // children[0] (build) runs to completion first — the property
   // PartitionSelector placement relies on.
-  MPPDB_ASSIGN_OR_RETURN(InputRows build, ExecInput(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows build, ExecNode(node.child(0), segment));
   ColumnLayout build_layout = node.child(0)->OutputLayout();
   // One-shot effects, skipped when a probe-side Motion suspension already
   // performed them on an earlier walk (the hub rejects a second publication
@@ -587,10 +550,10 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     // shed under pressure) and only ever reject non-joining probe rows.
     MPPDB_RETURN_IF_ERROR(PublishLocalJoinFilters(node, build_layout, build, segment));
   }
-  Result<InputRows> probe_result = ExecInput(node.child(1), segment);
+  Result<InputRows> probe_result = ExecNode(node.child(1), segment);
   if (!probe_result.ok()) {
     if (IsSuspendedStatus(probe_result.status())) {
-      // The resolved build input waits in the memo: the re-walk's ExecInput
+      // The resolved build input waits in the memo: the re-walk's ExecNode
       // returns it without re-scanning, re-counting stats or copying.
       SegmentRunState& memo = seg_run_[static_cast<size_t>(segment)];
       memo.cache[node.child(0).get()] = std::move(build);
@@ -736,7 +699,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
 }
 
 Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segment) {
-  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecInput(node.child(0), segment));
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<int> group_pos,
                          ResolvePositions(layout, node.group_by()));

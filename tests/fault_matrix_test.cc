@@ -95,9 +95,10 @@ class FaultMatrixTest : public ::testing::Test {
   // selector-driven dynamic elimination and runtime filters (hub.push,
   // joinfilter.publish, alloc.budget), aggregation and ordering (exec.batch,
   // alloc.budget), and Motions everywhere (motion.send / motion.recv). The
-  // two unfiltered statements read bare scans in place: the aggregate's
+  // four unfiltered statements read bare scans in place: the aggregate's
   // input and the join's build side are storage slices, and the join's
-  // probe side suspends at a Redistribute Motion.
+  // probe side suspends at a Redistribute Motion; SELECT * and the ordered
+  // LIMIT take ownership of the slices when the Gather deposits them.
   std::vector<std::string> RandomQueries(Random* rng) {
     return {
         "SELECT sk, qty FROM fact WHERE " + RandomPredicate(rng),
@@ -108,6 +109,8 @@ class FaultMatrixTest : public ::testing::Test {
         "SELECT sk FROM fact WHERE " + RandomPredicate(rng) + " ORDER BY sk",
         "SELECT qty, count(*), sum(v) FROM fact GROUP BY qty ORDER BY qty",
         "SELECT count(*), sum(d.grp) FROM fact f JOIN dim d ON f.sk = d.k",
+        "SELECT * FROM fact",
+        "SELECT * FROM fact ORDER BY v, sk LIMIT 25",
     };
   }
 
