@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -28,6 +29,19 @@ bool IsIdentStart(char c) {
 
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// Parses all of `text` as a T; false when it does not fit (std::stoll and
+/// std::stod would throw std::out_of_range there).
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+Status OutOfRange(const std::string& what, size_t offset) {
+  return Status::ParseError(what + " out of range at offset " + std::to_string(offset));
 }
 
 }  // namespace
@@ -73,10 +87,14 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       std::string number = sql.substr(start, i - start);
       if (is_double) {
         token.type = TokenType::kDoubleLiteral;
-        token.double_value = std::stod(number);
+        if (!ParseNumber(number, &token.double_value)) {
+          return OutOfRange("numeric literal", start);
+        }
       } else {
         token.type = TokenType::kIntLiteral;
-        token.int_value = std::stoll(number);
+        if (!ParseNumber(number, &token.int_value)) {
+          return OutOfRange("integer literal", start);
+        }
       }
       token.text = number;
       tokens.push_back(std::move(token));
@@ -116,7 +134,9 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
                                   std::to_string(start - 1));
       }
       token.type = TokenType::kParam;
-      token.int_value = std::stoll(sql.substr(start, i - start));
+      if (!ParseNumber(sql.substr(start, i - start), &token.int_value)) {
+        return OutOfRange("parameter number", start - 1);
+      }
       tokens.push_back(std::move(token));
       continue;
     }

@@ -1,9 +1,11 @@
 #include "storage/column_store.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "common/memory_budget.h"
 #include "expr/eval.h"
 
 namespace mppdb {
@@ -88,7 +90,7 @@ const char* ColumnEncodingName(ColumnEncoding encoding) {
 }
 
 size_t ApproxDatumBytes(const Datum& d) {
-  size_t bytes = sizeof(Datum);
+  size_t bytes = kModelledPlainDatumBytes;
   if (!d.is_null() && d.type() == TypeId::kString) bytes += d.string_value().size();
   return bytes;
 }
@@ -405,7 +407,8 @@ std::optional<EncodedRowBatch> TryEncodeMotionBatch(std::vector<Row>&& rows) {
   bool any_encoded = false;
   for (size_t c = 0; c < width; ++c) {
     MotionColumn& column = batch.columns[c];
-    std::unordered_map<std::string, uint32_t> code_of;
+    // Keys view the rows' own string bodies, which outlive this pass.
+    std::unordered_map<std::string_view, uint32_t> code_of;
     std::vector<uint32_t> codes;
     codes.reserve(n);
     bool ok = true;
@@ -421,18 +424,20 @@ std::optional<EncodedRowBatch> TryEncodeMotionBatch(std::vector<Row>&& rows) {
       }
       auto [it, inserted] =
           code_of.emplace(v.string_value(), static_cast<uint32_t>(code_of.size()));
-      if (inserted && code_of.size() > kMotionDictMaxEntries) {
-        ok = false;
-        break;
+      if (inserted) {
+        if (code_of.size() > kMotionDictMaxEntries) {
+          ok = false;
+          break;
+        }
+        column.values.push_back(v);  // shares its first occurrence's body
       }
       codes.push_back(it->second);
     }
-    if (!ok) continue;
-    column.dict_encoded = true;
-    column.values.resize(code_of.size());
-    for (auto& [value, code] : code_of) {
-      column.values[code] = Datum::String(value);
+    if (!ok) {
+      column.values.clear();
+      continue;
     }
+    column.dict_encoded = true;
     column.codes = std::move(codes);
     any_encoded = true;
   }
@@ -452,7 +457,7 @@ std::optional<EncodedRowBatch> TryEncodeMotionBatch(std::vector<Row>&& rows) {
     if (column.dict_encoded) {
       const size_t encoded = value_bytes + column.codes.size() * sizeof(uint32_t);
       // Plain cost of a dict column = every row's value at full width.
-      size_t plain = n * sizeof(Datum);
+      size_t plain = n * kModelledPlainDatumBytes;
       for (size_t i = 0; i < n; ++i) {
         if (column.codes[i] != EncodedColumnChunk::kNullCode) {
           plain += column.values[column.codes[i]].string_value().size();

@@ -24,9 +24,10 @@ enum class ColumnEncoding : uint8_t {
 
 const char* ColumnEncodingName(ColumnEncoding encoding);
 
-/// Approximate in-memory footprint of a Datum (variant header + string heap).
-/// The unit of the bytes-scanned / bytes-saved accounting in ExecStats and
-/// BENCH_storage.json; deliberately coarse but consistent across call sites.
+/// Modelled plain footprint of a Datum: kModelledPlainDatumBytes plus a
+/// string's characters. The unit of the bytes-scanned / bytes-saved accounting
+/// in ExecStats and BENCH_storage.json; deliberately coarse but consistent
+/// across call sites, and independent of sizeof(Datum).
 size_t ApproxDatumBytes(const Datum& d);
 
 /// One column over one 1024-row storage chunk, in its chosen encoding, plus

@@ -1,13 +1,14 @@
 #ifndef MPPDB_TYPES_DATA_TYPE_H_
 #define MPPDB_TYPES_DATA_TYPE_H_
 
+#include <cstdint>
 #include <string>
 
 namespace mppdb {
 
 /// Scalar SQL types supported by the engine. kDate is stored as days since
-/// 1970-01-01 (see types/date.h).
-enum class TypeId {
+/// 1970-01-01 (see types/date.h). One byte wide so it packs into Datum's tag.
+enum class TypeId : uint8_t {
   kBool,
   kInt32,
   kInt64,

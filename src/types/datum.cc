@@ -1,11 +1,14 @@
 #include "types/datum.h"
 
 #include <functional>
+#include <variant>
 
 #include "common/macros.h"
 #include "types/date.h"
 
 namespace mppdb {
+
+void Datum::ThrowBadAccess() { throw std::bad_variant_access(); }
 
 Datum Datum::DateFromString(const std::string& ymd) {
   int32_t days = 0;
@@ -41,6 +44,7 @@ int Datum::Compare(const Datum& a, const Datum& b) {
   }
   if (a.type_ == TypeId::kString || b.type_ == TypeId::kString) {
     MPPDB_CHECK(a.type_ == TypeId::kString && b.type_ == TypeId::kString);
+    if (a.payload_.str == b.payload_.str) return 0;  // copies share a body
     return a.string_value().compare(b.string_value());
   }
   if (a.type_ == TypeId::kBool || b.type_ == TypeId::kBool) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "db/database.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
 #include "expr/expr.h"
@@ -727,6 +728,58 @@ TEST(ParallelStressTest, BudgetExhaustionRacesParallelCharges) {
     ASSERT_TRUE(retry.ok()) << "iter " << iteration << ": "
                             << retry.status().ToString();
     ASSERT_TRUE(*retry == *oracle) << "iter " << iteration;
+  }
+}
+
+// Shared string bodies: every row's VARCHAR is a copy of one of four Datums,
+// so all segment tasks add and drop references to the same few string boxes
+// at once — in the in-place scans, the GROUP BY hash tables, the Broadcast of
+// the dimension and the Gather and Sort of SELECT *. Repeated at 4 workers
+// against a 1-worker oracle; rows must match value for value and type for
+// type.
+TEST(ParallelStressTest, SharedStringBodiesAcrossWorkers) {
+  Database one_worker_db(8);
+  Database parallel_db(8, Executor::Options{.workers = 4});
+  const Datum tags[] = {Datum::String("alpha, longer than any small-string buffer"),
+                        Datum::String("beta"), Datum::String("gamma"), Datum::Null()};
+  std::vector<Row> fact_rows, dim_rows;
+  for (int64_t a = 0; a < 2000; ++a) fact_rows.push_back({Datum::Int64(a), tags[a % 4]});
+  for (int64_t k = 0; k < 3; ++k) dim_rows.push_back({Datum::Int64(k), tags[k]});
+  for (Database* db : {&one_worker_db, &parallel_db}) {
+    ASSERT_TRUE(db->Run("CREATE TABLE fact (a bigint, tag varchar) DISTRIBUTED BY (a)").ok());
+    ASSERT_TRUE(db->Run("CREATE TABLE dim (k bigint, tag varchar) DISTRIBUTED BY (k)").ok());
+    ASSERT_TRUE(db->Load("fact", fact_rows).ok());
+    ASSERT_TRUE(db->Load("dim", dim_rows).ok());
+  }
+  const std::string join = "SELECT f.a, d.k, d.tag FROM fact f JOIN dim d ON f.tag = d.tag";
+  auto explain = one_worker_db.Explain(join);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  ASSERT_NE(explain->find("BroadcastMotion"), std::string::npos) << *explain;
+
+  const std::string queries[] = {
+      "SELECT tag, count(*), sum(a) FROM fact GROUP BY tag",
+      join,
+      "SELECT * FROM fact ORDER BY tag, a LIMIT 40",
+  };
+  for (const std::string& sql : queries) {
+    auto oracle = one_worker_db.Run(sql);
+    ASSERT_TRUE(oracle.ok()) << sql << ": " << oracle.status().ToString();
+    ASSERT_FALSE(oracle->rows.empty()) << sql;
+    for (int iteration = 0; iteration < 10; ++iteration) {
+      auto parallel = parallel_db.Run(sql);
+      ASSERT_TRUE(parallel.ok()) << sql << ": " << parallel.status().ToString();
+      ASSERT_EQ(parallel->rows.size(), oracle->rows.size()) << sql;
+      for (size_t i = 0; i < oracle->rows.size(); ++i) {
+        const Row& want = oracle->rows[i];
+        const Row& got = parallel->rows[i];
+        ASSERT_EQ(RowToString(got), RowToString(want)) << sql << " row " << i;
+        for (size_t c = 0; c < want.size(); ++c) {
+          ASSERT_EQ(got[c].is_null(), want[c].is_null()) << sql;
+          ASSERT_EQ(got[c].type(), want[c].type()) << sql;
+        }
+      }
+      ASSERT_TRUE(parallel->stats == oracle->stats) << sql;
+    }
   }
 }
 

@@ -127,5 +127,26 @@ TEST_F(SqlFuzzTest, DeepNestingDoesNotOverflow) {
   EXPECT_TRUE(db_.Run(nested(200)).ok());
 }
 
+TEST_F(SqlFuzzTest, OutOfRangeNumericLiteralsAreParseErrors) {
+  // Literals past int64 / double range once escaped the lexer as
+  // std::out_of_range and aborted the process.
+  const std::string huge_double = "1" + std::string(400, '0') + ".5";
+  for (const std::string& sql :
+       {std::string("SELECT 9223372036854775808 + 1 FROM t"),
+        std::string("SELECT -9223372036854775808 FROM t"),
+        "SELECT " + huge_double + " FROM t",
+        std::string("SELECT a FROM t WHERE a = $99999999999999999999")}) {
+    auto result = db_.Run(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_NE(result.status().message().find("out of range"), std::string::npos)
+        << result.status().ToString();
+    auto after = db_.Run("SELECT a FROM t WHERE a = 1");
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after->rows.size(), 1u);
+  }
+  // The largest int64 still lexes.
+  EXPECT_TRUE(db_.Run("SELECT 9223372036854775807 FROM t").ok());
+}
+
 }  // namespace
 }  // namespace mppdb

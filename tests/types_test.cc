@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <variant>
+#include <vector>
+
 #include "types/date.h"
 #include "types/datum.h"
 #include "types/row.h"
@@ -51,6 +55,92 @@ TEST(DatumTest, ToStringRendering) {
   EXPECT_EQ(Datum::String("hi").ToString(), "'hi'");
   EXPECT_EQ(Datum::Bool(true).ToString(), "true");
   EXPECT_EQ(Datum::DateFromString("2013-10-01").ToString(), "2013-10-01");
+}
+
+static_assert(sizeof(Datum) == 16, "Datum is a tag, a null flag and an 8-byte payload");
+
+// One value of every type plus NULL, with the string long enough to live
+// outside any small-string buffer.
+std::vector<Datum> EveryKind() {
+  return {Datum::Null(),     Datum::Bool(true),
+          Datum::Int32(-7),  Datum::Int64(int64_t{1} << 40),
+          Datum::Double(2.5), Datum::String("a string well past the SSO size"),
+          Datum::Date(15000)};
+}
+
+void ExpectSame(const Datum& a, const Datum& b) {
+  EXPECT_EQ(a.is_null(), b.is_null());
+  EXPECT_EQ(a.type(), b.type());
+  EXPECT_EQ(Datum::Compare(a, b), 0) << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(a.ToString(), b.ToString());
+}
+
+TEST(DatumTest, CopyAndMoveKeepTheValue) {
+  for (const Datum& original : EveryKind()) {
+    SCOPED_TRACE(original.ToString());
+    Datum copy(original);
+    ExpectSame(copy, original);
+
+    Datum assigned = Datum::Int64(99);
+    assigned = original;
+    ExpectSame(assigned, original);
+
+    Datum moved(std::move(copy));
+    ExpectSame(moved, original);
+    // A moved-from string is NULL; a moved-from numeric keeps its value.
+    if (original.type() == TypeId::kString) {
+      EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+    } else {
+      ExpectSame(copy, original);  // NOLINT(bugprone-use-after-move)
+    }
+
+    Datum move_assigned = Datum::String("to be replaced");
+    move_assigned = std::move(moved);
+    ExpectSame(move_assigned, original);
+
+    Datum self = original;
+    Datum& alias = self;
+    self = alias;
+    ExpectSame(self, original);
+    self = std::move(alias);
+    ExpectSame(self, original);
+  }
+}
+
+TEST(DatumTest, CheckedAccessorsThrowOnWrongTypeOrNull) {
+  EXPECT_THROW(Datum::Null().int64_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Null().string_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Null().bool_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Int64(1).int32_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Int32(1).int64_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Int64(1).double_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Double(1).int64_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Int64(1).string_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::String("x").int64_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Bool(true).int32_value(), std::bad_variant_access);
+  EXPECT_THROW(Datum::Date(3).bool_value(), std::bad_variant_access);
+  // int32 and date share their storage, so each reads as the other.
+  EXPECT_EQ(Datum::Date(123).int32_value(), 123);
+  EXPECT_EQ(Datum::Int32(-5).date_value(), -5);
+}
+
+TEST(DatumTest, StringCopiesShareOneBody) {
+  Datum copy;
+  const char* body = nullptr;
+  {
+    Datum original = Datum::String("shared body, not copied bytes");
+    Datum second = original;
+    body = original.string_value().data();
+    EXPECT_EQ(second.string_value().data(), body);
+    copy = second;
+  }
+  // The last copy keeps the body alive after the original is gone.
+  EXPECT_EQ(copy.string_value().data(), body);
+  EXPECT_EQ(copy.string_value(), "shared body, not copied bytes");
+  // Equal strings in different bodies still compare and hash equal.
+  EXPECT_EQ(copy, Datum::String("shared body, not copied bytes"));
+  EXPECT_EQ(copy.Hash(), Datum::String("shared body, not copied bytes").Hash());
 }
 
 TEST(DateTest, RoundTrip) {
