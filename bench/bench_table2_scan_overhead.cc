@@ -5,7 +5,11 @@
 // Paper result: overhead of 1-3% regardless of partition count — the
 // DynamicScan/PartitionSelector model does not penalize full scans.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "db/database.h"
@@ -43,28 +47,57 @@ void RunBenchmark() {
     MPPDB_CHECK(st.ok());
   }
 
-  const int kIterations = 5;
-  double baseline_ms = 0;
-  std::printf("%8s  %-34s %12s %10s  %s\n", "#parts", "description",
-              "median (ms)", "overhead", "paper");
-  benchutil::Rule(86);
-  const char* paper_overheads[] = {"-", "3%", "3%", "1%", "2%"};
-  int row = 0;
+  // The variants are timed round-robin, one query each per round (rotating
+  // which goes first), so machine drift during the run lands on every
+  // variant alike instead of on whichever was timed last. Overhead is the
+  // median over rounds of that round's time against the flat scan's.
+  const int kRounds = 21;
+  std::vector<std::string> sqls;
   for (const Variant& variant : variants) {
-    std::string sql = "SELECT * FROM " + variant.table;
-    // Warm-up + median timing of the full-scan query under Cascades.
-    double ms = benchutil::MedianMillis(kIterations, [&]() {
-      auto result = db.Run(sql);
-      MPPDB_CHECK(result.ok());
-      MPPDB_CHECK(result->rows.size() == config.rows);
-    });
-    if (variant.partitioning == LineitemPartitioning::kNone) baseline_ms = ms;
-    double overhead = baseline_ms > 0 ? (ms - baseline_ms) / baseline_ms * 100.0 : 0;
-    int parts = LineitemPartitionCount(variant.partitioning);
-    std::printf("%8d  %-34s %12.2f %9.1f%%  %s\n", parts,
-                LineitemPartitioningName(variant.partitioning), ms, overhead,
-                paper_overheads[row]);
-    ++row;
+    sqls.push_back("SELECT * FROM " + variant.table);
+  }
+  auto run_ms = [&](const std::string& sql) {
+    auto start = std::chrono::steady_clock::now();
+    auto result = db.Run(sql);
+    auto end = std::chrono::steady_clock::now();
+    MPPDB_CHECK(result.ok());
+    MPPDB_CHECK(result->rows.size() == config.rows);
+    return std::chrono::duration<double, std::milli>(end - start).count();
+  };
+  for (const std::string& sql : sqls) run_ms(sql);  // warm-up
+  std::vector<std::vector<double>> times(variants.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < variants.size(); ++k) {
+      const size_t v = (static_cast<size_t>(round) + k) % variants.size();
+      times[v].push_back(run_ms(sqls[v]));
+    }
+  }
+
+  std::printf("%8s  %-34s %12s %10s %16s  %s\n", "#parts", "description",
+              "median (ms)", "overhead", "[quartiles]", "paper");
+  benchutil::Rule(96);
+  const char* paper_overheads[] = {"-", "3%", "3%", "1%", "2%"};
+  for (size_t v = 0; v < variants.size(); ++v) {
+    const int parts = LineitemPartitionCount(variants[v].partitioning);
+    const char* name = LineitemPartitioningName(variants[v].partitioning);
+    const double ms = benchutil::SummarizeMillis(times[v]).median_ms;
+    if (v == 0) {
+      std::printf("%8d  %-34s %12.2f %10s %16s  %s\n", parts, name, ms, "-", "",
+                  paper_overheads[v]);
+      continue;
+    }
+    std::vector<double> overheads;  // percent, one per round
+    for (size_t r = 0; r < times[v].size(); ++r) {
+      overheads.push_back((times[v][r] / times[0][r] - 1.0) * 100.0);
+    }
+    std::sort(overheads.begin(), overheads.end());
+    char quartiles[32];
+    std::snprintf(quartiles, sizeof(quartiles), "[%.0f%%..%.0f%%]",
+                  benchutil::PercentileSorted(overheads, 0.25),
+                  benchutil::PercentileSorted(overheads, 0.75));
+    std::printf("%8d  %-34s %12.2f %9.1f%% %16s  %s\n", parts, name, ms,
+                benchutil::PercentileSorted(overheads, 0.5), quartiles,
+                paper_overheads[v]);
   }
   std::printf(
       "\nExpectation (paper): full-scan cost is stable (within a few %%) as the\n"

@@ -1606,9 +1606,8 @@ Result<std::vector<Row>> Executor::ExecInsert(const InsertNode& node, int segmen
     // Single-writer DML rule: input is gathered, so only segment 0 carries
     // rows; the lock is defense in depth against plans that violate that.
     std::lock_guard<std::mutex> lock(dml_mu_);
-    for (const Row& row : rows) {
-      MPPDB_RETURN_IF_ERROR(store->Insert(row));
-    }
+    // All-or-nothing: InsertBatch routes every row before it writes any.
+    MPPDB_RETURN_IF_ERROR(store->InsertBatch(rows));
   }
   if (segment != 0) return std::vector<Row>{};
   return std::vector<Row>{{Datum::Int64(static_cast<int64_t>(rows.size()))}};
@@ -1689,10 +1688,12 @@ Result<std::vector<Row>> Executor::ExecUpdate(const UpdateNode& node, int segmen
     // Single-writer DML rule (see ExecInsert).
     std::lock_guard<std::mutex> lock(dml_mu_);
     // Delete-then-reinsert handles partition-key changes via f_T routing.
+    // Every rewritten row is routed first, so a row that routes nowhere
+    // fails the statement before any delete. (Deleting first lets the
+    // reinsert reuse the freed capacity instead of growing full slices.)
+    MPPDB_RETURN_IF_ERROR(store->CheckBatch(to_insert));
     ApplyDeletes(store, std::move(to_delete));
-    for (const Row& row : to_insert) {
-      MPPDB_RETURN_IF_ERROR(store->Insert(row));
-    }
+    MPPDB_RETURN_IF_ERROR(store->InsertBatch(to_insert));
   }
   if (segment != 0) return std::vector<Row>{};
   return std::vector<Row>{{Datum::Int64(static_cast<int64_t>(rows.size()))}};

@@ -1,6 +1,7 @@
 #include "storage/storage.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/macros.h"
 #include "expr/eval.h"
@@ -12,24 +13,32 @@ TableStore::TableStore(const TableDescriptor* desc, int num_segments)
   MPPDB_CHECK(desc != nullptr);
   MPPDB_CHECK(num_segments > 0);
   if (desc->IsPartitioned()) {
-    for (Oid oid : desc->partition_scheme->AllLeafOids()) {
-      units_.emplace(oid, std::vector<std::vector<Row>>(
-                              static_cast<size_t>(num_segments)));
-    }
+    unit_oids_ = desc->partition_scheme->AllLeafOids();
+    std::sort(unit_oids_.begin(), unit_oids_.end());
   } else {
-    units_.emplace(desc->oid, std::vector<std::vector<Row>>(
-                                  static_cast<size_t>(num_segments)));
+    unit_oids_.push_back(desc->oid);
   }
-  for (const auto& [oid, segments] : units_) {
-    synopses_.emplace(
-        oid, std::vector<SliceSynopsis>(static_cast<size_t>(num_segments),
-                                        SliceSynopsis(desc->schema.size())));
-    // Every unit gets an (empty, version-0) encoded-image slot: orientation
-    // can change per leaf at runtime (ALTER TABLE), so eligibility is checked
-    // at read time, not at construction.
-    column_cache_.emplace(
-        oid, std::vector<SliceColumns>(static_cast<size_t>(num_segments)));
-  }
+  // Every slice gets an (empty, version-0) encoded-image slot: orientation
+  // can change per leaf at runtime (ALTER TABLE), so eligibility is checked
+  // at read time, not at construction.
+  slices_.resize(unit_oids_.size() * static_cast<size_t>(num_segments));
+  for (Slice& slice : slices_) slice.synopsis = SliceSynopsis(desc->schema.size());
+}
+
+size_t TableStore::UnitOrdinal(Oid unit_oid) const {
+  auto it = std::lower_bound(unit_oids_.begin(), unit_oids_.end(), unit_oid);
+  MPPDB_CHECK(it != unit_oids_.end() && *it == unit_oid);
+  return static_cast<size_t>(it - unit_oids_.begin());
+}
+
+const TableStore::Slice& TableStore::SliceAt(Oid unit_oid, int segment) const {
+  MPPDB_CHECK(segment >= 0 && segment < num_segments_);
+  return slices_[UnitOrdinal(unit_oid) * static_cast<size_t>(num_segments_) +
+                 static_cast<size_t>(segment)];
+}
+
+TableStore::Slice& TableStore::SliceAt(Oid unit_oid, int segment) {
+  return const_cast<Slice&>(std::as_const(*this).SliceAt(unit_oid, segment));
 }
 
 int TableStore::SegmentForRow(const Row& row) {
@@ -45,44 +54,12 @@ int TableStore::SegmentForRow(const Row& row) {
   return 0;
 }
 
-Status TableStore::Insert(const Row& row) {
-  if (row.size() != desc_->schema.size()) {
-    return Status::InvalidArgument("row arity mismatch for table " + desc_->name);
-  }
-  Oid unit = desc_->oid;
-  if (desc_->IsPartitioned()) {
-    unit = desc_->partition_scheme->RouteTuple(row);
-    if (unit == kInvalidOid) {
-      return Status::OutOfRange("row " + RowToString(row) +
-                                " does not map to any partition of " + desc_->name);
-    }
-  }
-  auto it = units_.find(unit);
-  MPPDB_CHECK(it != units_.end());
-  if (desc_->distribution == TableDistribution::kReplicated) {
-    for (int segment = 0; segment < num_segments_; ++segment) {
-      const bool was_fresh = SynopsisFresh(unit, segment);
-      it->second[static_cast<size_t>(segment)].push_back(row);
-      BumpVersion(unit, segment);
-      SynopsisAppend(unit, segment, row, was_fresh);
-    }
-  } else {
-    int segment = SegmentForRow(row);
-    const bool was_fresh = SynopsisFresh(unit, segment);
-    it->second[static_cast<size_t>(segment)].push_back(row);
-    BumpVersion(unit, segment);
-    SynopsisAppend(unit, segment, row, was_fresh);
-  }
-  return Status::OK();
-}
-
-Status TableStore::InsertBatch(const std::vector<Row>& rows) {
-  // Pass 1: validate and route every row before touching storage, so a bad
-  // row leaves the store unchanged (all-or-nothing) and the append pass can
-  // reserve exact slice capacities instead of growing per row.
-  std::vector<Oid> units;
-  units.reserve(rows.size());
-  for (const Row& row : rows) {
+Result<std::vector<uint32_t>> TableStore::RouteUnits(
+    const std::vector<Row>& rows) const {
+  MPPDB_CHECK(rows.size() < UINT32_MAX);
+  std::vector<uint32_t> unit_of(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
     if (row.size() != desc_->schema.size()) {
       return Status::InvalidArgument("row arity mismatch for table " + desc_->name);
     }
@@ -94,140 +71,119 @@ Status TableStore::InsertBatch(const std::vector<Row>& rows) {
                                   " does not map to any partition of " + desc_->name);
       }
     }
-    units.push_back(unit);
+    unit_of[i] = static_cast<uint32_t>(UnitOrdinal(unit));
+  }
+  return unit_of;
+}
+
+Status TableStore::InsertBatch(const std::vector<Row>& rows) {
+  // Pass 1: validate and route every row before touching storage, so a bad
+  // row leaves the store unchanged (all-or-nothing). slice_of[i] holds row
+  // i's unit ordinal for now.
+  MPPDB_ASSIGN_OR_RETURN(std::vector<uint32_t> slice_of, RouteUnits(rows));
+
+  // Pass 2: turn unit ordinals into slice ids, picking segments in row order
+  // so round-robin placement matches a sequence of single Inserts. A
+  // replicated row goes to every segment of its unit, so it keeps the unit
+  // ordinal as its group id.
+  const bool replicated = desc_->distribution == TableDistribution::kReplicated;
+  const size_t segments = static_cast<size_t>(num_segments_);
+  if (!replicated) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      slice_of[i] = static_cast<uint32_t>(slice_of[i] * segments +
+                                          static_cast<size_t>(SegmentForRow(rows[i])));
+    }
   }
 
-  // Pass 2: pick segments (in row order, so round-robin placement matches a
-  // sequence of single Inserts), tally arrivals per slice, reserve and bump
-  // each touched slice's version once, then append.
-  const bool replicated = desc_->distribution == TableDistribution::kReplicated;
-  std::vector<int> segments;
-  std::map<std::pair<Oid, int>, size_t> slice_counts;
-  if (replicated) {
-    for (Oid unit : units) {
-      for (int segment = 0; segment < num_segments_; ++segment) {
-        ++slice_counts[{unit, segment}];
-      }
-    }
-  } else {
-    segments.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      segments.push_back(SegmentForRow(rows[i]));
-      ++slice_counts[{units[i], segments[i]}];
-    }
-  }
-  std::map<std::pair<Oid, int>, bool> slice_was_fresh;
-  for (const auto& [slice, count] : slice_counts) {
-    auto it = units_.find(slice.first);
-    MPPDB_CHECK(it != units_.end());
-    std::vector<Row>& slice_rows = it->second[static_cast<size_t>(slice.second)];
-    // Exact sizing only for a slice this call fills from empty; appends to a
-    // populated slice keep geometric growth (an exact reserve per insert
-    // would copy the whole slice every time).
-    if (slice_rows.empty()) slice_rows.reserve(count);
-    slice_was_fresh[slice] = SynopsisFresh(slice.first, slice.second);
-    BumpVersion(slice.first, slice.second);
-  }
+  // Pass 3: stable counting sort of the row positions by group id, so each
+  // group's run in `order` keeps input order. ends[g] starts as the count of
+  // rows in groups before g (g's start in `order`) and advances as g's rows
+  // are placed, ending at g's end, which is where g + 1's run starts.
+  const size_t groups = replicated ? unit_oids_.size() : slices_.size();
+  std::vector<uint32_t> ends(groups + 1, 0);
+  for (uint32_t g : slice_of) ++ends[g + 1];
+  for (size_t g = 1; g <= groups; ++g) ends[g] += ends[g - 1];
+  std::vector<uint32_t> order(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    auto it = units_.find(units[i]);
-    if (replicated) {
-      for (int segment = 0; segment < num_segments_; ++segment) {
-        it->second[static_cast<size_t>(segment)].push_back(rows[i]);
-        SynopsisAppend(units[i], segment, rows[i], slice_was_fresh[{units[i], segment}]);
-      }
-    } else {
-      it->second[static_cast<size_t>(segments[i])].push_back(rows[i]);
-      SynopsisAppend(units[i], segments[i], rows[i],
-                     slice_was_fresh[{units[i], segments[i]}]);
+    order[ends[slice_of[i]]++] = static_cast<uint32_t>(i);
+  }
+
+  // Pass 4: append slice by slice.
+  size_t begin = 0;
+  for (size_t g = 0; g < groups; ++g) {
+    std::span<const uint32_t> members(order.data() + begin, ends[g] - begin);
+    begin = ends[g];
+    if (members.empty()) continue;
+    if (!replicated) {
+      AppendToSlice(slices_[g], rows, members);
+      continue;
+    }
+    for (size_t segment = 0; segment < segments; ++segment) {
+      AppendToSlice(slices_[g * segments + segment], rows, members);
     }
   }
   return Status::OK();
 }
 
+void TableStore::AppendToSlice(Slice& slice, const std::vector<Row>& rows,
+                               std::span<const uint32_t> members) {
+  // Exact sizing only for a slice this call fills from empty; appends to a
+  // populated slice keep geometric growth (an exact reserve per insert would
+  // copy the whole slice every time).
+  if (slice.rows.empty()) slice.rows.reserve(members.size());
+  const size_t first_new = slice.rows.size();
+  for (uint32_t i : members) slice.rows.push_back(rows[i]);
+  std::lock_guard<std::mutex> lock(synopsis_mu_);
+  const bool was_fresh = slice.synopsis.built_version == slice.version;
+  ++slice.version;
+  if (!was_fresh) return;
+  for (size_t i = first_new; i < slice.rows.size(); ++i) {
+    slice.synopsis.Append(slice.rows[i]);
+  }
+  slice.synopsis.built_version = slice.version;
+}
+
 const std::vector<Row>& TableStore::UnitRows(Oid unit_oid, int segment) const {
-  auto it = units_.find(unit_oid);
-  MPPDB_CHECK(it != units_.end());
-  MPPDB_CHECK(segment >= 0 && segment < num_segments_);
-  return it->second[static_cast<size_t>(segment)];
+  return SliceAt(unit_oid, segment).rows;
 }
 
 std::vector<Row>* TableStore::MutableUnitRows(Oid unit_oid, int segment) {
-  auto it = units_.find(unit_oid);
-  MPPDB_CHECK(it != units_.end());
-  MPPDB_CHECK(segment >= 0 && segment < num_segments_);
-  BumpVersion(unit_oid, segment);
-  return &it->second[static_cast<size_t>(segment)];
-}
-
-void TableStore::BumpVersion(Oid unit_oid, int segment) {
-  auto it = versions_.find(unit_oid);
-  if (it == versions_.end()) {
-    it = versions_
-             .emplace(unit_oid,
-                      std::vector<uint64_t>(static_cast<size_t>(num_segments_), 0))
-             .first;
-  }
-  ++it->second[static_cast<size_t>(segment)];
-}
-
-uint64_t TableStore::SliceVersion(Oid unit_oid, int segment) const {
-  auto it = versions_.find(unit_oid);
-  if (it == versions_.end()) return 0;
-  return it->second[static_cast<size_t>(segment)];
+  Slice& slice = SliceAt(unit_oid, segment);
+  ++slice.version;
+  return &slice.rows;
 }
 
 bool TableStore::SynopsisFresh(Oid unit_oid, int segment) const {
+  const Slice& slice = SliceAt(unit_oid, segment);
   std::lock_guard<std::mutex> lock(synopsis_mu_);
-  auto it = synopses_.find(unit_oid);
-  MPPDB_CHECK(it != synopses_.end());
-  return it->second[static_cast<size_t>(segment)].built_version ==
-         SliceVersion(unit_oid, segment);
-}
-
-void TableStore::SynopsisAppend(Oid unit_oid, int segment, const Row& row,
-                                bool was_fresh) {
-  if (!was_fresh) return;  // staled by in-place DML; UnitSynopsis will rebuild
-  std::lock_guard<std::mutex> lock(synopsis_mu_);
-  auto it = synopses_.find(unit_oid);
-  MPPDB_CHECK(it != synopses_.end());
-  SliceSynopsis& synopsis = it->second[static_cast<size_t>(segment)];
-  synopsis.Append(row);
-  synopsis.built_version = SliceVersion(unit_oid, segment);
+  return slice.synopsis.built_version == slice.version;
 }
 
 const SliceSynopsis& TableStore::UnitSynopsis(Oid unit_oid, int segment) const {
   // Serialized against other queries' freshness checks and rebuilds of the
   // same slice; the reference returned is stable until the next DML, which
   // the Database writer lock keeps out of any concurrent read's lifetime.
+  const Slice& slice = SliceAt(unit_oid, segment);
   std::lock_guard<std::mutex> lock(synopsis_mu_);
-  auto it = synopses_.find(unit_oid);
-  MPPDB_CHECK(it != synopses_.end());
-  MPPDB_CHECK(segment >= 0 && segment < num_segments_);
-  SliceSynopsis& synopsis = it->second[static_cast<size_t>(segment)];
-  const uint64_t version = SliceVersion(unit_oid, segment);
-  if (synopsis.built_version != version) {
+  SliceSynopsis& synopsis = slice.synopsis;
+  if (synopsis.built_version != slice.version) {
     // Column-oriented slice with a fresh encoded image: assemble the synopsis
     // from the per-chunk stats captured at encode time (dictionary extremes,
     // RLE run values) instead of walking — and thereby decoding — every row.
     bool from_columns = false;
     if (desc_->UnitOrientation(unit_oid) == StorageOrientation::kColumn) {
       std::lock_guard<std::mutex> col_lock(colstore_mu_);
-      auto col_it = column_cache_.find(unit_oid);
-      MPPDB_CHECK(col_it != column_cache_.end());
-      const SliceColumns& cols = col_it->second[static_cast<size_t>(segment)];
-      if (cols.built_version == version) {
-        synopsis = SynopsisFromColumns(cols);
-        synopsis.built_version = version;
+      if (slice.columns.built_version == slice.version) {
+        synopsis = SynopsisFromColumns(slice.columns);
         from_columns = true;
       }
     }
     if (!from_columns) {
-      const std::vector<Row>& rows = UnitRows(unit_oid, segment);
       synopsis.chunks.clear();
       synopsis.rollup = ChunkSynopsis(desc_->schema.size());
-      for (const Row& row : rows) synopsis.Append(row);
-      synopsis.built_version = version;
+      for (const Row& row : slice.rows) synopsis.Append(row);
     }
+    synopsis.built_version = slice.version;
   }
   return synopsis;
 }
@@ -239,28 +195,22 @@ const SliceColumns* TableStore::UnitColumns(Oid unit_oid, int segment) const {
   // Same serialization contract as UnitSynopsis: concurrent queries may race
   // to re-encode a slice staled by earlier DML; the reference is stable until
   // the next DML (kept out of read lifetimes by the Database writer lock).
+  const Slice& slice = SliceAt(unit_oid, segment);
   std::lock_guard<std::mutex> lock(colstore_mu_);
-  auto it = column_cache_.find(unit_oid);
-  MPPDB_CHECK(it != column_cache_.end());
-  MPPDB_CHECK(segment >= 0 && segment < num_segments_);
-  SliceColumns& cols = it->second[static_cast<size_t>(segment)];
-  const uint64_t version = SliceVersion(unit_oid, segment);
-  if (cols.built_version != version) {
-    cols = EncodeSlice(UnitRows(unit_oid, segment), desc_->schema.size());
-    cols.built_version = version;
+  if (slice.columns.built_version != slice.version) {
+    slice.columns = EncodeSlice(slice.rows, desc_->schema.size());
+    slice.columns.built_version = slice.version;
   }
-  return &cols;
+  return &slice.columns;
 }
 
 bool TableStore::ColumnsFresh(Oid unit_oid, int segment) const {
   if (desc_->UnitOrientation(unit_oid) != StorageOrientation::kColumn) {
     return true;
   }
+  const Slice& slice = SliceAt(unit_oid, segment);
   std::lock_guard<std::mutex> lock(colstore_mu_);
-  auto it = column_cache_.find(unit_oid);
-  MPPDB_CHECK(it != column_cache_.end());
-  return it->second[static_cast<size_t>(segment)].built_version ==
-         SliceVersion(unit_oid, segment);
+  return slice.columns.built_version == slice.version;
 }
 
 std::optional<size_t> TableStore::ExactDistinctFromDictionaries(int column) const {
@@ -281,33 +231,29 @@ std::optional<size_t> TableStore::ExactDistinctFromDictionaries(int column) cons
     if (it == merged.end() || !it->Equals(v)) merged.insert(it, v);
     return true;
   };
-  for (const auto& [oid, segments] : units_) {
-    for (int segment = 0; segment < num_segments_; ++segment) {
-      const std::vector<Row>& rows = segments[static_cast<size_t>(segment)];
-      if (rows.empty()) continue;
-      if (desc_->UnitOrientation(oid) != StorageOrientation::kColumn) {
-        return std::nullopt;
-      }
-      auto col_it = column_cache_.find(oid);
-      MPPDB_CHECK(col_it != column_cache_.end());
-      const SliceColumns& cols = col_it->second[static_cast<size_t>(segment)];
-      if (cols.built_version != SliceVersion(oid, segment)) return std::nullopt;
-      for (const EncodedColumnChunk& chunk :
-           cols.columns[static_cast<size_t>(column)]) {
-        switch (chunk.encoding) {
-          case ColumnEncoding::kDictionary:
-            for (const Datum& v : chunk.dict) {
-              if (!merge_value(v)) return std::nullopt;
-            }
-            break;
-          case ColumnEncoding::kRunLength:
-            for (const Datum& v : chunk.run_values) {
-              if (!merge_value(v)) return std::nullopt;
-            }
-            break;
-          default:
-            return std::nullopt;
-        }
+  for (size_t i = 0; i < slices_.size(); ++i) {
+    const Slice& slice = slices_[i];
+    if (slice.rows.empty()) continue;
+    const Oid oid = unit_oids_[i / static_cast<size_t>(num_segments_)];
+    if (desc_->UnitOrientation(oid) != StorageOrientation::kColumn) {
+      return std::nullopt;
+    }
+    const SliceColumns& cols = slice.columns;
+    if (cols.built_version != slice.version) return std::nullopt;
+    for (const EncodedColumnChunk& chunk : cols.columns[static_cast<size_t>(column)]) {
+      switch (chunk.encoding) {
+        case ColumnEncoding::kDictionary:
+          for (const Datum& v : chunk.dict) {
+            if (!merge_value(v)) return std::nullopt;
+          }
+          break;
+        case ColumnEncoding::kRunLength:
+          for (const Datum& v : chunk.run_values) {
+            if (!merge_value(v)) return std::nullopt;
+          }
+          break;
+        default:
+          return std::nullopt;
       }
     }
   }
@@ -357,11 +303,9 @@ UnitIndex& TableStore::EnsureUnitIndex(Oid unit_oid, int segment, int column) {
   }
   UnitIndex& index = unit_it->second[static_cast<size_t>(segment)];
 
-  uint64_t current_version = 1;
-  auto version_it = versions_.find(unit_oid);
-  if (version_it != versions_.end()) {
-    current_version = version_it->second[static_cast<size_t>(segment)] + 1;
-  }
+  // Offset by one so a default-constructed index (built_version 0) is stale
+  // even for a never-mutated slice.
+  const uint64_t current_version = SliceAt(unit_oid, segment).version + 1;
   if (index.built_version != current_version) {
     // (Re)build: the slice changed since the index was last built. The
     // position tie-break keeps equal keys in storage order, which ordered
@@ -483,30 +427,18 @@ std::optional<size_t> TableStore::IndexMinMax(Oid unit_oid, int segment, int col
   return run_begin->second;
 }
 
-std::vector<Oid> TableStore::UnitOids() const {
-  std::vector<Oid> oids;
-  if (desc_->IsPartitioned()) {
-    oids = desc_->partition_scheme->AllLeafOids();
-  } else {
-    oids.push_back(desc_->oid);
-  }
-  std::sort(oids.begin(), oids.end());
-  return oids;
-}
-
 size_t TableStore::TotalRows() const {
   size_t total = 0;
-  for (const auto& [oid, segments] : units_) {
-    for (const auto& rows : segments) total += rows.size();
-  }
+  for (const Slice& slice : slices_) total += slice.rows.size();
   return total;
 }
 
 size_t TableStore::UnitTotalRows(Oid unit_oid) const {
-  auto it = units_.find(unit_oid);
-  MPPDB_CHECK(it != units_.end());
+  const size_t first = UnitOrdinal(unit_oid) * static_cast<size_t>(num_segments_);
   size_t total = 0;
-  for (const auto& rows : it->second) total += rows.size();
+  for (size_t segment = 0; segment < static_cast<size_t>(num_segments_); ++segment) {
+    total += slices_[first + segment].rows.size();
+  }
   return total;
 }
 

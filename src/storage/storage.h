@@ -1,11 +1,13 @@
 #ifndef MPPDB_STORAGE_STORAGE_H_
 #define MPPDB_STORAGE_STORAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -56,16 +58,23 @@ struct IndexBound {
 /// version counter. Scans consult them through UnitSynopsis to skip chunks a
 /// predicate provably cannot match.
 ///
+/// Writes append one slice at a time: InsertBatch routes the whole batch,
+/// groups its rows by (unit, segment) slice and copies each slice's rows
+/// together in input order, so a slice's row bodies sit next to each other on
+/// the heap however the load interleaves partitions. Only addresses depend on
+/// this: every slice holds the same rows in the same order as a sequence of
+/// single-row appends would leave.
+///
 /// Thread safety (audited for the parallel executor): the const read paths —
 /// UnitRows, HasUnit, UnitOids, TotalRows, UnitTotalRows, descriptor — touch
-/// only the units_ map, whose shape is fixed at construction, so any number
-/// of threads may read concurrently as long as no writer is active. Writers
-/// (Insert, InsertBatch, MutableUnitRows) follow the executor's single-writer
-/// DML rule: all reads complete at the Gather barrier before DML applies, and
-/// only one thread applies it. The index path (CreateIndex, HasIndex,
-/// IndexLookup, IndexRangeSeek, IndexOrderedWalk, IndexMinMax) builds lazily
-/// and therefore mutates under concurrent readers; it is internally
-/// serialized by index_mu_. UnitSynopsis likewise rebuilds
+/// only the slices_ vector and unit_oids_, whose shapes are fixed at
+/// construction, so any number of threads may read concurrently as long as no
+/// writer is active. Writers (Insert, InsertBatch, MutableUnitRows) follow the
+/// executor's single-writer DML rule: all reads complete at the Gather barrier
+/// before DML applies, and only one thread applies it. The index path
+/// (CreateIndex, HasIndex, IndexLookup, IndexRangeSeek, IndexOrderedWalk,
+/// IndexMinMax) builds lazily and therefore mutates under concurrent readers;
+/// it is internally serialized by index_mu_. UnitSynopsis likewise rebuilds
 /// lazily under concurrent readers: within one query the executor's
 /// segment-ownership contract confines each slice to one thread, but
 /// concurrent queries scan the same slice from different threads, so the
@@ -82,11 +91,17 @@ class TableStore {
   const TableDescriptor& descriptor() const { return *desc_; }
   int num_segments() const { return num_segments_; }
 
-  /// Routes a row to its leaf partition (f_T) and segment (distribution) and
-  /// appends it. Fails with OutOfRange if the partition scheme maps the row
-  /// to the invalid partition ⊥.
-  Status Insert(const Row& row);
+  /// Routes each row to its leaf partition (f_T) and segment (distribution)
+  /// and appends it, slice by slice. All-or-nothing: fails with
+  /// InvalidArgument on an arity mismatch, or OutOfRange if the partition
+  /// scheme maps a row to the invalid partition ⊥, and then changes nothing.
   Status InsertBatch(const std::vector<Row>& rows);
+  /// The error InsertBatch(rows) would return, without writing anything.
+  Status CheckBatch(const std::vector<Row>& rows) const {
+    return RouteUnits(rows).status();
+  }
+  /// InsertBatch of one row.
+  Status Insert(const Row& row) { return InsertBatch(std::vector<Row>{row}); }
 
   /// Rows of one storage unit on one segment. `unit_oid` must be a leaf
   /// partition OID (partitioned) or the table OID (unpartitioned).
@@ -100,11 +115,12 @@ class TableStore {
   const SliceSynopsis& UnitSynopsis(Oid unit_oid, int segment) const;
 
   /// All storage-unit OIDs (leaf partitions, or the table itself), in
-  /// ascending OID order — deterministic across platforms and libstdc++
-  /// versions, unlike iterating the units_ hash map.
-  std::vector<Oid> UnitOids() const;
+  /// ascending OID order.
+  const std::vector<Oid>& UnitOids() const { return unit_oids_; }
 
-  bool HasUnit(Oid unit_oid) const { return units_.count(unit_oid) > 0; }
+  bool HasUnit(Oid unit_oid) const {
+    return std::binary_search(unit_oids_.begin(), unit_oids_.end(), unit_oid);
+  }
 
   size_t TotalRows() const;
   size_t UnitTotalRows(Oid unit_oid) const;
@@ -181,42 +197,56 @@ class TableStore {
   std::optional<size_t> ExactDistinctFromDictionaries(int column) const;
 
  private:
+  /// One (unit, segment) slice: its rows and what is derived from them.
+  struct Slice {
+    std::vector<Row> rows;
+    /// Mutation counter: every append and in-place DML bumps it (0 = never
+    /// mutated).
+    uint64_t version = 0;
+    /// Chunk synopses; mutable for the lazy rebuild in UnitSynopsis
+    /// (serialized by synopsis_mu_, see class comment).
+    mutable SliceSynopsis synopsis;
+    /// Encoded column image, only built for column-oriented units; mutable
+    /// for the lazy (re)encode in UnitColumns (serialized by colstore_mu_).
+    mutable SliceColumns columns;
+  };
+
+  /// Position of `unit_oid` in unit_oids_ (it must be a unit of this table).
+  size_t UnitOrdinal(Oid unit_oid) const;
+  const Slice& SliceAt(Oid unit_oid, int segment) const;
+  Slice& SliceAt(Oid unit_oid, int segment);
+
   /// Locates (building or rebuilding if stale) the per-slice index for
   /// `column`. Caller must hold index_mu_; the returned reference is valid
   /// while the lock is held.
   UnitIndex& EnsureUnitIndex(Oid unit_oid, int segment, int column);
 
+  /// Validates every row and returns each one's unit ordinal (f_T), in row
+  /// order; the first bad row's error otherwise.
+  Result<std::vector<uint32_t>> RouteUnits(const std::vector<Row>& rows) const;
   int SegmentForRow(const Row& row);
-  void BumpVersion(Oid unit_oid, int segment);
-  /// Current version counter of one slice (0 if never mutated).
-  uint64_t SliceVersion(Oid unit_oid, int segment) const;
-  /// Folds a just-appended row into the slice's synopsis and stamps it with
-  /// the current version. `was_fresh` is the SynopsisFresh value from before
-  /// this mutation's BumpVersion: a synopsis already staled by earlier
-  /// in-place DML must not be patched incrementally — it stays stale until
-  /// the next UnitSynopsis read rebuilds it from the rows.
-  void SynopsisAppend(Oid unit_oid, int segment, const Row& row, bool was_fresh);
+  /// Copies rows[i] for each i in `members` (ascending) onto the end of
+  /// `slice`, bumps its version once and extends its synopsis — unless
+  /// in-place DML already staled it, in which case it stays stale until the
+  /// next UnitSynopsis read rebuilds it from the rows.
+  void AppendToSlice(Slice& slice, const std::vector<Row>& rows,
+                     std::span<const uint32_t> members);
 
   const TableDescriptor* desc_;
   int num_segments_;
   uint64_t round_robin_ = 0;
-  /// unit oid -> one row vector per segment.
-  std::unordered_map<Oid, std::vector<std::vector<Row>>> units_;
-  /// Mutation counters, aligned with units_ ((unit, segment) granularity).
-  std::unordered_map<Oid, std::vector<uint64_t>> versions_;
-  /// Chunk synopses, aligned with units_. Shape fixed at construction;
-  /// mutable for the lazy rebuild in UnitSynopsis (serialized by
-  /// synopsis_mu_, see class comment).
-  mutable std::unordered_map<Oid, std::vector<SliceSynopsis>> synopses_;
+  /// Storage-unit OIDs, ascending.
+  std::vector<Oid> unit_oids_;
+  /// Slice (unit_oids_[u], segment) at u * num_segments_ + segment. Shape
+  /// fixed at construction.
+  std::vector<Slice> slices_;
   /// Serializes the lazy synopsis rebuild and freshness checks: within one
   /// query the segment-ownership contract already confines a slice to one
   /// thread, but concurrent *queries* scan the same slice from different
   /// threads and must not both rebuild a synopsis staled by earlier DML.
   mutable std::mutex synopsis_mu_;
-  /// Encoded column images, aligned with units_. Only populated for
-  /// column-oriented units; mutable for the lazy (re)encode in UnitColumns
-  /// (serialized by colstore_mu_, same pattern as the synopses).
-  mutable std::unordered_map<Oid, std::vector<SliceColumns>> column_cache_;
+  /// Serializes the lazy column-image (re)encode (same pattern as the
+  /// synopses).
   mutable std::mutex colstore_mu_;
   /// Serializes the lazily-built index structures below, which concurrent
   /// read-only queries mutate as a side effect.

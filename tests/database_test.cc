@@ -2,6 +2,7 @@
 
 #include "db/database.h"
 #include "test_util.h"
+#include "workload/tpch_lite.h"
 
 namespace mppdb {
 namespace {
@@ -146,6 +147,83 @@ TEST_F(DatabaseTest, SegmentCountConfigurable) {
     ASSERT_TRUE(result.ok()) << segments;
     EXPECT_EQ(result->rows[0][0].int64_value(), 20) << segments;
     EXPECT_EQ(result->stats.PartitionsScanned(db.catalog().FindTable("p")->oid), 2u);
+  }
+}
+
+// A DML statement that fails leaves storage unchanged (DESIGN.md §15). The
+// fixture is the 361-part lineitem; each case is a statement one of whose
+// rows routes to no partition.
+class FailedDmlTest : public ::testing::Test {
+ protected:
+  FailedDmlTest() : db_(4) {
+    workload::TpchConfig config;
+    config.rows = 12000;
+    MPPDB_CHECK(workload::CreateAndLoadLineitem(
+                    &db_, config, workload::LineitemPartitioning::kWeekly361, "lineitem")
+                    .ok());
+  }
+
+  /// Row count plus order-sensitive sums: any lost, added or moved row changes
+  /// it.
+  std::string Checksum() {
+    auto result = db_.Run(
+        "SELECT count(*), sum(l_orderkey), sum(l_suppkey), sum(l_quantity), "
+        "sum(l_extendedprice), min(l_shipdate), max(l_shipdate) FROM lineitem");
+    MPPDB_CHECK(result.ok() && result->rows.size() == 1);
+    return RowToString(result->rows[0]);
+  }
+
+  Database db_;
+};
+
+TEST_F(FailedDmlTest, UpdateRoutingARowNowhereKeepsEveryRow) {
+  const std::string before = Checksum();
+  ASSERT_EQ(before.rfind("[12000, ", 0), 0u) << before;
+  auto update =
+      db_.Run("UPDATE lineitem SET l_shipdate = DATE '2100-01-01' WHERE l_orderkey = 5");
+  EXPECT_EQ(update.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(Checksum(), before);
+  auto rows = db_.Run("SELECT count(*) FROM lineitem WHERE l_orderkey = 5");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 4);
+}
+
+TEST_F(FailedDmlTest, MultiRowInsertIsAllOrNothing) {
+  const std::string before = Checksum();
+  auto insert = db_.Run(
+      "INSERT INTO lineitem VALUES "
+      "(900001, 1, DATE '2000-03-01', 1.0, 100.0, 0.01), "
+      "(900002, 1, DATE '2100-01-01', 1.0, 100.0, 0.01)");
+  EXPECT_EQ(insert.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(Checksum(), before);
+  auto rows = db_.Run("SELECT count(*) FROM lineitem WHERE l_orderkey > 900000");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 0);
+}
+
+TEST_F(FailedDmlTest, UpdateReusesTheCapacityItFrees) {
+  // A load sizes every slice exactly. An UPDATE that keeps rows in their
+  // slice deletes the old versions before it appends the new ones, so no
+  // slice outgrows its capacity (growing 1444 full slices at once would
+  // double their row arrays).
+  const TableDescriptor* desc = db_.catalog().FindTable("lineitem");
+  ASSERT_NE(desc, nullptr);
+  const TableStore* store = db_.storage().GetStore(desc->oid);
+  std::vector<size_t> capacities;
+  for (Oid unit : store->UnitOids()) {
+    for (int s = 0; s < store->num_segments(); ++s) {
+      capacities.push_back(store->UnitRows(unit, s).capacity());
+    }
+  }
+  auto update = db_.Run("UPDATE lineitem SET l_quantity = l_quantity + 1");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->rows[0][0].int64_value(), 12000);
+  size_t i = 0;
+  for (Oid unit : store->UnitOids()) {
+    for (int s = 0; s < store->num_segments(); ++s) {
+      EXPECT_EQ(store->UnitRows(unit, s).capacity(), capacities[i++])
+          << "unit " << unit << " segment " << s;
+    }
   }
 }
 
