@@ -222,6 +222,12 @@ Result<bool> Executor::TryChargeSpill(int segment, size_t bytes) {
   return ctx_->budget().TryCharge(bytes);
 }
 
+Result<bool> Executor::ChargeOrSpill(int segment, size_t bytes, const char* what) {
+  if (options_.spill) return TryChargeSpill(segment, bytes);
+  MPPDB_RETURN_IF_ERROR(ChargeBudget(segment, bytes, what));
+  return true;
+}
+
 Result<SpillFileManager*> Executor::EnsureSpillManager() {
   std::lock_guard<std::mutex> lock(spill_mu_);
   if (spill_files_ == nullptr) {
@@ -479,6 +485,21 @@ Result<InputRows> Owned(Result<std::vector<Row>> rows) {
   return InputRows(std::move(rows).value());
 }
 
+/// Each sort key's position in `layout` and its direction, for Sort and TopN.
+Status ResolveSortKeys(const std::vector<SortKey>& keys, const ColumnLayout& layout,
+                       std::vector<int>* positions, std::vector<bool>* ascending) {
+  for (const SortKey& key : keys) {
+    const int pos = layout.PositionOf(key.column);
+    if (pos < 0) {
+      return Status::ExecutionError("sort column #" + std::to_string(key.column) +
+                                    " not in child layout");
+    }
+    positions->push_back(pos);
+    ascending->push_back(key.ascending);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
@@ -645,91 +666,6 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
   return Status::OK();
 }
 
-Status Executor::ScanUnit(const TableStore& store, Oid unit_oid,
-                          const std::vector<Row>& rows, int segment, bool emit_rowids,
-                          const std::vector<BoundJoinFilter>& join_filters,
-                          std::vector<Row>* out) {
-  if (join_filters.empty()) {
-    MPPDB_CHECK(emit_rowids);
-    auto body = [this, segment, unit_oid, &rows](size_t begin, size_t end,
-                                                 ExecStats*,
-                                                 std::vector<Row>* mout) -> Status {
-      for (size_t i = begin; i < end; ++i) {
-        if (i % TableStore::kChunkRows == 0) {
-          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-        }
-        Row row = rows[i];
-        row.push_back(Datum::Int64(unit_oid));
-        row.push_back(Datum::Int64(segment));
-        row.push_back(Datum::Int64(static_cast<int64_t>(i)));
-        mout->push_back(std::move(row));
-      }
-      return Status::OK();
-    };
-    return RunMorselScan(segment, rows.size(), body, out);
-  }
-  // Join-filtered scan. Placement never annotates rowid-emitting scans
-  // (those exist for DML plans, which get no placement pass at all).
-  MPPDB_CHECK(!emit_rowids);
-  if (rows.empty()) return Status::OK();
-  // At a bare scan there is no predicate between storage and the consumer
-  // site, so chunk-level skipping needs no error-safety gate: any dropped
-  // row is provably outside the build keys' min/max and could never join.
-  // The synopsis is acquired here, in the spawning task (its lazy rebuild is
-  // owner-confined); morsel bodies only read it.
-  const SliceSynopsis* synopsis =
-      options_.data_skipping ? AcquireSynopsis(store, unit_oid, segment) : nullptr;
-  auto body = [this, segment, &rows, &join_filters, synopsis](
-                  size_t begin, size_t end, ExecStats* stats,
-                  std::vector<Row>* mout) -> Status {
-    for (size_t base = begin; base < end; base += TableStore::kChunkRows) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-      const size_t chunk_end = std::min(end, base + TableStore::kChunkRows);
-      const BoundJoinFilter* chunk_skipper = nullptr;
-      if (synopsis != nullptr) {
-        const ChunkSynopsis& chunk = synopsis->chunks[base / TableStore::kChunkRows];
-        for (const BoundJoinFilter& filter : join_filters) {
-          if (filter.summary->ChunkProvablyDisjoint(chunk, filter.key_positions)) {
-            chunk_skipper = &filter;
-            break;
-          }
-        }
-      }
-      if (chunk_skipper != nullptr) {
-        ++stats->joinfilter_chunks_skipped;
-        if (chunk_skipper->below_motion) {
-          // rows_moved stays logical: these rows would have reached the
-          // Motion (nothing between a bare scan and its Motion drops rows).
-          stats->rows_moved += chunk_end - base;
-          stats->joinfilter_motion_rows_saved += chunk_end - base;
-        }
-        continue;
-      }
-      for (size_t i = base; i < chunk_end; ++i) {
-        ++stats->joinfilter_probed;
-        const BoundJoinFilter* rejecter = nullptr;
-        for (const BoundJoinFilter& filter : join_filters) {
-          if (!filter.summary->RowMayMatch(rows[i], filter.key_positions)) {
-            rejecter = &filter;
-            break;
-          }
-        }
-        if (rejecter == nullptr) {
-          mout->push_back(rows[i]);
-          continue;
-        }
-        ++stats->joinfilter_rows_rejected;
-        if (rejecter->below_motion) {
-          ++stats->rows_moved;
-          ++stats->joinfilter_motion_rows_saved;
-        }
-      }
-    }
-    return Status::OK();
-  };
-  return RunMorselScan(segment, rows.size(), body, out);
-}
-
 Result<std::vector<Executor::BoundJoinFilter>> Executor::BindJoinFilterProbes(
     const PhysicalNode& node, const ColumnLayout& layout, int segment) {
   std::vector<BoundJoinFilter> bound;
@@ -782,49 +718,68 @@ Result<InputRows> Executor::ExecScan(const PhysicalNode& node, int segment) {
   } else if (node.kind() == PhysNodeKind::kDynamicScan) {
     emit_rowids = !static_cast<const DynamicScanNode&>(node).rowid_ids().empty();
   }
-  // The output layout is built only for a leaf that has probes to bind.
-  std::vector<BoundJoinFilter> join_filters;
-  if (!node.join_filters().probes.empty()) {
-    MPPDB_ASSIGN_OR_RETURN(join_filters,
-                           BindJoinFilterProbes(node, node.OutputLayout(), segment));
-  }
-  const bool in_place = !emit_rowids && join_filters.empty();
   ScanFragment frag;
   frag.scans.push_back(&node);
+  // The output layout is built only for a leaf that has probes to bind.
+  if (!node.join_filters().probes.empty()) {
+    const ColumnLayout layout = node.OutputLayout();
+    MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
+                           BindJoinFilterProbes(node, layout, segment));
+    if (!join_filters.empty()) {
+      // Placement never annotates rowid-emitting scans (those exist for DML
+      // plans, which get no placement pass at all).
+      MPPDB_CHECK(!emit_rowids);
+      return Owned(ExecFusedFilterScan(nullptr, frag, layout, join_filters, segment));
+    }
+  }
   InputRows input;
   std::vector<Row> out;
   MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
       frag, segment,
-      [&](const TableStore& store, Oid unit_oid, const std::vector<Row>& rows) -> Status {
-        if (!in_place) {
-          return ScanUnit(store, unit_oid, rows, segment, emit_rowids, join_filters, &out);
+      [&](const TableStore&, Oid unit_oid, const std::vector<Row>& rows) -> Status {
+        if (!emit_rowids) {
+          for (size_t base = 0; base < rows.size(); base += TableStore::kChunkRows) {
+            MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
+          }
+          input.AddRef(rows);
+          return Status::OK();
         }
-        for (size_t base = 0; base < rows.size(); base += TableStore::kChunkRows) {
-          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-        }
-        input.AddRef(rows);
-        return Status::OK();
+        // A rowid leaf (DML plans) extends a copy of every row with its rowid
+        // columns.
+        auto body = [this, segment, unit_oid, &rows](size_t begin, size_t end,
+                                                     ExecStats*,
+                                                     std::vector<Row>* mout) -> Status {
+          for (size_t i = begin; i < end; ++i) {
+            if (i % TableStore::kChunkRows == 0) {
+              MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
+            }
+            Row row = rows[i];
+            row.push_back(Datum::Int64(unit_oid));
+            row.push_back(Datum::Int64(segment));
+            row.push_back(Datum::Int64(static_cast<int64_t>(i)));
+            mout->push_back(std::move(row));
+          }
+          return Status::OK();
+        };
+        return RunMorselScan(segment, rows.size(), body, &out);
       }));
-  if (!in_place) return InputRows(std::move(out));
+  if (emit_rowids) return InputRows(std::move(out));
   return input;
 }
 
 Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
     const DynamicIndexScanNode& node, int segment) {
-  TableStore* store = storage_->GetStore(node.table_oid());
-  if (store == nullptr) {
-    return Status::ExecutionError("no storage for table oid " +
-                                  std::to_string(node.table_oid()));
-  }
+  // ForEachScanUnit gates and counts the units; the seeks run afterwards.
+  std::vector<Oid> units;
+  ScanFragment frag;
+  frag.scans.push_back(&node);
+  MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
+      frag, segment, [&units](const TableStore&, Oid unit_oid, const std::vector<Row>&) {
+        units.push_back(unit_oid);
+        return Status::OK();
+      }));
+  TableStore* store = storage_->GetStore(node.table_oid());  // checked above
   const TableDescriptor& table = store->descriptor();
-  if (node.scan_id() >= 0 && !hub_.HasChannel(segment, node.scan_id())) {
-    return Status::ExecutionError(
-        "DynamicIndexScan executed before its PartitionSelector (scan id " +
-        std::to_string(node.scan_id()) + ", segment " + std::to_string(segment) + ")");
-  }
-  if (table.distribution == TableDistribution::kReplicated && segment != 0) {
-    return std::vector<Row>{};
-  }
   if (!table.HasIndexOn(node.index_column())) {
     return Status::ExecutionError("DynamicIndexScan without an index on column " +
                                   std::to_string(node.index_column()) + " of " +
@@ -832,20 +787,6 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
   }
   if (!store->HasIndex(node.index_column())) {
     MPPDB_RETURN_IF_ERROR(store->CreateIndex(node.index_column()));
-  }
-
-  std::vector<Oid> units;
-  if (node.scan_id() >= 0) {
-    for (Oid oid : hub_.Selected(segment, node.scan_id())) {
-      if (!store->HasUnit(oid)) {
-        return Status::ExecutionError("selected partition oid " + std::to_string(oid) +
-                                      " is not a leaf of table " +
-                                      std::to_string(node.table_oid()));
-      }
-      units.push_back(oid);
-    }
-  } else {
-    units = store->UnitOids();
   }
 
   ColumnLayout layout = node.OutputLayout();
@@ -858,23 +799,17 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
     residual_kernel = KernelProgram::Compile(node.residual(), layout);
   }
 
-  const Oid table_oid = node.table_oid();
   // Unit-granular morsels: the surviving-unit list splits across the morsel
   // scheduler exactly like a scan's row ranges; range-order output slots and
   // range-order stats merging keep the result bit-identical to an inline loop.
   auto body = [&, this](size_t begin, size_t end, ExecStats* stats,
                         std::vector<Row>* mout) -> Status {
     KernelContext kctx;
-    SelVec sel, survivors;
+    if (residual_kernel) kctx.Prepare(*residual_kernel, KernelContext::kDefaultChunkRows);
+    SelVec sel, keep;
     for (size_t u = begin; u < end; ++u) {
       MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
       const Oid unit = units[u];
-      const std::vector<Row>& rows = store->UnitRows(unit, segment);
-      stats->partitions_scanned[table_oid].insert(unit);
-      // Logical accounting: the slice counts as scanned even though the index
-      // reads back only a fraction of it; only index_* counters reveal the
-      // access path.
-      stats->tuples_scanned += rows.size();
       ++stats->index_seeks;
       std::vector<size_t> positions;
       switch (node.mode()) {
@@ -894,39 +829,23 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
         }
       }
       stats->index_rows_read += positions.size();
-      if (positions.empty()) continue;
       std::vector<Row> candidates;
       candidates.reserve(positions.size());
+      const std::vector<Row>& rows = store->UnitRows(unit, segment);
       for (size_t pos : positions) candidates.push_back(rows[pos]);
-      // Survivors of the full residual, in candidate order. Evaluating the
-      // whole original predicate (not just the non-sargable remainder) keeps
-      // rows and error behavior identical to Filter over the scan.
-      SelVec keep;
-      if (!residual_kernel.has_value()) {
-        keep.resize(candidates.size());
-        for (size_t i = 0; i < keep.size(); ++i) keep[i] = static_cast<uint32_t>(i);
-      } else {
-        if (kctx.chunk_capacity() == 0) {
-          kctx.Prepare(*residual_kernel, KernelContext::kDefaultChunkRows);
-        }
-        for (size_t base = 0; base < candidates.size();
-             base += kctx.chunk_capacity()) {
-          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
-          const size_t chunk_end =
-              std::min(candidates.size(), base + kctx.chunk_capacity());
-          sel.clear();
-          for (size_t i = base; i < chunk_end; ++i) {
-            sel.push_back(static_cast<uint32_t>(i));
-          }
-          MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(*residual_kernel, &kctx,
-                                                   candidates, base, sel, &survivors));
-          keep.insert(keep.end(), survivors.begin(), survivors.end());
-        }
+      // Evaluating the whole original predicate (not just the non-sargable
+      // remainder), then the join filters over its survivors, keeps rows and
+      // error behavior identical to Filter over the scan.
+      for (size_t base = 0; base < candidates.size();
+           base += KernelContext::kDefaultChunkRows) {
+        if (residual_kernel) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
+        const size_t chunk_end =
+            std::min(candidates.size(), base + KernelContext::kDefaultChunkRows);
+        MPPDB_RETURN_IF_ERROR(FilterBatch(residual_kernel ? &*residual_kernel : nullptr,
+                                          &kctx, candidates, base, chunk_end,
+                                          join_filters, stats, &sel, &keep));
+        for (uint32_t i : keep) mout->push_back(std::move(candidates[i]));
       }
-      // Join filters apply after the full residual (the Filter consumer
-      // contract), so only rows the replaced plan would emit are probed.
-      ProbeJoinFilters(candidates, join_filters, stats, &keep);
-      for (uint32_t i : keep) mout->push_back(std::move(candidates[i]));
     }
     return Status::OK();
   };
@@ -1252,15 +1171,7 @@ Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
   ColumnLayout layout = node.child(0)->OutputLayout();
   std::vector<int> positions;
   std::vector<bool> ascending;
-  for (const SortKey& key : node.keys()) {
-    int pos = layout.PositionOf(key.column);
-    if (pos < 0) {
-      return Status::ExecutionError("sort column #" + std::to_string(key.column) +
-                                    " not in child layout");
-    }
-    positions.push_back(pos);
-    ascending.push_back(key.ascending);
-  }
+  MPPDB_RETURN_IF_ERROR(ResolveSortKeys(node.keys(), layout, &positions, &ascending));
   // Gather the sort keys into one contiguous buffer up front — O(n) key
   // extractions instead of O(n log n) row indexing inside the comparator —
   // then stable-sort a permutation and move the rows into place. Stability
@@ -1276,14 +1187,11 @@ Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
     }
   }
   const size_t sort_bytes = ApproxRowsBytes(rows.size(), num_keys) + key_payload;
-  if (options_.spill) {
-    MPPDB_ASSIGN_OR_RETURN(bool charged, TryChargeSpill(segment, sort_bytes));
-    if (!charged) {
-      return SpillSortRows(node, segment, std::move(rows), positions, ascending,
-                           sort_bytes);
-    }
-  } else {
-    MPPDB_RETURN_IF_ERROR(ChargeBudget(segment, sort_bytes, "sort key buffer"));
+  MPPDB_ASSIGN_OR_RETURN(bool charged,
+                         ChargeOrSpill(segment, sort_bytes, "sort key buffer"));
+  if (!charged) {
+    return SpillSortRows(node, segment, std::move(rows), positions, ascending,
+                         sort_bytes);
   }
   std::vector<Datum> keys;
   keys.reserve(rows.size() * num_keys);
@@ -1315,15 +1223,7 @@ Result<std::vector<Row>> Executor::ExecTopN(const TopNNode& node, int segment) {
   ColumnLayout layout = node.child(0)->OutputLayout();
   std::vector<int> positions;
   std::vector<bool> ascending;
-  for (const SortKey& key : node.keys()) {
-    int pos = layout.PositionOf(key.column);
-    if (pos < 0) {
-      return Status::ExecutionError("sort column #" + std::to_string(key.column) +
-                                    " not in child layout");
-    }
-    positions.push_back(pos);
-    ascending.push_back(key.ascending);
-  }
+  MPPDB_RETURN_IF_ERROR(ResolveSortKeys(node.keys(), layout, &positions, &ascending));
   const size_t k = node.limit();
   ExecStats& stats = seg_stats_[static_cast<size_t>(segment)];
   if (k == 0 || rows.empty()) {

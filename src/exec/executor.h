@@ -21,6 +21,8 @@
 
 namespace mppdb {
 
+class KernelContext;
+class KernelProgram;
 class SpillFileManager;
 
 /// Suspension sentinel for segment tasks (executor.cc):
@@ -66,7 +68,7 @@ struct ExecStats {
   /// cross-segment merge).
   size_t joinfilter_built = 0;
   /// Probe rows tested against a summary (predicate survivors
-  /// at Filter consumers; all slice rows at bare-scan consumers).
+  /// at Filter consumers; rows of unskipped chunks at bare-scan consumers).
   size_t joinfilter_probed = 0;
   /// Probed rows rejected (NULL key, out of build min/max, or bloom miss).
   size_t joinfilter_rows_rejected = 0;
@@ -520,6 +522,12 @@ class Executor {
   /// the bytes. A refusal is not an error — it is the spill trigger.
   Result<bool> TryChargeSpill(int segment, size_t bytes);
 
+  /// A mandatory charge for state that can spill (hash join build table,
+  /// hash aggregate group, sort buffer): TryChargeSpill when Options::spill
+  /// is on, ChargeBudget (failing with kResourceExhausted naming `what`)
+  /// otherwise. False only when spilling is on and the budget refused.
+  Result<bool> ChargeOrSpill(int segment, size_t bytes, const char* what);
+
   /// Lazily creates the per-run spill file manager rooted at the context's
   /// spill_dir. Thread-safe (segments on a pool may spill concurrently); the
   /// manager — and with it every spill file — is destroyed by Execute's
@@ -616,14 +624,15 @@ class Executor {
                                  const InputRows& build, int segment);
 
   /// TableScan, DynamicScan and CheckedPartScan: walks the leaf's storage
-  /// units through ForEachScanUnit. A leaf without rowids and without bound
-  /// join-filter probes adds each unit as a storage slice read in place, with
-  /// the storage.scan_chunk check run once per chunk; otherwise ScanUnit
-  /// materializes its units into one owned slice.
+  /// units through ForEachScanUnit. A leaf with bound join-filter probes runs
+  /// as the fused filter-over-scan with no predicate; a rowid leaf (DML
+  /// plans) copies every row with its rowid columns appended. Every other
+  /// leaf adds each unit as a storage slice read in place, with the
+  /// storage.scan_chunk check run once per chunk.
   Result<InputRows> ExecScan(const PhysicalNode& node, int segment);
-  /// Partition-aware index access; the residual runs as a compiled kernel
-  /// over each unit's candidates. One morsel-scheduler task per surviving
-  /// unit when morsels are eligible.
+  /// Partition-aware index access over the units ForEachScanUnit admits; the
+  /// residual and join filters run through FilterBatch over each unit's
+  /// candidates. The unit list splits into morsels (RunMorselScan).
   Result<std::vector<Row>> ExecDynamicIndexScan(const DynamicIndexScanNode& node,
                                                 int segment);
   Result<std::vector<Row>> ExecPartitionSelector(const PartitionSelectorNode& node,
@@ -645,8 +654,8 @@ class Executor {
 
   /// A Motion-free scan subtree a Filter can fuse with: optional Sequence
   /// prefixes (PartitionSelectors) followed by TableScan/DynamicScan/
-  /// CheckedPartScan leaves, possibly under an Append. ExecScan walks a
-  /// one-leaf fragment.
+  /// CheckedPartScan leaves, possibly under an Append. ExecScan and
+  /// ExecDynamicIndexScan walk a one-leaf fragment.
   struct ScanFragment {
     /// Sequence prefix children (PartitionSelectors feeding DynamicScans),
     /// executed in order for their side effects before any scanning; their
@@ -674,9 +683,10 @@ class Executor {
   /// `segment`, after recording the unit in the logical scan stats
   /// (partitions_scanned, tuples_scanned). The only copy of each leaf kind's
   /// gating: replicated tables scan on segment 0 only, CheckedPartScan
-  /// checks membership, DynamicScan checks that its propagation channel
-  /// exists and that every selected oid is a unit of the table. The
-  /// Sequence prefixes must already have been executed.
+  /// checks membership, DynamicScan and DynamicIndexScan check that their
+  /// propagation channel exists and that every selected oid is a unit of the
+  /// table (a DynamicIndexScan with scan id -1 visits every unit, with no
+  /// channel). The Sequence prefixes must already have been executed.
   Status ForEachScanUnit(const ScanFragment& frag, int segment, const ScanUnitFn& fn);
 
   /// Join-filter probe over a selection: hashes each bound filter's key
@@ -688,34 +698,39 @@ class Executor {
                         const std::vector<BoundJoinFilter>& filters,
                         ExecStats* stats, std::vector<uint32_t>* sel);
 
+  /// The batch step of every row-dropping operator (Filter, the fused
+  /// filter-over-scan, the index scan's residual): evaluates `program` (null:
+  /// no predicate, every row passes) over rows [base, end), then probes the
+  /// join filters with the survivors, which are left in `keep`. `sel` is
+  /// scratch.
+  Status FilterBatch(const KernelProgram* program, KernelContext* ctx,
+                     const std::vector<Row>& rows, size_t base, size_t end,
+                     const std::vector<BoundJoinFilter>& join_filters,
+                     ExecStats* stats, std::vector<uint32_t>* sel,
+                     std::vector<uint32_t>* keep);
+
   /// Filter. Over a scan fragment it fuses with the scan
   /// (ExecFusedFilterScan); otherwise it evaluates the predicate kernel over
   /// the child's rows.
   Result<std::vector<Row>> ExecFilter(const FilterNode& node, int segment);
-  /// Fused filter-over-scan: evaluates the predicate in chunks directly over
-  /// TableStore::UnitRows slices via a selection vector, skipping chunks and
-  /// whole slices by zone map (Options::data_skipping) and evaluating the
-  /// compilable prefix on encoded column chunks (Options::encoded_eval);
-  /// rows that fail the predicate are never copied.
-  Result<std::vector<Row>> ExecFusedFilterScan(const FilterNode& node,
-                                               const ScanFragment& frag, int segment);
+  /// Fused filter-over-scan: evaluates `filter`'s predicate in chunks
+  /// directly over TableStore::UnitRows slices via a selection vector,
+  /// skipping chunks and whole slices by zone map (Options::data_skipping)
+  /// and evaluating the compilable prefix on encoded column chunks
+  /// (Options::encoded_eval), then probes `join_filters`; rows that fail are
+  /// never copied. `layout` is the fragment's output layout. A null `filter`
+  /// is a scan leaf with bound probes: every row passes the predicate, so a
+  /// chunk the build key range proves disjoint is skipped for below-Motion
+  /// probes too. The Sequence prefixes must already have been executed.
+  Result<std::vector<Row>> ExecFusedFilterScan(
+      const FilterNode* filter, const ScanFragment& frag, const ColumnLayout& layout,
+      const std::vector<BoundJoinFilter>& join_filters, int segment);
   // Project, HashJoin and HashAgg read ExecNode's slices without taking
   // them: storage slices stay in place, and rows are copied only into output
   // rows or into a spill fallback.
   Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
   Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
   Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);
-
-  /// Materializes one storage unit's slice `rows` for a scan leaf that
-  /// cannot hand it back in place: either every row extended with its rowid
-  /// columns (`emit_rowids`), or the rows that pass the bound join filters,
-  /// skipping whole chunks via the slice synopsis when
-  /// Options::data_skipping allows. The two are never combined. Splits into
-  /// morsels (RunMorselScan).
-  Status ScanUnit(const TableStore& store, Oid unit_oid, const std::vector<Row>& rows,
-                  int segment, bool emit_rowids,
-                  const std::vector<BoundJoinFilter>& join_filters,
-                  std::vector<Row>* out);
 
   const Catalog* catalog_;
   StorageEngine* storage_;

@@ -9,10 +9,11 @@
 //
 // Also home of the scan-fragment grammar: MatchScanFragment, which the fused
 // filter-over-scan matches, and ForEachScanUnit, the one walk over the
-// storage units a fragment's scan leaves cover (the scan leaves themselves,
-// ExecScan, walk a one-leaf fragment). Project, HashJoin and HashAgg read
-// their input's slices without taking them, so storage slices stay in place
-// and rows are copied only when emitted (or handed to a spill fallback).
+// storage units a fragment's scan leaves cover (ExecScan and
+// ExecDynamicIndexScan walk a one-leaf fragment). Project, HashJoin and
+// HashAgg read their input's slices without taking them, so storage slices
+// stay in place and rows are copied only when emitted (or handed to a spill
+// fallback).
 
 #include <algorithm>
 #include <functional>
@@ -59,7 +60,7 @@ void IdentitySel(size_t base, size_t end, SelVec* sel) {
 
 /// Batch kernel for the join-filter probe: the CombineKeyHash fold of the
 /// key columns for every row in `sel` (same formula as HashRowKeys and as
-/// the summary's own RowMayMatch).
+/// the summary's own key hash).
 void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
                     const std::vector<int>& positions,
                     std::vector<uint64_t>* hashes) {
@@ -236,31 +237,43 @@ Status Executor::ForEachScanUnit(const ScanFragment& frag, int segment,
         }
         break;
       }
-      case PhysNodeKind::kDynamicScan: {
-        const auto& ds = static_cast<const DynamicScanNode&>(*scan);
-        const TableStore* store = storage_->GetStore(ds.table_oid());
+      case PhysNodeKind::kDynamicScan:
+      case PhysNodeKind::kDynamicIndexScan: {
+        const bool index = scan->kind() == PhysNodeKind::kDynamicIndexScan;
+        const Oid table_oid =
+            index ? static_cast<const DynamicIndexScanNode&>(*scan).table_oid()
+                  : static_cast<const DynamicScanNode&>(*scan).table_oid();
+        const int scan_id = index
+                                ? static_cast<const DynamicIndexScanNode&>(*scan).scan_id()
+                                : static_cast<const DynamicScanNode&>(*scan).scan_id();
+        const TableStore* store = storage_->GetStore(table_oid);
         if (store == nullptr) {
           return Status::ExecutionError("no storage for table oid " +
-                                        std::to_string(ds.table_oid()));
+                                        std::to_string(table_oid));
         }
-        if (!hub_.HasChannel(segment, ds.scan_id())) {
+        // An index scan of an unpartitioned table (scan id -1) reads every
+        // unit; every other dynamic leaf reads what its selector sent.
+        const bool every_unit = index && scan_id < 0;
+        if (!every_unit && !hub_.HasChannel(segment, scan_id)) {
           return Status::ExecutionError(
-              "DynamicScan executed before its PartitionSelector (scan id " +
-              std::to_string(ds.scan_id()) + ", segment " + std::to_string(segment) +
-              ")");
+              std::string(index ? "DynamicIndexScan" : "DynamicScan") +
+              " executed before its PartitionSelector (scan id " +
+              std::to_string(scan_id) + ", segment " + std::to_string(segment) + ")");
         }
         if (store->descriptor().distribution == TableDistribution::kReplicated &&
             segment != 0) {
           break;
         }
-        for (Oid oid : hub_.Selected(segment, ds.scan_id())) {
+        const std::vector<Oid>& units =
+            every_unit ? store->UnitOids() : hub_.Selected(segment, scan_id);
+        for (Oid oid : units) {
           if (!store->HasUnit(oid)) {
             return Status::ExecutionError("selected partition oid " +
                                           std::to_string(oid) +
                                           " is not a leaf of table " +
-                                          std::to_string(ds.table_oid()));
+                                          std::to_string(table_oid));
           }
-          MPPDB_RETURN_IF_ERROR(visit(*store, ds.table_oid(), oid));
+          MPPDB_RETURN_IF_ERROR(visit(*store, table_oid, oid));
         }
         break;
       }
@@ -285,13 +298,32 @@ Status Executor::RunFragmentPrefix(const ScanFragment& frag, int segment) {
   return Status::OK();
 }
 
+Status Executor::FilterBatch(const KernelProgram* program, KernelContext* ctx,
+                             const std::vector<Row>& rows, size_t base, size_t end,
+                             const std::vector<BoundJoinFilter>& join_filters,
+                             ExecStats* stats, SelVec* sel, SelVec* keep) {
+  if (program == nullptr) {
+    IdentitySel(base, end, keep);
+  } else {
+    IdentitySel(base, end, sel);
+    MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(*program, ctx, rows, base, *sel, keep));
+  }
+  // Join filters apply to predicate survivors only (identical error
+  // behavior to filters off).
+  ProbeJoinFilters(rows, join_filters, stats, keep);
+  return Status::OK();
+}
+
 Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
+  const ColumnLayout layout = node.child(0)->OutputLayout();
   ScanFragment frag;
   if (MatchScanFragment(node.child(0), &frag)) {
-    return ExecFusedFilterScan(node, frag, segment);
+    MPPDB_RETURN_IF_ERROR(RunFragmentPrefix(frag, segment));
+    MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
+                           BindJoinFilterProbes(node, layout, segment));
+    return ExecFusedFilterScan(&node, frag, layout, join_filters, segment);
   }
   MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
-  ColumnLayout layout = node.child(0)->OutputLayout();
   MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
                          BindJoinFilterProbes(node, layout, segment));
   KernelProgram program = KernelProgram::Compile(node.predicate(), layout);
@@ -303,60 +335,59 @@ Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segmen
   for (size_t base = 0; base < rows.size(); base += ctx.chunk_capacity()) {
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
     size_t end = std::min(rows.size(), base + ctx.chunk_capacity());
-    IdentitySel(base, end, &sel);
-    MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(program, &ctx, rows, base, sel, &keep));
-    // Join filters apply to predicate survivors only (identical error
-    // behavior to filters off).
-    ProbeJoinFilters(rows, join_filters, &seg_stats_[static_cast<size_t>(segment)],
-                     &keep);
+    MPPDB_RETURN_IF_ERROR(FilterBatch(&program, &ctx, rows, base, end, join_filters,
+                                      &seg_stats_[static_cast<size_t>(segment)], &sel,
+                                      &keep));
     for (uint32_t r : keep) out.push_back(std::move(rows[r]));
   }
   return out;
 }
 
-Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
-                                                       const ScanFragment& frag,
-                                                       int segment) {
-  MPPDB_RETURN_IF_ERROR(RunFragmentPrefix(frag, segment));
-
-  ColumnLayout layout = node.child(0)->OutputLayout();
+Result<std::vector<Row>> Executor::ExecFusedFilterScan(
+    const FilterNode* filter, const ScanFragment& frag, const ColumnLayout& layout,
+    const std::vector<BoundJoinFilter>& join_filters, int segment) {
   // The program is compiled once and shared read-only across morsels; each
   // morsel runs its own KernelContext (the mutable evaluation scratch).
-  const KernelProgram program = KernelProgram::Compile(node.predicate(), layout);
+  std::optional<KernelProgram> program;
   CompiledSargable compiled;
-  if (options_.data_skipping) {
-    compiled = CompileSargable(node.sargable(), layout);
-  }
-  const bool can_prune = compiled.CanPrune();
   // Exactly-compiled conjunct prefix for column-oriented units
   // (expr/encoded_eval.h): the prefix runs on encoded chunks, the residual as
   // a kernel program over the late-materialized survivors — whose selection
   // vector feeds straight into the batch evaluator.
-  const EncodedPredicate encoded =
-      options_.encoded_eval ? CompileEncodedPredicate(node.predicate(), layout)
-                            : EncodedPredicate();
+  EncodedPredicate encoded;
   std::optional<KernelProgram> residual_program;
-  if (encoded.HasTerms() && encoded.residual != nullptr) {
-    residual_program.emplace(KernelProgram::Compile(encoded.residual, layout));
+  if (filter != nullptr) {
+    program.emplace(KernelProgram::Compile(filter->predicate(), layout));
+    if (options_.data_skipping) compiled = CompileSargable(filter->sargable(), layout);
+    if (options_.encoded_eval) encoded = CompileEncodedPredicate(filter->predicate(), layout);
+    if (encoded.HasTerms() && encoded.residual != nullptr) {
+      residual_program.emplace(KernelProgram::Compile(encoded.residual, layout));
+    }
   }
-  MPPDB_ASSIGN_OR_RETURN(std::vector<BoundJoinFilter> join_filters,
-                         BindJoinFilterProbes(node, layout, segment));
+  const bool can_prune = compiled.CanPrune();
   std::vector<Row> out;
 
-  // A join filter may skip a whole chunk only when (a) no Motion sits between
-  // this Filter and the join — below a Motion the dropped rows' rows_moved
-  // compensation needs exact per-row predicate outcomes — and (b) the whole
-  // predicate is provably error-free on the chunk: unlike a predicate-driven
-  // skip, the dropped rows may *satisfy* the predicate, so no conjunct may be
-  // allowed to error behind the skip.
-  auto join_filter_chunk_skip = [&](const ChunkSynopsis& chunk,
+  // A join filter may skip a whole chunk only when every row it drops is
+  // accounted for: (a) the whole predicate is provably error-free on the
+  // chunk — unlike a predicate-driven skip, the dropped rows may *satisfy*
+  // it, so no conjunct may be allowed to error behind the skip; and (b)
+  // below a Motion, the dropped rows' rows_moved compensation needs per-row
+  // predicate outcomes, so only a scan with no predicate (every row would
+  // have reached the Motion) skips for a below-Motion filter.
+  auto join_filter_chunk_skip = [&](const ChunkSynopsis& chunk, size_t chunk_rows,
                                     ExecStats& stats) {
     if (join_filters.empty()) return false;
-    if (!SynopsisErrorFree(node.sargable(), compiled, chunk)) return false;
-    for (const BoundJoinFilter& filter : join_filters) {
-      if (filter.below_motion) continue;
-      if (filter.summary->ChunkProvablyDisjoint(chunk, filter.key_positions)) {
+    if (filter != nullptr && !SynopsisErrorFree(filter->sargable(), compiled, chunk)) {
+      return false;
+    }
+    for (const BoundJoinFilter& join_filter : join_filters) {
+      if (join_filter.below_motion && filter != nullptr) continue;
+      if (join_filter.summary->ChunkProvablyDisjoint(chunk, join_filter.key_positions)) {
         ++stats.joinfilter_chunks_skipped;
+        if (join_filter.below_motion) {
+          stats.rows_moved += chunk_rows;  // rows_moved stays logical
+          stats.joinfilter_motion_rows_saved += chunk_rows;
+        }
         return true;
       }
     }
@@ -367,17 +398,20 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
   // copies only the surviving rows — filtered-out tuples are never
   // materialized. ForEachScanUnit records the logical stats, so they match
   // an unfused Filter over the scan; only chunks_* and units_skipped reveal
-  // the skipping. The chunk loop is morsel-ranged:
-  // chunk-aligned sub-ranges of the slice run as stealable tasks, each with
-  // its own kernel context and stats shard, concatenated in range order.
+  // the skipping (a scan with no predicate counts neither). The chunk loop is
+  // morsel-ranged: chunk-aligned sub-ranges of the slice run as stealable
+  // tasks, each with its own kernel context and stats shard, concatenated in
+  // range order.
   auto scan_unit_filtered = [&](const TableStore& store, Oid unit_oid,
                                 const std::vector<Row>& rows) -> Status {
     if (rows.empty()) return Status::OK();
     ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
     const SliceSynopsis* synopsis = nullptr;
     if (options_.data_skipping) {
-      seg_stats.chunks_total +=
-          (rows.size() + TableStore::kChunkRows - 1) / TableStore::kChunkRows;
+      if (filter != nullptr) {
+        seg_stats.chunks_total +=
+            (rows.size() + TableStore::kChunkRows - 1) / TableStore::kChunkRows;
+      }
       if (can_prune || !join_filters.empty()) {
         // A shed synopsis rebuild (budget pressure) returns null: the slice
         // scans unskipped. Acquired here, in the spawning task (the lazy
@@ -406,7 +440,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
       // (static_assert above), so batch boundaries land exactly on synopsis
       // chunk boundaries and a skipped chunk is a skipped batch.
       KernelContext ctx;
-      ctx.Prepare(program, TableStore::kChunkRows);
+      if (program) ctx.Prepare(*program, TableStore::kChunkRows);
       KernelContext residual_ctx;
       if (residual_program) {
         residual_ctx.Prepare(*residual_program, TableStore::kChunkRows);
@@ -425,7 +459,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
             ++stats->chunks_skipped;
             continue;
           }
-          if (join_filter_chunk_skip(chunk, *stats)) continue;
+          if (join_filter_chunk_skip(chunk, chunk_end - base, *stats)) continue;
         }
         if (cols != nullptr && EncodedChunkEligible(encoded, *cols, chunk_idx)) {
           // Encoded fast path: prefix on the encoded chunk; the residual
@@ -454,13 +488,11 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(const FilterNode& node,
             keep = sel;
           }
           ProbeJoinFilters(rows, join_filters, stats, &keep);
-          for (uint32_t r : keep) mout->push_back(rows[r]);
-          continue;
+        } else {
+          MPPDB_RETURN_IF_ERROR(FilterBatch(program ? &*program : nullptr, &ctx, rows,
+                                            base, chunk_end, join_filters, stats, &sel,
+                                            &keep));
         }
-        IdentitySel(base, chunk_end, &sel);
-        MPPDB_RETURN_IF_ERROR(
-            EvalPredicateBatch(program, &ctx, rows, base, sel, &keep));
-        ProbeJoinFilters(rows, join_filters, stats, &keep);
         for (uint32_t r : keep) mout->push_back(rows[r]);
       }
       return Status::OK();
@@ -531,18 +563,14 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     for (size_t s = 0; s < build.num_slices(); ++s) {
       build_bytes += RowsPayloadBytes(build.slice(s));
     }
-    if (options_.spill) {
+    MPPDB_ASSIGN_OR_RETURN(
+        bool charged, ChargeOrSpill(segment, build_bytes, "hash join build table"));
+    if (!charged) {
       // A refusal is the spill trigger, not a failure. The decision lands in
       // the segment memo (not a local) because the probe child may suspend
       // at a Motion and unwind this frame; it is consumed after the probe
       // child completes.
-      MPPDB_ASSIGN_OR_RETURN(bool charged, TryChargeSpill(segment, build_bytes));
-      if (!charged) {
-        seg_run_[static_cast<size_t>(segment)].spill_decided.insert(&node);
-      }
-    } else {
-      MPPDB_RETURN_IF_ERROR(
-          ChargeBudget(segment, build_bytes, "hash join build table"));
+      seg_run_[static_cast<size_t>(segment)].spill_decided.insert(&node);
     }
     // This segment's build-key summary goes out before the probe child runs,
     // so probe-side consumers (same segment, same slice chain) can find it.
@@ -750,16 +778,12 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
       if (it == group_index.end()) {
         JoinKey key = ExtractKey(row, group_pos);
         const size_t this_group_bytes = group_bytes + RowPayloadBytes(key.values);
-        if (options_.spill) {
-          MPPDB_ASSIGN_OR_RETURN(bool charged,
-                                 TryChargeSpill(segment, this_group_bytes));
-          if (!charged) {
-            spill = true;
-            break;
-          }
-        } else {
-          MPPDB_RETURN_IF_ERROR(
-              ChargeBudget(segment, this_group_bytes, "hash aggregate group"));
+        MPPDB_ASSIGN_OR_RETURN(
+            bool charged,
+            ChargeOrSpill(segment, this_group_bytes, "hash aggregate group"));
+        if (!charged) {
+          spill = true;
+          break;
         }
         charged_bytes += this_group_bytes;
         it = group_index.emplace(ref, group_keys.size()).first;

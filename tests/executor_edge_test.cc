@@ -138,6 +138,46 @@ TEST_F(ExecutorEdgeTest, ScanOfUnknownTableFails) {
   EXPECT_EQ(db_.executor.Execute(scan).status().code(), StatusCode::kExecutionError);
 }
 
+/// An unbounded range seek on schema column `index_column` of `table_oid`.
+PhysPtr IndexSeekAll(Oid table_oid, int scan_id, std::vector<ColRefId> ids,
+                     int index_column) {
+  return std::make_shared<DynamicIndexScanNode>(
+      table_oid, scan_id, std::move(ids), index_column, IndexScanMode::kRangeSeek,
+      IndexBound::Unbounded(), IndexBound::Unbounded(), nullptr, /*ascending=*/true,
+      /*per_unit_limit=*/0);
+}
+
+TEST_F(ExecutorEdgeTest, DynamicIndexScanWithoutSelectorFails) {
+  const TableDescriptor* orders = db_.CreateOrdersTable(6);
+  ASSERT_TRUE(db_.catalog.CreateIndex("orders", "amount").ok());
+  db_.Insert(orders, {{testutil::D("2012-02-10"), Datum::Double(1), Datum::String("x")}});
+  // Scan id 4 pairs with no PartitionSelector, so its channel never opens.
+  auto result = db_.executor.Execute(IndexSeekAll(orders->oid, 4, {1, 2, 3}, 1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(result.status().message().find("DynamicIndexScan executed before its "
+                                           "PartitionSelector"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(ExecutorEdgeTest, DynamicIndexScanOfReplicatedTableReadsOneCopy) {
+  Schema schema({{"x", TypeId::kInt64}});
+  auto oid = db_.catalog.CreateTable("repl", schema, TableDistribution::kReplicated, {});
+  ASSERT_TRUE(oid.ok());
+  const TableDescriptor* repl = db_.catalog.FindTable(*oid);
+  ASSERT_TRUE(db_.storage.CreateStorage(repl).ok());
+  ASSERT_TRUE(db_.catalog.CreateIndex("repl", "x").ok());
+  db_.Insert(repl, {{Datum::Int64(3)}, {Datum::Int64(1)}, {Datum::Int64(2)}});
+  auto result = db_.executor.Execute(IndexSeekAll(repl->oid, -1, {1}, 0));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Each of the 4 segments holds a copy; only segment 0 reads it.
+  EXPECT_TRUE(SameRows(*result, {{Datum::Int64(3)}, {Datum::Int64(1)}, {Datum::Int64(2)}}));
+  EXPECT_EQ(db_.executor.stats().index_seeks, 1u);
+  EXPECT_EQ(db_.executor.stats().tuples_scanned, 3u);
+  EXPECT_EQ(db_.executor.stats().PartitionsScanned(repl->oid), 1u);
+}
+
 TEST_F(ExecutorEdgeTest, SelectorWithForeignOidFails) {
   const TableDescriptor* orders = db_.CreateOrdersTable(6);
   (void)orders;

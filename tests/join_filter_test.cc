@@ -5,8 +5,9 @@
 // skipping on, off} — and every observable difference is
 // confined to the joinfilter_* counter family. On top of that, the suite
 // pins down the semantic corners: an empty build side rejects every probe
-// row, NULL join keys never pass a filter, filtering below a Redistribute
-// Motion reports exchange savings while rows_moved stays logical, probes
+// row, NULL join keys never pass a filter, filtering (and chunk skipping at
+// a bare scan) below a Redistribute Motion reports exchange savings while
+// rows_moved stays logical, probes
 // reach multi-level partitioned scans, and the cost gate (and its off
 // switch) keeps filters off joins that cannot pay for them.
 
@@ -245,6 +246,60 @@ TEST(JoinFilterEndToEndTest, FilterBelowRedistributeMotionSavesExchange) {
     // Rejected probe rows were counted into rows_moved (kept logical) but
     // never exchanged; the savings are visible and substantial.
     EXPECT_GT(result.stats.joinfilter_motion_rows_saved, 300u);
+  }
+}
+
+TEST(JoinFilterEndToEndTest, BareProbeScanBelowMotionSkipsDisjointChunks) {
+  // fact's join keys rise with load order, so each segment's slice holds
+  // them in rising 1024-row chunks and every chunk past a segment's first
+  // lies above the build keys' range [0, 2000). Neither side is distributed
+  // on the join key, and dim is too large to broadcast at 4 segments yet
+  // small enough to pass the cost gate, so the bare fact scan sits below a
+  // Redistribute Motion:
+  // with no predicate between them, a disjoint chunk is skipped whole, and
+  // its rows are never exchanged although rows_moved still counts them.
+  constexpr int64_t kFactRows = 12000;
+  for (const Executor::Options& mode : ExecutorModeMatrix(/*with_noskip=*/true)) {
+    Database db(4, mode);
+    ASSERT_TRUE(db.CreateTable("fact", Schema({{"sk", TypeId::kInt64},
+                                               {"val", TypeId::kInt64}}),
+                               TableDistribution::kHashed, {1})
+                    .ok());
+    ASSERT_TRUE(db.CreateTable("dim", Schema({{"k", TypeId::kInt64},
+                                              {"tag", TypeId::kInt64}}),
+                               TableDistribution::kHashed, {1})
+                    .ok());
+    std::vector<Row> fact_rows;
+    for (int64_t i = 0; i < kFactRows; ++i) {
+      fact_rows.push_back({Datum::Int64(i), Datum::Int64(i)});
+    }
+    std::vector<Row> dim_rows;
+    for (int64_t j = 0; j < 5800; ++j) {
+      dim_rows.push_back({Datum::Int64(j % 2000), Datum::Int64(j)});
+    }
+    ASSERT_TRUE(db.Load("fact", fact_rows).ok());
+    ASSERT_TRUE(db.Load("dim", dim_rows).ok());
+    ModeResult result = CheckTransparent(
+        &db, "SELECT count(*) FROM fact f JOIN dim d ON f.sk = d.k");
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_EQ(result.rows[0][0], Datum::Int64(5800));  // one fact row per dim row
+    const ExecStats& stats = result.stats;
+    // Every fact row was redistributed, logically.
+    EXPECT_GE(stats.rows_moved, static_cast<size_t>(kFactRows));
+    // A bare scan probes every row of the chunks it does not skip.
+    ASSERT_LE(stats.joinfilter_probed, static_cast<size_t>(kFactRows));
+    const size_t skipped_rows = kFactRows - stats.joinfilter_probed;
+    if (mode.data_skipping) {
+      EXPECT_GT(stats.joinfilter_chunks_skipped, 0u);
+      EXPECT_GT(skipped_rows, 0u);
+    } else {
+      EXPECT_EQ(stats.joinfilter_chunks_skipped, 0u);
+      EXPECT_EQ(skipped_rows, 0u);
+    }
+    // Skipped and rejected rows alike stayed out of the exchange.
+    EXPECT_GE(stats.joinfilter_motion_rows_saved, skipped_rows);
+    EXPECT_EQ(stats.joinfilter_motion_rows_saved,
+              skipped_rows + stats.joinfilter_rows_rejected);
   }
 }
 
