@@ -70,6 +70,13 @@ Result<Oid> Catalog::CreatePartitionedTable(
       return Status::InvalidArgument("partition key column index out of range");
     }
   }
+  // Validated before the entry exists, so a rejected table leaves no trace
+  // and consumes no OIDs.
+  for (size_t i = 0; i < level_descs.size(); ++i) {
+    MPPDB_RETURN_IF_ERROR(ValidateSiblingBounds(
+        bounds_per_level[i],
+        schema.column(static_cast<size_t>(level_descs[i].key_column)).type));
+  }
   MPPDB_ASSIGN_OR_RETURN(
       TableDescriptor * table,
       CreateTableEntry(name, std::move(schema), distribution,

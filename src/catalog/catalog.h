@@ -82,7 +82,9 @@ class Catalog {
 
   /// Creates a partitioned table. `bounds_per_level[i]` are the bounds of
   /// level i (uniform hierarchy); `level_descs[i].key_column` indexes into
-  /// `schema`.
+  /// `schema`. Fails with kInvalidArgument, creating nothing, when a level's
+  /// bounds fail ValidateSiblingBounds (overlapping siblings, a bound value
+  /// not comparable with the key column, or two defaults).
   Result<Oid> CreatePartitionedTable(
       const std::string& name, Schema schema, TableDistribution distribution,
       std::vector<int> distribution_columns,

@@ -1,5 +1,7 @@
 #include "catalog/partition_scheme.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "types/date.h"
 
@@ -28,6 +30,50 @@ PartitionBound PartitionBound::Default(std::string name) {
   return bound;
 }
 
+namespace {
+
+// True if lower bound `a` starts before lower bound `b`.
+bool StartsBefore(const IntervalBound& a, const IntervalBound& b) {
+  if (a.unbounded || b.unbounded) return a.unbounded && !b.unbounded;
+  int cmp = Datum::Compare(a.value, b.value);
+  return cmp < 0 || (cmp == 0 && a.inclusive && !b.inclusive);
+}
+
+// True if no value is both at or below upper bound `hi` and at or above
+// lower bound `lo`: an interval ending at `hi` ends before one starting at
+// `lo` begins.
+bool EndsBefore(const IntervalBound& hi, const IntervalBound& lo) {
+  if (hi.unbounded || lo.unbounded) return false;
+  int cmp = Datum::Compare(hi.value, lo.value);
+  return cmp < 0 || (cmp == 0 && !(hi.inclusive && lo.inclusive));
+}
+
+// True if the non-null `key` is at or above lower bound `lo`.
+bool StartsAtOrBelow(const IntervalBound& lo, const Datum& key) {
+  if (lo.unbounded) return true;
+  int cmp = Datum::Compare(lo.value, key);
+  return cmp < 0 || (cmp == 0 && lo.inclusive);
+}
+
+// Sorts sibling intervals by lower bound and returns the position of the
+// first one that overlaps its predecessor, or entries->size() if they are
+// pairwise disjoint (sorted by start, a non-overlapping neighbour ends
+// before the next one starts).
+template <typename Entry>
+size_t SortAndFindOverlap(std::vector<Entry>* entries) {
+  std::stable_sort(entries->begin(), entries->end(), [](const Entry& a, const Entry& b) {
+    return StartsBefore(a.interval->lo(), b.interval->lo());
+  });
+  for (size_t i = 1; i < entries->size(); ++i) {
+    if (!EndsBefore((*entries)[i - 1].interval->hi(), (*entries)[i].interval->lo())) {
+      return i;
+    }
+  }
+  return entries->size();
+}
+
+}  // namespace
+
 PartitionScheme::PartitionScheme(std::vector<PartitionLevelDesc> levels,
                                  std::unique_ptr<PartitionNode> root)
     : levels_(std::move(levels)), root_(std::move(root)) {
@@ -35,104 +81,135 @@ PartitionScheme::PartitionScheme(std::vector<PartitionLevelDesc> levels,
   MPPDB_CHECK(root_ != nullptr);
   std::vector<ConstraintSet> path;
   std::string name_path;
-  CollectLeaves(*root_, 0, &path, &name_path);
+  Compile(*root_, 0, &path, &name_path);
+  sorted_leaf_oids_ = AllLeafOids();
+  std::sort(sorted_leaf_oids_.begin(), sorted_leaf_oids_.end());
 }
 
-void PartitionScheme::CollectLeaves(const PartitionNode& node, size_t level,
-                                    std::vector<ConstraintSet>* path,
-                                    std::string* name_path) {
+uint32_t PartitionScheme::Compile(const PartitionNode& node, size_t depth,
+                                  std::vector<ConstraintSet>* path,
+                                  std::string* name_path) {
+  const auto id = static_cast<uint32_t>(nodes_.size());
+  nodes_.emplace_back();
+  if (depth > 0 && node.IsLeaf()) {
+    MPPDB_CHECK(depth == levels_.size());
+    nodes_[id].leaf = leaves_.size();
+    leaves_.push_back(LeafPartitionInfo{node.oid, *name_path, *path});
+    return id;
+  }
+  std::vector<RouteEntry> entries;
   for (const auto& child : node.children) {
     path->push_back(child->bound.is_default ? ConstraintSet::All()
                                             : child->bound.constraint);
     size_t name_len = name_path->size();
     if (!name_path->empty()) *name_path += "/";
     *name_path += child->bound.name;
-    if (child->IsLeaf()) {
-      MPPDB_CHECK(level + 1 == levels_.size());
-      LeafPartitionInfo info;
-      info.oid = child->oid;
-      info.qualified_name = *name_path;
-      info.level_constraints = *path;
-      leaves_.push_back(std::move(info));
-    } else {
-      CollectLeaves(*child, level + 1, path, name_path);
-    }
+    const uint32_t child_id = Compile(*child, depth + 1, path, name_path);
     path->pop_back();
     name_path->resize(name_len);
+    nodes_[id].children.push_back(child_id);
+    if (child->bound.is_default) {
+      MPPDB_CHECK(nodes_[id].default_child < 0);  // one default per node
+      nodes_[id].default_child = child_id;
+    } else {
+      for (const Interval& in : child->bound.constraint.intervals()) {
+        entries.push_back(RouteEntry{&in, child_id});
+      }
+    }
   }
+  // f_T's binary search needs disjoint siblings (ValidateSiblingBounds).
+  MPPDB_CHECK(SortAndFindOverlap(&entries) == entries.size());
+  nodes_[id].entries = std::move(entries);
+  return id;
+}
+
+int64_t PartitionScheme::RouteStep(uint32_t id, const Datum& key) const {
+  const IndexNode& node = nodes_[id];
+  if (!key.is_null()) {
+    // The last sibling interval starting at or below the key is the only
+    // one that can contain it.
+    auto it = std::partition_point(
+        node.entries.begin(), node.entries.end(),
+        [&key](const RouteEntry& e) { return StartsAtOrBelow(e.interval->lo(), key); });
+    if (it != node.entries.begin() && std::prev(it)->interval->Contains(key)) {
+      return std::prev(it)->child;
+    }
+  }
+  return node.default_child;  // -1 is the paper's ⊥
+}
+
+template <typename KeyAt>
+size_t PartitionScheme::RouteLeaf(KeyAt key_at) const {
+  uint32_t id = 0;
+  for (size_t level = 0; level < levels_.size(); ++level) {
+    const int64_t child = RouteStep(id, key_at(level));
+    if (child < 0) return kNoLeaf;
+    id = static_cast<uint32_t>(child);
+  }
+  return nodes_[id].leaf;
+}
+
+size_t PartitionScheme::RouteTupleLeaf(const Row& row) const {
+  return RouteLeaf([&](size_t level) -> const Datum& {
+    return row[static_cast<size_t>(levels_[level].key_column)];
+  });
 }
 
 Oid PartitionScheme::RouteTuple(const Row& row) const {
-  std::vector<Datum> keys;
-  keys.reserve(levels_.size());
-  for (const auto& level : levels_) {
-    keys.push_back(row[static_cast<size_t>(level.key_column)]);
-  }
-  return RouteValues(keys);
+  const size_t leaf = RouteTupleLeaf(row);
+  return leaf == kNoLeaf ? kInvalidOid : leaves_[leaf].oid;
 }
 
 Oid PartitionScheme::RouteValues(const std::vector<Datum>& key_values) const {
   MPPDB_CHECK(key_values.size() == levels_.size());
-  return RouteRecursive(*root_, 0, key_values);
-}
-
-Oid PartitionScheme::RouteRecursive(const PartitionNode& node, size_t level,
-                                    const std::vector<Datum>& key_values) const {
-  const Datum& key = key_values[level];
-  const PartitionNode* match = nullptr;
-  const PartitionNode* default_part = nullptr;
-  for (const auto& child : node.children) {
-    if (child->bound.is_default) {
-      default_part = child.get();
-    } else if (!key.is_null() && child->bound.constraint.Contains(key)) {
-      match = child.get();
-      break;
-    }
-  }
-  if (match == nullptr) match = default_part;
-  if (match == nullptr) return kInvalidOid;  // the paper's ⊥
-  if (match->IsLeaf()) return match->oid;
-  return RouteRecursive(*match, level + 1, key_values);
+  const size_t leaf =
+      RouteLeaf([&](size_t level) -> const Datum& { return key_values[level]; });
+  return leaf == kNoLeaf ? kInvalidOid : leaves_[leaf].oid;
 }
 
 std::vector<Oid> PartitionScheme::SelectPartitions(
     const std::vector<ConstraintSet>& constraints) const {
   std::vector<Oid> out;
-  SelectRecursive(*root_, 0, constraints, &out);
+  SelectFrom(0, 0, constraints, &out);
   return out;
 }
 
-void PartitionScheme::SelectRecursive(const PartitionNode& node, size_t level,
-                                      const std::vector<ConstraintSet>& constraints,
-                                      std::vector<Oid>* out) const {
+void PartitionScheme::SelectFrom(uint32_t id, size_t level,
+                                 const std::vector<ConstraintSet>& constraints,
+                                 std::vector<Oid>* out) const {
+  const IndexNode& node = nodes_[id];
+  if (node.leaf != kNoLeaf) {
+    out->push_back(leaves_[node.leaf].oid);
+    return;
+  }
   const ConstraintSet* level_constraint =
       level < constraints.size() ? &constraints[level] : nullptr;
-  for (const auto& child : node.children) {
-    bool qualifies;
-    if (level_constraint == nullptr || level_constraint->IsAll()) {
-      qualifies = true;
-    } else if (level_constraint->IsNone()) {
-      qualifies = false;
-    } else if (child->bound.is_default) {
-      // A default partition may hold any value not claimed by siblings;
-      // proving exclusion would need complement reasoning, so keep it.
-      qualifies = true;
-    } else {
-      qualifies = false;
-      for (const Interval& in : child->bound.constraint.intervals()) {
-        if (level_constraint->Overlaps(in)) {
-          qualifies = true;
-          break;
-        }
-      }
-    }
-    if (!qualifies) continue;
-    if (child->IsLeaf()) {
-      out->push_back(child->oid);
-    } else {
-      SelectRecursive(*child, level + 1, constraints, out);
+  if (level_constraint == nullptr || level_constraint->IsAll()) {
+    for (uint32_t child : node.children) SelectFrom(child, level + 1, constraints, out);
+    return;
+  }
+  std::vector<uint32_t> picked;
+  for (const Interval& in : level_constraint->intervals()) {
+    // Siblings before the first one not ending before `in` starts cannot
+    // overlap it; from there, every sibling that starts before `in` ends
+    // does.
+    auto it = std::partition_point(
+        node.entries.begin(), node.entries.end(),
+        [&in](const RouteEntry& e) { return EndsBefore(e.interval->hi(), in.lo()); });
+    for (; it != node.entries.end() && !EndsBefore(in.hi(), it->interval->lo()); ++it) {
+      picked.push_back(it->child);
     }
   }
+  // A default partition may hold any value not claimed by siblings; proving
+  // exclusion would need complement reasoning, so keep it unless the
+  // constraint is None.
+  if (!level_constraint->IsNone() && node.default_child >= 0) {
+    picked.push_back(static_cast<uint32_t>(node.default_child));
+  }
+  // Child ids ascend in declaration order: emit in hierarchy order.
+  std::sort(picked.begin(), picked.end());
+  picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
+  for (uint32_t child : picked) SelectFrom(child, level + 1, constraints, out);
 }
 
 std::vector<Oid> PartitionScheme::AllLeafOids() const {
@@ -143,10 +220,47 @@ std::vector<Oid> PartitionScheme::AllLeafOids() const {
 }
 
 bool PartitionScheme::IsLeafOid(Oid oid) const {
-  for (const auto& leaf : leaves_) {
-    if (leaf.oid == oid) return true;
+  return std::binary_search(sorted_leaf_oids_.begin(), sorted_leaf_oids_.end(), oid);
+}
+
+Status ValidateSiblingBounds(const std::vector<PartitionBound>& bounds, TypeId key_type) {
+  struct Entry {
+    const Interval* interval;
+    const PartitionBound* bound;
+  };
+  std::vector<Entry> entries;
+  const PartitionBound* default_bound = nullptr;
+  for (const PartitionBound& bound : bounds) {
+    if (bound.is_default) {
+      if (default_bound != nullptr) {
+        return Status::InvalidArgument("partitions '" + default_bound->name + "' and '" +
+                                       bound.name + "' are both DEFAULT");
+      }
+      default_bound = &bound;
+      continue;
+    }
+    for (const Interval& in : bound.constraint.intervals()) {
+      for (const IntervalBound* end : {&in.lo(), &in.hi()}) {
+        if (!end->unbounded && !end->value.is_null() &&
+            !TypesComparable(end->value.type(), key_type)) {
+          return Status::InvalidArgument(
+              "partition '" + bound.name + "' bound " + end->value.ToString() + " (" +
+              TypeIdToString(end->value.type()) + ") is not comparable with the " +
+              TypeIdToString(key_type) + " partition key");
+        }
+      }
+      entries.push_back(Entry{&in, &bound});
+    }
   }
-  return false;
+  const size_t overlap = SortAndFindOverlap(&entries);
+  if (overlap < entries.size()) {
+    return Status::InvalidArgument("partitions '" + entries[overlap - 1].bound->name +
+                                   "' and '" + entries[overlap].bound->name +
+                                   "' have overlapping bounds " +
+                                   entries[overlap - 1].interval->ToString() + " and " +
+                                   entries[overlap].interval->ToString());
+  }
+  return Status::OK();
 }
 
 namespace partition_bounds {

@@ -770,12 +770,19 @@ Result<InputRows> Executor::ExecScan(const PhysicalNode& node, int segment) {
 Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
     const DynamicIndexScanNode& node, int segment) {
   // ForEachScanUnit gates and counts the units; the seeks run afterwards.
+  // first_row[u] is the position of unit u's first stored row in the
+  // admitted units' rows laid end to end.
   std::vector<Oid> units;
+  std::vector<size_t> first_row;
+  size_t total_rows = 0;
   ScanFragment frag;
   frag.scans.push_back(&node);
   MPPDB_RETURN_IF_ERROR(ForEachScanUnit(
-      frag, segment, [&units](const TableStore&, Oid unit_oid, const std::vector<Row>&) {
+      frag, segment,
+      [&](const TableStore&, Oid unit_oid, const std::vector<Row>& rows) {
         units.push_back(unit_oid);
+        first_row.push_back(total_rows);
+        total_rows += rows.size();
         return Status::OK();
       }));
   TableStore* store = storage_->GetStore(node.table_oid());  // checked above
@@ -799,15 +806,22 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
     residual_kernel = KernelProgram::Compile(node.residual(), layout);
   }
 
-  // Unit-granular morsels: the surviving-unit list splits across the morsel
-  // scheduler exactly like a scan's row ranges; range-order output slots and
-  // range-order stats merging keep the result bit-identical to an inline loop.
+  // Unit-granular morsels: the admitted units' stored rows split into row
+  // ranges like a scan's, and a range seeks the units whose first row falls
+  // inside it (the last range also takes trailing empty units). Range-order
+  // output slots and stats merging keep the result bit-identical to an
+  // inline loop.
   auto body = [&, this](size_t begin, size_t end, ExecStats* stats,
                         std::vector<Row>* mout) -> Status {
     KernelContext kctx;
     if (residual_kernel) kctx.Prepare(*residual_kernel, KernelContext::kDefaultChunkRows);
     SelVec sel, keep;
-    for (size_t u = begin; u < end; ++u) {
+    auto first_unit_at = [&first_row](size_t row) {
+      return static_cast<size_t>(
+          std::lower_bound(first_row.begin(), first_row.end(), row) - first_row.begin());
+    };
+    const size_t unit_end = end == total_rows ? units.size() : first_unit_at(end);
+    for (size_t u = first_unit_at(begin); u < unit_end; ++u) {
       MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
       const Oid unit = units[u];
       ++stats->index_seeks;
@@ -850,7 +864,7 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
     return Status::OK();
   };
   std::vector<Row> out;
-  MPPDB_RETURN_IF_ERROR(RunMorselScan(segment, units.size(), body, &out));
+  MPPDB_RETURN_IF_ERROR(RunMorselScan(segment, total_rows, body, &out));
   return out;
 }
 
@@ -918,8 +932,8 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
 
   // Fast path (paper Fig. 15(a)): when every level's predicate is
   // `partition_key = <column of the input row>`, each tuple routes directly
-  // through the partition_selection built-in instead of the generic
-  // constraint machinery.
+  // through f_T, the partition_selection built-in's body, on the scheme
+  // resolved above, instead of the generic constraint machinery.
   std::vector<int> eq_positions(num_levels, -1);
   bool all_equality = true;
   for (size_t level = 0; level < num_levels && all_equality; ++level) {
@@ -966,12 +980,9 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
       for (size_t level = 0; level < num_levels; ++level) {
         key_values[level] = row[static_cast<size_t>(eq_positions[level])];
       }
-      Result<Oid> oid = partition_functions::PartitionSelection(
-          *catalog_, node.table_oid(), key_values);
-      MPPDB_CHECK(oid.ok());
-      if (*oid != kInvalidOid) {
-        partition_functions::PartitionPropagation(&hub_, segment, node.scan_id(),
-                                                  *oid);
+      const Oid oid = scheme.RouteValues(key_values);
+      if (oid != kInvalidOid) {
+        partition_functions::PartitionPropagation(&hub_, segment, node.scan_id(), oid);
       }
     }
     return rows;
@@ -1128,6 +1139,7 @@ Result<std::vector<Row>> Executor::ExecIndexNLJoin(const IndexNLJoinNode& node,
       ColumnLayout::Concat(outer_layout, ColumnLayout(node.inner_column_ids()));
 
   std::vector<Row> out;
+  std::vector<Datum> route_key(1);  // f_T's argument, reused across outer rows
   size_t until_check = 0;
   for (const Row& outer : outer_rows) {
     if (until_check == 0) {
@@ -1141,7 +1153,8 @@ Result<std::vector<Row>> Executor::ExecIndexNLJoin(const IndexNLJoinNode& node,
     // (paper 2.2): route through f_T to the single qualifying partition.
     Oid unit = table.oid;
     if (scheme != nullptr) {
-      unit = scheme->RouteValues({key});
+      route_key[0] = key;
+      unit = scheme->RouteValues(route_key);
       if (unit == kInvalidOid) continue;  // the invalid partition: no match
     }
     ExecStats& stats = seg_stats_[static_cast<size_t>(segment)];

@@ -632,7 +632,8 @@ class Executor {
   Result<InputRows> ExecScan(const PhysicalNode& node, int segment);
   /// Partition-aware index access over the units ForEachScanUnit admits; the
   /// residual and join filters run through FilterBatch over each unit's
-  /// candidates. The unit list splits into morsels (RunMorselScan).
+  /// candidates. The admitted units' stored rows split into morsels
+  /// (RunMorselScan); each morsel seeks the units whose first row it holds.
   Result<std::vector<Row>> ExecDynamicIndexScan(const DynamicIndexScanNode& node,
                                                 int segment);
   Result<std::vector<Row>> ExecPartitionSelector(const PartitionSelectorNode& node,

@@ -22,12 +22,7 @@ ColumnLayout ColumnLayout::Concat(const ColumnLayout& left, const ColumnLayout& 
 }
 
 bool DatumsComparable(const Datum& a, const Datum& b) {
-  auto family = [](TypeId t) {
-    if (t == TypeId::kString) return 0;
-    if (t == TypeId::kBool) return 1;
-    return 2;  // numeric, incl. date
-  };
-  return family(a.type()) == family(b.type());
+  return TypesComparable(a.type(), b.type());
 }
 
 namespace {

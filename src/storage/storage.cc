@@ -15,6 +15,9 @@ TableStore::TableStore(const TableDescriptor* desc, int num_segments)
   if (desc->IsPartitioned()) {
     unit_oids_ = desc->partition_scheme->AllLeafOids();
     std::sort(unit_oids_.begin(), unit_oids_.end());
+    for (const LeafPartitionInfo& leaf : desc->partition_scheme->Leaves()) {
+      leaf_units_.push_back(static_cast<uint32_t>(UnitOrdinal(leaf.oid)));
+    }
   } else {
     unit_oids_.push_back(desc->oid);
   }
@@ -63,15 +66,16 @@ Result<std::vector<uint32_t>> TableStore::RouteUnits(
     if (row.size() != desc_->schema.size()) {
       return Status::InvalidArgument("row arity mismatch for table " + desc_->name);
     }
-    Oid unit = desc_->oid;
+    uint32_t unit = 0;  // an unpartitioned table's one unit
     if (desc_->IsPartitioned()) {
-      unit = desc_->partition_scheme->RouteTuple(row);
-      if (unit == kInvalidOid) {
+      const size_t leaf = desc_->partition_scheme->RouteTupleLeaf(row);
+      if (leaf == PartitionScheme::kNoLeaf) {
         return Status::OutOfRange("row " + RowToString(row) +
                                   " does not map to any partition of " + desc_->name);
       }
+      unit = leaf_units_[leaf];
     }
-    unit_of[i] = static_cast<uint32_t>(UnitOrdinal(unit));
+    unit_of[i] = unit;
   }
   return unit_of;
 }

@@ -237,6 +237,9 @@ class TableStore {
   uint64_t round_robin_ = 0;
   /// Storage-unit OIDs, ascending.
   std::vector<Oid> unit_oids_;
+  /// Unit ordinal of each leaf, by the scheme's dense leaf index (empty for
+  /// an unpartitioned table).
+  std::vector<uint32_t> leaf_units_;
   /// Slice (unit_oids_[u], segment) at u * num_segments_ + segment. Shape
   /// fixed at construction.
   std::vector<Slice> slices_;

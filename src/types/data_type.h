@@ -37,6 +37,17 @@ inline bool IsNumeric(TypeId type) {
   return IsIntegral(type) || type == TypeId::kDouble;
 }
 
+/// True if values of the two types compare with each other (Datum::Compare
+/// orders them): strings with strings, bools with bools, and the numeric
+/// types, date included, with each other.
+inline bool TypesComparable(TypeId a, TypeId b) {
+  if (a == TypeId::kString || b == TypeId::kString || a == TypeId::kBool ||
+      b == TypeId::kBool) {
+    return a == b;
+  }
+  return true;
+}
+
 }  // namespace mppdb
 
 #endif  // MPPDB_TYPES_DATA_TYPE_H_

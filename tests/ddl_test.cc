@@ -126,5 +126,44 @@ TEST(DdlTest, ColumnNamedDateStillWorksInDdl) {
   EXPECT_TRUE(db.catalog().FindTable("d")->IsPartitioned());
 }
 
+// Sibling bounds must be disjoint and comparable with the key column:
+// otherwise f_T and f*_T would disagree on which partition holds a value, or
+// the first INSERT would compare a string with an integer. Each rejection is
+// a typed error that creates nothing, and the database keeps serving.
+TEST(DdlTest, OverlappingOrIncomparableBoundsFailTyped) {
+  Database db(2);
+  auto dup = db.Run("CREATE TABLE t (a int, c int) DISTRIBUTED BY (a) "
+                    "PARTITION BY LIST (c) VALUES (1, 1)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument) << dup.status().ToString();
+  EXPECT_EQ(db.catalog().FindTable("t"), nullptr);
+
+  Schema schema({{"a", TypeId::kInt64}, {"c", TypeId::kInt64}});
+  std::vector<PartitionBound> overlapping = partition_bounds::IntRanges(0, 10, 4);
+  for (PartitionBound& more : partition_bounds::IntRanges(35, 10, 2)) {
+    overlapping.push_back(std::move(more));
+  }
+  auto ranges = db.CreatePartitionedTable("t", schema, TableDistribution::kHashed, {0},
+                                          {{1, PartitionMethod::kRange}}, {overlapping});
+  ASSERT_FALSE(ranges.ok());
+  EXPECT_EQ(ranges.status().code(), StatusCode::kInvalidArgument);
+
+  auto strings = db.CreatePartitionedTable(
+      "t", schema, TableDistribution::kHashed, {0}, {{1, PartitionMethod::kList}},
+      {{PartitionBound::List({Datum::String("x")}, "x")}});
+  ASSERT_FALSE(strings.ok());
+  EXPECT_EQ(strings.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.catalog().FindTable("t"), nullptr);
+
+  ASSERT_TRUE(db.Run("CREATE TABLE t (a int, c int) DISTRIBUTED BY (a) "
+                     "PARTITION BY LIST (c) VALUES (1, 2)")
+                  .ok());
+  ASSERT_TRUE(db.Run("INSERT INTO t VALUES (7, 1), (8, 2)").ok());
+  auto rows = db.Run("SELECT a FROM t WHERE c = 2");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 8);
+}
+
 }  // namespace
 }  // namespace mppdb

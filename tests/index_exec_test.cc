@@ -308,5 +308,45 @@ TEST_F(IndexExecTest, ExplainShowsAccessPaths) {
   EXPECT_EQ(none->find("Access paths"), std::string::npos) << *none;
 }
 
+// A range seek on a non-partition-key index admits all 361 leaves, so each
+// segment's DynamicIndexScan covers ~20k stored rows and, with 4 workers at
+// morsel_rows 1024, splits into about 20 unit-granular morsels. Rows, row
+// order and every ExecStats counter must equal the 1-worker run (which runs
+// the whole unit list inline).
+TEST(ParallelExecTest, RangeIndexScanOver361PartsMatchesOneWorker) {
+  Database one_worker(2);
+  Database pooled(2, Executor::Options{.workers = 4, .morsel_rows = 1024});
+  for (Database* db : {&one_worker, &pooled}) {
+    MPPDB_CHECK(db->CreatePartitionedTable(
+                      "weekly", Schema({{"day", TypeId::kInt64},
+                                        {"k", TypeId::kInt64},
+                                        {"v", TypeId::kInt64}}),
+                      TableDistribution::kHashed, {2},
+                      {{0, PartitionMethod::kRange}},
+                      {partition_bounds::IntRanges(0, 7, 361)})
+                    .ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 40000; ++i) {
+      rows.push_back({Datum::Int64(i % 2527), Datum::Int64((i * 7919) % 5000),
+                      Datum::Int64(i)});
+    }
+    MPPDB_CHECK(db->Load("weekly", rows).ok());
+    MPPDB_CHECK(db->Run("CREATE INDEX ON weekly (k)").ok());
+  }
+  const std::string sql = "SELECT day, k, v FROM weekly WHERE k BETWEEN 1200 AND 1260";
+  auto plan = one_worker.PlanSql(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(CountNodes(*plan, PhysNodeKind::kDynamicIndexScan), 1);
+
+  auto oracle = one_worker.Run(sql);
+  auto result = pooled.Run(sql);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(oracle->rows.empty());
+  EXPECT_EQ(oracle->stats.index_seeks, 2u * 361u);  // every unit on both segments
+  EXPECT_TRUE(result->rows == oracle->rows);
+  EXPECT_TRUE(result->stats == oracle->stats);
+}
+
 }  // namespace
 }  // namespace mppdb
