@@ -2,8 +2,9 @@
 // scan-heavy aggregation (which reads the storage slices in place) and for
 // SELECT * (whose rows are copied once, when each segment deposits its
 // scan into the Gather) at S ∈ {1, 2, 4, 8} segments in three modes —
-// 1 worker (the calling thread runs every segment task), a pool with morsels off (each segment slice is one schedulable
-// task), and parallel with morsels on (slices decompose into chunk-aligned
+// 1 worker (the calling thread runs every segment task), a pool with morsels
+// off (morsel_rows = SIZE_MAX: each segment slice is one schedulable task),
+// and parallel with morsels on (slices decompose into chunk-aligned
 // morsels that idle workers steal). The simulated cluster splits the same
 // table across more segments as S grows, so parallel speedup approaches
 // min(S, cores) once per-segment work dominates coordination.
@@ -28,6 +29,7 @@
 // queries — not speed.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -74,7 +76,7 @@ void RunSpeedupSection(const BenchSizes& sizes,
 
       Executor one_worker(&db.catalog(), &db.storage());
       Executor morsel_off(&db.catalog(), &db.storage(),
-                          Executor::Options{.workers = 0, .morsels = false});
+                          Executor::Options{.workers = 0, .morsel_rows = SIZE_MAX});
       Executor morsel_on(&db.catalog(), &db.storage(),
                          Executor::Options{.workers = 0});
       // Identical-result check rides along with the measurement: all three
@@ -191,7 +193,8 @@ void RunSkewSection(const BenchSizes& sizes, bool smoke,
   for (const bool morsels : {false, true}) {
     MorselScheduler scheduler(kWorkers);
     Executor parallel(&db.catalog(), &db.storage(),
-                      Executor::Options{.workers = 0, .morsels = morsels});
+                      Executor::Options{.workers = 0,
+                                        .morsel_rows = morsels ? 0 : SIZE_MAX});
     parallel.SetScheduler(&scheduler);
     Result<std::vector<Row>> check = parallel.Execute(*plan);
     MPPDB_CHECK(check.ok());

@@ -1,9 +1,9 @@
 // Columnar storage formats: scan wall-clock and bytes-scanned for selective
 // filters over a partitioned fact table stored row-oriented vs
 // column-oriented with encoded-data predicate evaluation; per-column
-// compression ratios of the encoded images; and Motion throughput with
-// dictionary-encoded transfer on vs off. The headline workloads filter unclustered dictionary/RLE columns,
-// where zone maps provably cannot skip — any win is the encoded fast path's.
+// compression ratios of the encoded images. The headline workloads filter
+// unclustered dictionary/RLE columns, where zone maps provably cannot skip —
+// any win is the encoded fast path's.
 // Identical-result checks ride along with every measurement: the encoded path
 // may only change its own ExecStats counters, never rows or logical stats,
 // 1 worker or a pool.
@@ -242,53 +242,6 @@ int RunBenchmark(bool smoke) {
                                     MakeConst(Datum::Double(2.0))),
                           MakeConst(Datum::Double(900.0)))})),
       sizes.iterations, &entries);
-
-  // Motion throughput: a forced single-phase GROUP BY on tag redistributes
-  // every row by a 64-value string key — dictionary territory on the wire.
-  {
-    QueryOptions plan_options;
-    plan_options.enable_two_phase_agg = false;
-    Result<PhysPtr> motion_plan =
-        db_col.PlanSql("SELECT tag, count(*) FROM fact GROUP BY tag", plan_options);
-    MPPDB_CHECK(motion_plan.ok());
-    Executor enc_on(&db_col.catalog(), &db_col.storage());
-    Executor enc_off(&db_col.catalog(), &db_col.storage(),
-                     Executor::Options{.encoded_motion = false});
-    Result<std::vector<Row>> on_rows = enc_on.Execute(*motion_plan);
-    Result<std::vector<Row>> off_rows = enc_off.Execute(*motion_plan);
-    MPPDB_CHECK(on_rows.ok() && off_rows.ok());
-    MPPDB_CHECK(*on_rows == *off_rows);
-    MPPDB_CHECK(enc_on.stats().motion_rows_encoded > 0);
-    MPPDB_CHECK(enc_on.stats().motion_bytes_saved > 0);
-    MPPDB_CHECK(enc_off.stats().motion_rows_encoded == 0);
-    MPPDB_CHECK(enc_on.stats().rows_moved == enc_off.stats().rows_moved);
-    const double rows_moved = static_cast<double>(enc_on.stats().rows_moved);
-
-    benchutil::TimingStats on_t = benchutil::MeasureMillis(
-        /*warmup=*/1, sizes.iterations,
-        [&]() { MPPDB_CHECK(enc_on.Execute(*motion_plan).ok()); });
-    benchutil::TimingStats off_t = benchutil::MeasureMillis(
-        /*warmup=*/1, sizes.iterations,
-        [&]() { MPPDB_CHECK(enc_off.Execute(*motion_plan).ok()); });
-    const double on_rows_per_s = rows_moved / (on_t.median_ms / 1000.0);
-    const double off_rows_per_s = rows_moved / (off_t.median_ms / 1000.0);
-    std::printf("\nmotion (redistribute by tag): plain %.0f rows/s, "
-                "encoded %.0f rows/s, %zu rows encoded, %zu bytes saved\n",
-                off_rows_per_s, on_rows_per_s,
-                static_cast<size_t>(enc_on.stats().motion_rows_encoded),
-                static_cast<size_t>(enc_on.stats().motion_bytes_saved));
-    entries.push_back(
-        {"motion_redistribute",
-         {{"rows_moved", rows_moved},
-          {"motion_rows_encoded",
-           static_cast<double>(enc_on.stats().motion_rows_encoded)},
-          {"motion_bytes_saved",
-           static_cast<double>(enc_on.stats().motion_bytes_saved)},
-          {"plain_ms", off_t.median_ms},
-          {"encoded_ms", on_t.median_ms},
-          {"plain_rows_per_s", off_rows_per_s},
-          {"encoded_rows_per_s", on_rows_per_s}}});
-  }
 
   if (smoke) {
     // The gate's acceptance bar: the selective dictionary scan must be at

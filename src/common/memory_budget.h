@@ -92,11 +92,11 @@ inline size_t ApproxRowsBytes(size_t num_rows, size_t width) {
   return num_rows * (width * kDatumBytes + kPerRowBytes);
 }
 
-/// Modelled plain width of one value in the encoded-storage and Motion byte
-/// counters (plain_bytes, encoded_bytes, encoded_bytes_scanned,
-/// motion_bytes_saved): this fixed slot plus a string's characters. Like
-/// ApproxRowsBytes' 24-byte slot it is a model, deliberately not
-/// sizeof(Datum), so the counters stay put when the in-memory layout changes.
+/// Modelled plain width of one value in the encoded-storage byte counters
+/// (plain_bytes, encoded_bytes, encoded_bytes_scanned): this fixed slot plus
+/// a string's characters. Like ApproxRowsBytes' 24-byte slot it is a model,
+/// deliberately not sizeof(Datum), so the counters stay put when the
+/// in-memory layout changes.
 inline constexpr size_t kModelledPlainDatumBytes = 48;
 
 }  // namespace mppdb

@@ -50,8 +50,6 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   rows_late_materialized += other.rows_late_materialized;
   encoded_bytes_scanned += other.encoded_bytes_scanned;
   colstore_rebuilds_shed += other.colstore_rebuilds_shed;
-  motion_rows_encoded += other.motion_rows_encoded;
-  motion_bytes_saved += other.motion_bytes_saved;
   index_seeks += other.index_seeks;
   index_rows_read += other.index_rows_read;
   topn_rows_cut += other.topn_rows_cut;
@@ -87,13 +85,6 @@ struct Executor::MotionExchange {
   /// Broadcast motions materialize the batch here once and every
   /// destination copies from it, instead of filling S identical buffers.
   std::vector<Row> broadcast_shared;
-  /// Dictionary-coded wire form of the corresponding buffers slot / the
-  /// broadcast batch (Options::encoded_motion). When set, the row form above
-  /// is empty and readers decode at the receiving edge. Written only by the
-  /// builder before `built` is announced, read-only afterwards — the same
-  /// publication contract that makes the row buffers parallel-safe.
-  std::vector<std::optional<EncodedRowBatch>> encoded_buffers;
-  std::optional<EncodedRowBatch> encoded_broadcast;
 };
 
 namespace {
@@ -631,8 +622,8 @@ size_t Executor::MorselRows() const {
 Status Executor::RunMorselScan(int segment, size_t row_count,
                                const MorselBody& body, std::vector<Row>* out) {
   const size_t morsel_rows = MorselRows();
-  if (!options_.morsels || scheduler_ == nullptr ||
-      scheduler_->num_workers() <= 1 || row_count <= morsel_rows) {
+  if (scheduler_ == nullptr || scheduler_->num_workers() <= 1 ||
+      row_count <= morsel_rows) {
     // Ineligible: run the body whole, against the segment accumulator — the
     // exact loop a 1-worker run executes.
     return body(0, row_count, &seg_stats_[static_cast<size_t>(segment)], out);
@@ -1402,48 +1393,16 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
         break;
     }
   }
-  // Wire-format encoding happens after routing so each destination's batch
-  // is dictionary-coded independently (its value locality, its dictionary).
-  // The receive-buffer charge above deliberately stays the plain-row
-  // estimate: the budget models the logical exchange volume, encoded or not.
-  if (options_.encoded_motion) {
-    ExecStats& stats = seg_stats_[static_cast<size_t>(segment)];
-    auto try_encode = [&stats](std::vector<Row>& rows,
-                               std::optional<EncodedRowBatch>* slot) {
-      std::optional<EncodedRowBatch> batch = TryEncodeMotionBatch(std::move(rows));
-      if (!batch) return;  // rows untouched
-      rows.clear();
-      stats.motion_rows_encoded += batch->num_rows;
-      stats.motion_bytes_saved += batch->plain_bytes - batch->encoded_bytes;
-      *slot = std::move(batch);
-    };
-    if (node.motion_kind() == MotionKind::kBroadcast) {
-      try_encode(exchange->broadcast_shared, &exchange->encoded_broadcast);
-    } else {
-      exchange->encoded_buffers.assign(buffers.size(), std::nullopt);
-      for (size_t dest = 0; dest < buffers.size(); ++dest) {
-        try_encode(buffers[dest], &exchange->encoded_buffers[dest]);
-      }
-    }
-  }
   return Status::OK();
 }
 
 std::vector<Row> Executor::ReadMotionBuffer(const MotionNode& node,
                                             MotionExchange& exchange, int segment) {
-  // Decoding an encoded slot is the receiving edge of the wire transfer: it
-  // synthesizes a fresh row batch and leaves the encoded form in place, so
-  // every destination of a broadcast may decode it concurrently.
   if (node.motion_kind() == MotionKind::kBroadcast) {
-    if (exchange.encoded_broadcast) return exchange.encoded_broadcast->Decode();
     return exchange.broadcast_shared;  // every destination copies the batch
   }
-  const size_t slot = static_cast<size_t>(segment);
-  if (slot < exchange.encoded_buffers.size() && exchange.encoded_buffers[slot]) {
-    return exchange.encoded_buffers[slot]->Decode();
-  }
   // Sole reader of this slot: hand the buffer over without copying.
-  return std::move(exchange.buffers[slot]);
+  return std::move(exchange.buffers[static_cast<size_t>(segment)]);
 }
 
 Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segment) {

@@ -91,9 +91,8 @@ struct ExecStats {
   /// charge was refused (the scan runs unskipped instead).
   size_t synopsis_rebuilds_shed = 0;
 
-  /// Columnar-execution counters (Options::encoded_eval / encoded_motion and
-  /// column-oriented partitions; all zero for row-oriented tables, so every
-  /// pre-existing stats-identity test is unaffected). Like the zone-map
+  /// Columnar-execution counters (encoded evaluation over column-oriented
+  /// partitions; all zero for row-oriented tables). Like the zone-map
   /// counters, the logical fields above stay identical across storage
   /// orientations — only these (and time spent) change.
   /// Chunks whose sargable conjunct prefix was evaluated directly on the
@@ -109,12 +108,6 @@ struct ExecStats {
   /// Stale encoded column images scanned via the row image instead because
   /// their re-encode charge was refused under memory pressure.
   size_t colstore_rebuilds_shed = 0;
-  /// Rows shipped through Motion in dictionary-coded form (rows_moved still
-  /// counts them; this is the subset that travelled encoded).
-  size_t motion_rows_encoded = 0;
-  /// Approximate wire bytes saved by dictionary-coding Motion buffers
-  /// (plain payload estimate minus encoded payload estimate).
-  size_t motion_bytes_saved = 0;
 
   /// Index access-path counters (QueryOptions::enable_index_paths; all zero
   /// when the optimizer picked no index plan). Like the counters above, the
@@ -297,14 +290,13 @@ class Executor {
     /// there is no minimum. Ignored when a shared scheduler was injected via
     /// SetScheduler.
     int workers = 1;
-    /// Split heavy scan loops into fixed-size chunk-aligned morsels that idle
-    /// workers steal (pool runs only). Off: each segment slice still runs as
-    /// one schedulable task, but scans stay whole. Output is bit-identical
-    /// either way.
-    bool morsels = true;
-    /// Rows per scan morsel; 0 means auto (4 storage chunks = 4096 rows).
-    /// Always rounded up to a whole number of 1024-row chunks so zone-map
-    /// chunk skipping never straddles a morsel boundary.
+    /// Rows per scan morsel: on a pool, heavy scan loops split into
+    /// fixed-size chunk-aligned morsels that idle workers steal. 0 means
+    /// auto (4 storage chunks = 4096 rows). Always rounded up to a whole
+    /// number of 1024-row chunks so zone-map chunk skipping never straddles
+    /// a morsel boundary; SIZE_MAX saturates to one morsel per slice (each
+    /// segment slice still runs as one schedulable task, but scans stay
+    /// whole). Output is bit-identical at every value.
     size_t morsel_rows = 0;
     /// Consult chunk zone maps (storage/synopsis.h) to skip chunks and whole
     /// slices a Filter's sargable predicate provably cannot match. Output
@@ -321,21 +313,6 @@ class Executor {
     /// joinfilter_* counters (and time spent) change. Chunk-level skipping
     /// through the zone maps additionally requires data_skipping.
     bool join_filters = true;
-    /// Evaluate the exactly-compilable conjunct prefix of a Filter directly
-    /// on encoded column chunks (expr/encoded_eval.h) when scanning
-    /// column-oriented partitions, materializing only surviving rows. Output
-    /// rows, ordering, error outcomes, and the logical ExecStats counters
-    /// are identical with it off — only chunks_encoded_eval /
-    /// rows_late_materialized / encoded_bytes_scanned (and time) change.
-    /// No effect on row-oriented partitions.
-    bool encoded_eval = true;
-    /// Ship large low-cardinality string columns through Motion in
-    /// dictionary-coded form (storage/column_store.h), decoding at the
-    /// receiving edge. Rows, ordering, and every pre-existing ExecStats
-    /// field are identical with it off — only motion_rows_encoded /
-    /// motion_bytes_saved change (rows_moved and the Motion memory charge
-    /// stay logical, computed from the plain row footprint).
-    bool encoded_motion = true;
     /// Degrade to out-of-core execution (src/exec/spill_exec.cc) when the
     /// memory budget refuses a mandatory hash-join build table, hash
     /// aggregate group, or sort buffer: the refused state is partitioned by
@@ -455,9 +432,8 @@ class Executor {
                            std::vector<Row>* out)>;
 
   /// Runs `body` over [0, row_count): inline when morsels are ineligible
-  /// (no pool, morsels off, single worker, or a slice smaller than one
-  /// morsel), otherwise split into chunk-aligned morsels spawned on a
-  /// TaskGroup. Per-morsel rows land in pre-assigned slots appended to `out`
+  /// (no pool, single worker, or a slice no larger than one morsel),
+  /// otherwise split into chunk-aligned morsels spawned on a TaskGroup. Per-morsel rows land in pre-assigned slots appended to `out`
   /// in range order and per-morsel stats merge in range order, so output and
   /// stats are bit-identical to the inline run; on error the lowest range's
   /// status is returned (the inline loop's first error).
@@ -717,8 +693,8 @@ class Executor {
   /// Fused filter-over-scan: evaluates `filter`'s predicate in chunks
   /// directly over TableStore::UnitRows slices via a selection vector,
   /// skipping chunks and whole slices by zone map (Options::data_skipping)
-  /// and evaluating the compilable prefix on encoded column chunks
-  /// (Options::encoded_eval), then probes `join_filters`; rows that fail are
+  /// and evaluating the compilable prefix on encoded column chunks of
+  /// column-oriented units, then probes `join_filters`; rows that fail are
   /// never copied. `layout` is the fragment's output layout. A null `filter`
   /// is a scan leaf with bound probes: every row passes the predicate, so a
   /// chunk the build key range proves disjoint is skipped for below-Motion

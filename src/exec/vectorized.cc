@@ -359,7 +359,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
   if (filter != nullptr) {
     program.emplace(KernelProgram::Compile(filter->predicate(), layout));
     if (options_.data_skipping) compiled = CompileSargable(filter->sargable(), layout);
-    if (options_.encoded_eval) encoded = CompileEncodedPredicate(filter->predicate(), layout);
+    encoded = CompileEncodedPredicate(filter->predicate(), layout);
     if (encoded.HasTerms() && encoded.residual != nullptr) {
       residual_program.emplace(KernelProgram::Compile(encoded.residual, layout));
     }

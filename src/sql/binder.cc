@@ -115,6 +115,25 @@ Status RequireNumeric(const ExprPtr& expr) {
   return Status::OK();
 }
 
+// A written value must be of its column's type family (TypesComparable), so
+// routing and later comparisons never meet a mixed-family column. Numeric
+// values keep their own type in a numeric column. NULL and parameters (typed
+// only at execution) are always accepted.
+Status RequireWritable(const ExprPtr& value, const Column& column) {
+  if (value->kind() == ExprKind::kParam) return Status::OK();
+  if (value->kind() == ExprKind::kConst &&
+      static_cast<const ConstExpr&>(*value).value().is_null()) {
+    return Status::OK();
+  }
+  const TypeId type = InferExprType(value);
+  if (!TypesComparable(type, column.type)) {
+    return Status::BindError("cannot write " + std::string(TypeIdToString(type)) +
+                             " value " + value->ToString() + " into " +
+                             TypeIdToString(column.type) + " column " + column.name);
+  }
+  return Status::OK();
+}
+
 // Predicates must be boolean-typed; a bare non-boolean expression in
 // WHERE/ON/HAVING is a bind error (caught here rather than at run time).
 Status RequireBoolean(const ExprPtr& expr, const char* context) {
@@ -426,6 +445,7 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
       ColRefId output_id = bound->kind() == ExprKind::kColumnRef
                                ? static_cast<const ColumnRefExpr&>(*bound).id()
                                : alloc_.Next();
+      out.exprs.push_back(bound);
       project_items.push_back({std::move(bound), output_id, name});
       out.names.push_back(name);
     }
@@ -471,6 +491,7 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
     plan = std::make_shared<LogicalProject>(std::move(project_items), plan);
   } else if (select.select_star) {
     for (const ScopeColumn& col : scope.columns) {
+      out.exprs.push_back(MakeColumnRef(col.id, col.name, col.type));
       out.names.push_back(col.name);
     }
   } else {
@@ -481,6 +502,7 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
       ColRefId output_id = bound->kind() == ExprKind::kColumnRef
                                ? static_cast<const ColumnRefExpr&>(*bound).id()
                                : alloc_.Next();
+      out.exprs.push_back(bound);
       project_items.push_back({std::move(bound), output_id, name});
       out.names.push_back(name);
     }
@@ -540,6 +562,9 @@ Result<BoundStatement> Binder::BindInsert(const sql_ast::InsertStmt& insert) {
     if (select.plan->OutputIds().size() != table->schema.size()) {
       return Status::BindError("INSERT SELECT column count mismatch");
     }
+    for (size_t i = 0; i < select.exprs.size(); ++i) {
+      MPPDB_RETURN_IF_ERROR(RequireWritable(select.exprs[i], table->schema.column(i)));
+    }
     stmt.root = select.plan;
     return stmt;
   }
@@ -557,6 +582,7 @@ Result<BoundStatement> Binder::BindInsert(const sql_ast::InsertStmt& insert) {
       if (table->schema.column(i).type == TypeId::kDate) {
         MPPDB_ASSIGN_OR_RETURN(bound, CoerceToDate(bound));
       }
+      MPPDB_RETURN_IF_ERROR(RequireWritable(bound, table->schema.column(i)));
       std::optional<Datum> value = TryFoldConst(bound);
       if (!value.has_value()) {
         return Status::BindError("INSERT VALUES entries must be constants");
@@ -596,11 +622,12 @@ Result<BoundStatement> Binder::BindUpdate(const sql_ast::UpdateStmt& update) {
       return Status::BindError("column '" + column + "' not in table " +
                                stmt.target_table->name);
     }
+    const Column& target = stmt.target_table->schema.column(static_cast<size_t>(index));
     MPPDB_ASSIGN_OR_RETURN(ExprPtr value, BindScalar(*value_expr, scope, nullptr));
-    if (stmt.target_table->schema.column(static_cast<size_t>(index)).type ==
-        TypeId::kDate) {
+    if (target.type == TypeId::kDate) {
       MPPDB_ASSIGN_OR_RETURN(value, CoerceToDate(value));
     }
+    MPPDB_RETURN_IF_ERROR(RequireWritable(value, target));
     stmt.set_items.push_back({index, std::move(value)});
   }
   return stmt;

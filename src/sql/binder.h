@@ -39,6 +39,9 @@ class Binder {
   struct BoundSelect {
     LogicalPtr plan;
     std::vector<std::string> names;
+    /// Bound output expressions, aligned with `names` (INSERT ... SELECT
+    /// checks their types against the target columns).
+    std::vector<ExprPtr> exprs;
   };
 
   Result<BoundSelect> BindSelect(const sql_ast::SelectStmt& select);

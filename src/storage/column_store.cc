@@ -1,8 +1,6 @@
 #include "storage/column_store.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "common/memory_budget.h"
@@ -374,104 +372,6 @@ SliceSynopsis SynopsisFromColumns(const SliceColumns& cols) {
     synopsis.chunks.push_back(std::move(chunk));
   }
   return synopsis;
-}
-
-std::vector<Row> EncodedRowBatch::Decode() const {
-  std::vector<Row> rows(num_rows);
-  for (Row& row : rows) row.reserve(columns.size());
-  for (const MotionColumn& column : columns) {
-    if (column.dict_encoded) {
-      for (size_t i = 0; i < num_rows; ++i) {
-        rows[i].push_back(column.codes[i] == EncodedColumnChunk::kNullCode
-                              ? Datum::Null()
-                              : column.values[column.codes[i]]);
-      }
-    } else {
-      for (size_t i = 0; i < num_rows; ++i) rows[i].push_back(column.values[i]);
-    }
-  }
-  return rows;
-}
-
-std::optional<EncodedRowBatch> TryEncodeMotionBatch(std::vector<Row>&& rows) {
-  const size_t n = rows.size();
-  if (n < kMotionEncodeMinRows) return std::nullopt;
-  const size_t width = rows[0].size();
-
-  // First pass builds dictionaries for candidate (string, low-cardinality)
-  // columns without consuming the rows, so a batch with no qualifying column
-  // is handed back untouched.
-  EncodedRowBatch batch;
-  batch.num_rows = n;
-  batch.columns.resize(width);
-  bool any_encoded = false;
-  for (size_t c = 0; c < width; ++c) {
-    MotionColumn& column = batch.columns[c];
-    // Keys view the rows' own string bodies, which outlive this pass.
-    std::unordered_map<std::string_view, uint32_t> code_of;
-    std::vector<uint32_t> codes;
-    codes.reserve(n);
-    bool ok = true;
-    for (size_t i = 0; i < n; ++i) {
-      const Datum& v = rows[i][c];
-      if (v.is_null()) {
-        codes.push_back(EncodedColumnChunk::kNullCode);
-        continue;
-      }
-      if (v.type() != TypeId::kString) {
-        ok = false;
-        break;
-      }
-      auto [it, inserted] =
-          code_of.emplace(v.string_value(), static_cast<uint32_t>(code_of.size()));
-      if (inserted) {
-        if (code_of.size() > kMotionDictMaxEntries) {
-          ok = false;
-          break;
-        }
-        column.values.push_back(v);  // shares its first occurrence's body
-      }
-      codes.push_back(it->second);
-    }
-    if (!ok) {
-      column.values.clear();
-      continue;
-    }
-    column.dict_encoded = true;
-    column.codes = std::move(codes);
-    any_encoded = true;
-  }
-  if (!any_encoded) return std::nullopt;
-
-  // Second pass transposes the remaining columns by move and totals the
-  // bytes-shipped accounting.
-  for (size_t c = 0; c < width; ++c) {
-    MotionColumn& column = batch.columns[c];
-    if (column.dict_encoded) continue;
-    column.values.reserve(n);
-    for (size_t i = 0; i < n; ++i) column.values.push_back(std::move(rows[i][c]));
-  }
-  for (size_t c = 0; c < width; ++c) {
-    const MotionColumn& column = batch.columns[c];
-    const size_t value_bytes = DatumVectorBytes(column.values);
-    if (column.dict_encoded) {
-      const size_t encoded = value_bytes + column.codes.size() * sizeof(uint32_t);
-      // Plain cost of a dict column = every row's value at full width.
-      size_t plain = n * kModelledPlainDatumBytes;
-      for (size_t i = 0; i < n; ++i) {
-        if (column.codes[i] != EncodedColumnChunk::kNullCode) {
-          plain += column.values[column.codes[i]].string_value().size();
-        }
-      }
-      batch.plain_bytes += plain;
-      batch.encoded_bytes += encoded;
-    } else {
-      batch.plain_bytes += value_bytes;
-      batch.encoded_bytes += value_bytes;
-    }
-  }
-  rows.clear();
-  return batch;
 }
 
 }  // namespace mppdb

@@ -2,7 +2,6 @@
 #define MPPDB_STORAGE_COLUMN_STORE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,40 +120,6 @@ SliceSynopsis SynopsisFromColumns(const SliceColumns& cols);
 /// semantics for every field a skip decision may trust (min/max only while
 /// `comparable`; counts always).
 void MergeColumnSummary(ColumnSynopsis* into, const ColumnSynopsis& summary);
-
-// ---------------------------------------------------------------------------
-// Motion batch encoding: dictionary-coded columns stay encoded across the
-// wire (per-destination and broadcast buffers), shrinking the exchange's
-// in-flight footprint. Row-order lossless; decoded at the receiving segment.
-// ---------------------------------------------------------------------------
-
-struct MotionColumn {
-  bool dict_encoded = false;
-  /// dict_encoded: distinct values in first-appearance order; else the plain
-  /// per-row values.
-  std::vector<Datum> values;
-  /// dict_encoded only: one code per row; EncodedColumnChunk::kNullCode = NULL.
-  std::vector<uint32_t> codes;
-};
-
-struct EncodedRowBatch {
-  size_t num_rows = 0;
-  std::vector<MotionColumn> columns;
-  size_t plain_bytes = 0;
-  size_t encoded_bytes = 0;
-
-  std::vector<Row> Decode() const;
-};
-
-/// Columns eligible for Motion dictionary transfer: batches this small ship
-/// cheaper as rows, and dictionaries past this cardinality stop paying.
-inline constexpr size_t kMotionEncodeMinRows = 256;
-inline constexpr size_t kMotionDictMaxEntries = 64;
-
-/// Dictionary-encodes the batch if at least one string column's cardinality
-/// stays within kMotionDictMaxEntries; returns nullopt (rows untouched) when
-/// no column qualifies. On success `rows` is consumed.
-std::optional<EncodedRowBatch> TryEncodeMotionBatch(std::vector<Row>&& rows);
 
 }  // namespace mppdb
 

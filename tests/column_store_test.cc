@@ -3,8 +3,7 @@
 // profiles), encode-time stats parity with the row-order AddValue fold,
 // synopsis assembly from encoded chunks without decoding, encoded-data
 // predicate evaluation against the row-at-a-time oracle (three-valued
-// verdicts included), exact NDV from dictionaries, and Motion batch
-// dictionary transfer.
+// verdicts included), and exact NDV from dictionaries.
 
 #include <gtest/gtest.h>
 
@@ -441,47 +440,6 @@ TEST(ExactDistinctTest, RowOrientedTablesFallBackToEstimate) {
   db.Insert(table, {{Datum::Int64(1)}, {Datum::Int64(2)}});
   EXPECT_FALSE(
       db.storage.GetStore(table->oid)->ExactDistinctFromDictionaries(0).has_value());
-}
-
-// --- Motion batch dictionary transfer ----------------------------------------
-
-TEST(MotionEncodingTest, LowCardinalityStringBatchRoundTrips) {
-  std::vector<Row> rows;
-  for (int i = 0; i < 600; ++i) {
-    rows.push_back({Datum::Int64(i), Datum::String(i % 2 == 0 ? "even" : "odd"),
-                    i % 5 == 0 ? Datum::Null() : Datum::String("grp")});
-  }
-  std::vector<Row> original = rows;
-  std::optional<EncodedRowBatch> batch = TryEncodeMotionBatch(std::move(rows));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->num_rows, 600u);
-  EXPECT_LT(batch->encoded_bytes, batch->plain_bytes);
-  std::vector<Row> decoded = batch->Decode();
-  ASSERT_EQ(decoded.size(), original.size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    ASSERT_EQ(decoded[i].size(), original[i].size());
-    for (size_t c = 0; c < original[i].size(); ++c) {
-      EXPECT_TRUE(SameDatum(decoded[i][c], original[i][c])) << i << "," << c;
-    }
-  }
-}
-
-TEST(MotionEncodingTest, SmallOrHighCardinalityBatchesDecline) {
-  // Too few rows to pay for a dictionary.
-  std::vector<Row> small;
-  for (size_t i = 0; i < kMotionEncodeMinRows - 1; ++i) {
-    small.push_back({Datum::String("x")});
-  }
-  std::vector<Row> small_copy = small;
-  EXPECT_FALSE(TryEncodeMotionBatch(std::move(small)).has_value());
-  EXPECT_EQ(small.size(), small_copy.size());  // declined: rows untouched
-
-  // Every string distinct: no column qualifies.
-  std::vector<Row> wide;
-  for (int i = 0; i < 600; ++i) {
-    wide.push_back({Datum::String("unique_" + std::to_string(i))});
-  }
-  EXPECT_FALSE(TryEncodeMotionBatch(std::move(wide)).has_value());
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // column-oriented table returns bit-identical rows and (modulo the encoded-
 // path counters, which are exactly what the fast path is allowed to change)
 // bit-identical ExecStats to the row-store oracle, across
-// {1 worker, pool} x {skipping on, off} x {encoded eval on, off},
-// including error outcomes.
+// {1 worker, pool} x {skipping on, off}, including error outcomes. Encoded
+// evaluation follows each partition's orientation: the row-store oracle
+// never takes it.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,6 @@ class ColumnarExecTest : public ::testing::Test {
         col_(3),
         col_par_(3, Executor::Options{.workers = 0}),
         col_noskip_(3, Executor::Options{.data_skipping = false}),
-        col_noenc_(3, Executor::Options{.encoded_eval = false}),
         mixed_(3) {
     Random rng(9001);
     std::vector<Row> sales_rows;
@@ -77,10 +77,10 @@ class ColumnarExecTest : public ::testing::Test {
   }
 
   std::vector<Database*> AllDbs() {
-    return {&row_, &col_, &col_par_, &col_noskip_, &col_noenc_, &mixed_};
+    return {&row_, &col_, &col_par_, &col_noskip_, &mixed_};
   }
   std::vector<Database*> ColumnDbs() {
-    return {&col_, &col_par_, &col_noskip_, &col_noenc_};
+    return {&col_, &col_par_, &col_noskip_};
   }
 
   // The encoded fast path may only change its own counters; everything the
@@ -112,14 +112,12 @@ class ColumnarExecTest : public ::testing::Test {
       const bool skipping = db->exec_options().data_skipping;
       EXPECT_TRUE(reference->rows == mode->rows)
           << sql << " (workers=" << db->exec_options().workers
-          << " skipping=" << skipping
-          << " encoded=" << db->exec_options().encoded_eval << ")";
+          << " skipping=" << skipping << ")";
       ExecStats mode_stats = mode->stats;
       ZeroEncodedCounters(&mode_stats);
       if (skipping) {
         EXPECT_TRUE(reference->stats == mode_stats)
-            << sql << " (workers=" << db->exec_options().workers
-            << " encoded=" << db->exec_options().encoded_eval << ")";
+            << sql << " (workers=" << db->exec_options().workers << ")";
       } else {
         ZeroSkipCounters(&mode_stats);
         EXPECT_TRUE(reference_noskip == mode_stats) << sql << " (skipping off)";
@@ -137,7 +135,6 @@ class ColumnarExecTest : public ::testing::Test {
   Database col_;
   Database col_par_;
   Database col_noskip_;
-  Database col_noenc_;
   Database mixed_;
 };
 
@@ -177,11 +174,11 @@ TEST_F(ColumnarExecTest, EncodedEvalActuallyEngages) {
   EXPECT_GT(result->stats.encoded_bytes_scanned, 0u);
   // Late materialization touches only survivors, a strict subset here.
   EXPECT_LT(result->stats.rows_late_materialized, result->stats.tuples_scanned);
-  // With the switch off the counters must stay dark.
-  auto off = col_noenc_.Run("SELECT count(*) FROM sales WHERE tag = 't1'");
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->stats.chunks_encoded_eval, 0u);
-  EXPECT_EQ(off->stats.rows_late_materialized, 0u);
+  // Row-oriented partitions never take the encoded path.
+  auto row = row_.Run("SELECT count(*) FROM sales WHERE tag = 't1'");
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(row->stats.chunks_encoded_eval, 0u);
+  EXPECT_EQ(row->stats.rows_late_materialized, 0u);
 }
 
 TEST_F(ColumnarExecTest, ErrorOutcomesMatchRowOracle) {
@@ -194,8 +191,7 @@ TEST_F(ColumnarExecTest, ErrorOutcomesMatchRowOracle) {
   for (Database* db : ColumnDbs()) {
     auto mode = db->Run(sql);
     ASSERT_FALSE(mode.ok()) << "workers=" << db->exec_options().workers
-                            << " skipping=" << db->exec_options().data_skipping
-                            << " encoded=" << db->exec_options().encoded_eval;
+                            << " skipping=" << db->exec_options().data_skipping;
     EXPECT_EQ(mode.status().code(), reference.status().code());
   }
 }

@@ -1,7 +1,12 @@
 // SQL DDL tests: CREATE TABLE with GPDB-style DISTRIBUTED BY and
-// PARTITION BY RANGE/LIST clauses (paper §3.2), plus DROP TABLE.
+// PARTITION BY RANGE/LIST clauses (paper §3.2), plus DROP TABLE, and the
+// typed writes every declared column type implies: INSERT and UPDATE reject
+// a value of another type family at bind time.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "test_util.h"
@@ -163,6 +168,163 @@ TEST(DdlTest, OverlappingOrIncomparableBoundsFailTyped) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->rows.size(), 1u);
   EXPECT_EQ(rows->rows[0][0].AsInt64(), 8);
+}
+
+// A string written into an INT partition key would compare a string with an
+// integer in f_T, and a string UPDATEd into a DOUBLE column would break
+// every later comparison on it. Both are kBindError, and the database serves
+// the next statement.
+TEST(TypedWriteTest, StringIntoIntPartitionKeyIsABindError) {
+  Database db(2);
+  ASSERT_TRUE(db.Run("CREATE TABLE t (k int, v varchar) DISTRIBUTED BY (k) "
+                     "PARTITION BY RANGE (k) START 0 END 100 EVERY 10")
+                  .ok());
+  auto insert = db.Run("INSERT INTO t VALUES ('x', 'y')");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().code(), StatusCode::kBindError) << insert.status().ToString();
+  auto count = db.Run("SELECT count(*) FROM t WHERE k >= 0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), 0);
+}
+
+TEST(TypedWriteTest, StringUpdatedIntoDoubleIsABindError) {
+  Database db(2);
+  ASSERT_TRUE(db.Run("CREATE TABLE s (k int, q double) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(db.Run("INSERT INTO s VALUES (1, 2.5)").ok());
+  auto update = db.Run("UPDATE s SET q = 'abc'");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kBindError) << update.status().ToString();
+  auto count = db.Run("SELECT count(*) FROM s WHERE q > 1.0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), 1);
+}
+
+// Every (column type, written value, statement form, key or non-key column)
+// combination. A value of the column's type family is written as is
+// (numeric into numeric keeps its own type, a date string literal coerces to
+// DATE) and the statement succeeds; any other family is a kBindError; NULL
+// always binds, but a NULL partition key maps to no partition of these
+// tables (they have no DEFAULT partition), a typed kOutOfRange. After every
+// statement the table still counts and filters on the written column, and
+// only a successful INSERT changed the row count.
+TEST(TypedWriteTest, WritesOfEveryTypeIntoEveryColumnType) {
+  struct ColumnType {
+    const char* sql;        // declared type
+    std::string family;     // "num", "date" or "str"
+    const char* partition;  // PARTITION BY clause on k
+    const char* valid;      // a literal that routes to a partition
+  };
+  const std::vector<ColumnType> column_types = {
+      {"int", "num", "RANGE (k) START 0 END 100 EVERY 10", "5"},
+      {"bigint", "num", "RANGE (k) START 0 END 100 EVERY 10", "5"},
+      {"double", "num", "RANGE (k) START 0 END 100 EVERY 10", "5.5"},
+      {"date", "date",
+       "RANGE (k) START '1970-01-01' END '1970-04-11' EVERY 10",
+       "DATE '1970-01-06'"},
+      {"varchar", "str", "LIST (k) VALUES ('7', '7.5', 'abc', '1970-01-08')",
+       "'abc'"},
+  };
+  struct Value {
+    const char* literal;  // for VALUES and UPDATE SET
+    const char* column;   // the same value as a column of src
+    std::string family;   // "num", "str", "date string" or "null"
+  };
+  const std::vector<Value> values = {
+      {"7", "i", "num"},
+      {"7.5", "d", "num"},
+      {"'abc'", "s", "str"},
+      {"'1970-01-08'", "ds", "date string"},
+      {"NULL", "n", "null"},
+  };
+  enum class Form { kValues, kSelect, kUpdate };
+
+  for (const ColumnType& type : column_types) {
+    Database db(2);
+    ASSERT_TRUE(db.Run(std::string("CREATE TABLE t (id bigint, k ") + type.sql +
+                       ", v " + type.sql + ") DISTRIBUTED BY (id) PARTITION BY " +
+                       type.partition)
+                    .ok())
+        << type.sql;
+    ASSERT_TRUE(db.Run("CREATE TABLE src (i bigint, d double, s varchar, "
+                       "ds varchar, n bigint)")
+                    .ok());
+    ASSERT_TRUE(
+        db.Run("INSERT INTO src VALUES (7, 7.5, 'abc', '1970-01-08', NULL)").ok());
+    ASSERT_TRUE(db.Run(std::string("INSERT INTO t VALUES (1, ") + type.valid + ", " +
+                       type.valid + ")")
+                    .ok())
+        << type.sql;
+    int64_t rows = 1;
+    int64_t next_id = 2;
+
+    for (const Value& value : values) {
+      for (Form form : {Form::kValues, Form::kSelect, Form::kUpdate}) {
+        for (const char* column : {"k", "v"}) {
+          const bool key = column[0] == 'k';
+          const bool is_null = value.family == "null";
+          // What the value is once bound: a date string literal coerces to
+          // DATE in a DATE column's VALUES or SET; a varchar column of src
+          // does not.
+          std::string family = value.family;
+          if (family == "date string") {
+            family = type.family == "date" && form != Form::kSelect ? "date" : "str";
+          }
+          const bool comparable =
+              family == type.family || (family != "str" && type.family != "str");
+
+          std::string sql;
+          const std::string id = std::to_string(next_id);
+          switch (form) {
+            case Form::kValues:
+              sql = "INSERT INTO t VALUES (" + id + ", " +
+                    (key ? value.literal : type.valid) + ", " +
+                    (key ? type.valid : value.literal) + ")";
+              break;
+            case Form::kSelect: {
+              const std::string written = is_null ? "NULL" : value.column;
+              sql = "INSERT INTO t SELECT " + id + ", " +
+                    (key ? written : type.valid) + ", " +
+                    (key ? type.valid : written) + " FROM src";
+              break;
+            }
+            case Form::kUpdate:
+              sql = std::string("UPDATE t SET ") + column + " = " + value.literal +
+                    " WHERE id = 1";
+              break;
+          }
+          auto result = db.Run(sql);
+          if (is_null && key) {
+            ASSERT_FALSE(result.ok()) << sql;
+            EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+                << sql << ": " << result.status().ToString();
+          } else if (is_null || comparable) {
+            ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+          } else {
+            ASSERT_FALSE(result.ok()) << sql;
+            EXPECT_EQ(result.status().code(), StatusCode::kBindError)
+                << sql << ": " << result.status().ToString();
+          }
+          if (result.ok() && form != Form::kUpdate) {
+            ++rows;
+            ++next_id;
+          } else if (result.ok()) {
+            // Put row 1 back so the next UPDATE starts from a valid row.
+            ASSERT_TRUE(db.Run(std::string("UPDATE t SET ") + column + " = " +
+                               type.valid + " WHERE id = 1")
+                            .ok())
+                << sql;
+          }
+
+          auto count = db.Run("SELECT count(*) FROM t");
+          ASSERT_TRUE(count.ok()) << sql << ": " << count.status().ToString();
+          EXPECT_EQ(count->rows[0][0].AsInt64(), rows) << sql;
+          auto filtered = db.Run(std::string("SELECT count(*) FROM t WHERE ") +
+                                 column + " >= " + type.valid);
+          ASSERT_TRUE(filtered.ok()) << sql << ": " << filtered.status().ToString();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

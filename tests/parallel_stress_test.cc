@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <thread>
@@ -459,11 +460,11 @@ TEST(ParallelStressTest, MorselDispatchRandomGranularitiesAndPoolSizes) {
     const int max_workers = 1 + static_cast<int>(rng() % 4);
     // Random granularity in [1, 3000]: mostly unaligned, rounded up to a
     // chunk multiple internally; small values mean many morsels per slice.
-    const size_t morsel_rows = 1 + rng() % 3000;
-    const bool morsels = iteration % 5 != 4;  // sprinkle morsels-off runs
+    size_t morsel_rows = 1 + rng() % 3000;
+    // Sprinkle whole-slice runs: SIZE_MAX saturates to one morsel per slice.
+    if (iteration % 5 == 4) morsel_rows = SIZE_MAX;
     Executor parallel(&db.catalog, &db.storage,
                       Executor::Options{.workers = max_workers,
-                                        .morsels = morsels,
                                         .morsel_rows = morsel_rows});
     auto result = parallel.Execute(plan);
     ASSERT_TRUE(result.ok()) << "workers=" << max_workers << " morsel_rows="

@@ -10,9 +10,10 @@
 // query results, only the partitions touched.
 //
 // Each query additionally runs through the executor-mode matrix
-// {1 worker, pool} x {data skipping on, off} x {morsels on, off,
-// fine-grained} x {row-store, column-store, mixed-per-partition} — the
-// morsel legs use a 4-worker pool above the 3 segments, and the
+// {1 worker, pool} x {data skipping on, off} x {default, whole-slice,
+// fine-grained morsels} x {row-store, column-store, mixed-per-partition} —
+// the morsel legs use a 4-worker pool above the 3 segments, the whole-slice
+// leg sets morsel_rows = SIZE_MAX (one morsel per slice), and the
 // fine-grained leg forces 1024-row morsels so steals and per-morsel stat
 // shards are exercised — asserting bit-identical rows and ExecStats against
 // the 1-worker run (zone-map skip counters are zeroed before comparing
@@ -47,6 +48,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -244,7 +246,7 @@ class RandomQueryTest : public ::testing::Test {
         db_noskip_parallel_(3, Executor::Options{.workers = 0,
                                                  .data_skipping = false}),
         db_parallel_nomorsel_(3, Executor::Options{.workers = 4,
-                                                   .morsels = false}),
+                                                   .morsel_rows = SIZE_MAX}),
         db_parallel_fine_(3, Executor::Options{.workers = 4,
                                                .morsel_rows = 1024}),
         db_column_(3),
@@ -391,19 +393,17 @@ class RandomQueryTest : public ::testing::Test {
     // Independent oracle first: the 1-worker run must match SQLite.
     CheckAgainstSqlite(sql, reference->rows);
 
-    // Executor-mode matrix: 1 worker vs a pool with morsels on, off and
-    // fine-grained must be bit-identical — same rows in the same order,
-    // same ExecStats.
+    // Executor-mode matrix: 1 worker vs a pool with default, whole-slice
+    // (SIZE_MAX) and fine-grained morsels must be bit-identical — same rows
+    // in the same order, same ExecStats.
     for (Database* db : {&db_parallel_, &db_parallel_nomorsel_, &db_parallel_fine_}) {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
       EXPECT_TRUE(reference->rows == mode_result->rows)
-          << sql << " (morsel_rows=" << db->exec_options().morsel_rows
-          << " morsels=" << db->exec_options().morsels << ")";
+          << sql << " (morsel_rows=" << db->exec_options().morsel_rows << ")";
       EXPECT_TRUE(reference->stats == mode_result->stats)
-          << sql << " (morsel_rows=" << db->exec_options().morsel_rows
-          << " morsels=" << db->exec_options().morsels << ")";
+          << sql << " (morsel_rows=" << db->exec_options().morsel_rows << ")";
     }
 
     // Storage axis: row-store, column-store, and mixed-per-partition must
