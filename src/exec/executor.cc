@@ -13,7 +13,6 @@
 #include "exec/join_hash.h"
 #include "expr/constraint_derivation.h"
 #include "expr/vector_eval.h"
-#include "runtime/partition_functions.h"
 #include "runtime/spill/row_codec.h"
 #include "runtime/spill/spill_file.h"
 
@@ -973,7 +972,7 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
       }
       const Oid oid = scheme.RouteValues(key_values);
       if (oid != kInvalidOid) {
-        partition_functions::PartitionPropagation(&hub_, segment, node.scan_id(), oid);
+        hub_.Push(segment, node.scan_id(), oid);
       }
     }
     return rows;

@@ -118,7 +118,8 @@ Status RequireNumeric(const ExprPtr& expr) {
 // A written value must be of its column's type family (TypesComparable), so
 // routing and later comparisons never meet a mixed-family column. Numeric
 // values keep their own type in a numeric column. NULL and parameters (typed
-// only at execution) are always accepted.
+// only at execution) are always accepted here; a parameter value of another
+// family is rejected when storage routes the row (TableStore::RouteUnits).
 Status RequireWritable(const ExprPtr& value, const Column& column) {
   if (value->kind() == ExprKind::kParam) return Status::OK();
   if (value->kind() == ExprKind::kConst &&

@@ -66,6 +66,17 @@ Result<std::vector<uint32_t>> TableStore::RouteUnits(
     if (row.size() != desc_->schema.size()) {
       return Status::InvalidArgument("row arity mismatch for table " + desc_->name);
     }
+    // A value of another type family (a string into an INT key, say) would
+    // abort f_T's comparisons or corrupt every later one on its column.
+    for (size_t c = 0; c < row.size(); ++c) {
+      const Column& column = desc_->schema.column(c);
+      if (!row[c].is_null() && !TypesComparable(row[c].type(), column.type)) {
+        return Status::InvalidArgument(
+            "cannot write " + std::string(TypeIdToString(row[c].type())) + " value " +
+            row[c].ToString() + " into " + TypeIdToString(column.type) + " column " +
+            column.name + " of " + desc_->name);
+      }
+    }
     uint32_t unit = 0;  // an unpartitioned table's one unit
     if (desc_->IsPartitioned()) {
       const size_t leaf = desc_->partition_scheme->RouteTupleLeaf(row);

@@ -93,8 +93,10 @@ class TableStore {
 
   /// Routes each row to its leaf partition (f_T) and segment (distribution)
   /// and appends it, slice by slice. All-or-nothing: fails with
-  /// InvalidArgument on an arity mismatch, or OutOfRange if the partition
-  /// scheme maps a row to the invalid partition ⊥, and then changes nothing.
+  /// InvalidArgument on an arity mismatch or a non-NULL value whose type
+  /// family differs from its column's (TypesComparable), or OutOfRange if the
+  /// partition scheme maps a row to the invalid partition ⊥, and then changes
+  /// nothing.
   Status InsertBatch(const std::vector<Row>& rows);
   /// The error InsertBatch(rows) would return, without writing anything.
   Status CheckBatch(const std::vector<Row>& rows) const {

@@ -1,7 +1,8 @@
 // SQL DDL tests: CREATE TABLE with GPDB-style DISTRIBUTED BY and
 // PARTITION BY RANGE/LIST clauses (paper §3.2), plus DROP TABLE, and the
 // typed writes every declared column type implies: INSERT and UPDATE reject
-// a value of another type family at bind time.
+// a value of another type family at bind time, and storage rejects one that
+// is typed only at execution ($n parameters, Database::Load).
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,58 @@ TEST(TypedWriteTest, StringUpdatedIntoDoubleIsABindError) {
   auto count = db.Run("SELECT count(*) FROM s WHERE q > 1.0");
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(count->rows[0][0].AsInt64(), 1);
+}
+
+// A $n parameter is typed only at execution, so the binder accepts it;
+// storage rejects a value of another family before f_T routes the row. The
+// UPDATE would otherwise store 'abc' in a DOUBLE column, the INSERT ... SELECT
+// and the Load would abort the process comparing a string with an INT bound.
+// Each fails with kInvalidArgument, leaves the table as it was, and the
+// database serves the next statement.
+TEST(TypedWriteTest, StringParamUpdatedIntoDoubleIsInvalidArgument) {
+  Database db(2);
+  ASSERT_TRUE(db.Run("CREATE TABLE s (k int, q double) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(db.Run("INSERT INTO s VALUES (1, 2.5)").ok());
+  QueryOptions options;
+  options.params = {Datum::String("abc")};
+  auto update = db.Run("UPDATE s SET q = $1", options);
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument)
+      << update.status().ToString();
+  auto count = db.Run("SELECT count(*) FROM s WHERE q > 1.0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), 1);
+}
+
+TEST(TypedWriteTest, StringParamInsertedIntoIntPartitionKeyIsInvalidArgument) {
+  Database db(2);
+  ASSERT_TRUE(db.Run("CREATE TABLE t (k int, v varchar) DISTRIBUTED BY (k) "
+                     "PARTITION BY RANGE (k) START 0 END 100 EVERY 10")
+                  .ok());
+  ASSERT_TRUE(db.Run("CREATE TABLE s (k int, q double) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(db.Run("INSERT INTO s VALUES (1, 2.5)").ok());
+  QueryOptions options;
+  options.params = {Datum::String("x")};
+  auto insert = db.Run("INSERT INTO t SELECT $1, 'y' FROM s", options);
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument)
+      << insert.status().ToString();
+  auto count = db.Run("SELECT count(*) FROM t WHERE k >= 0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), 0);
+}
+
+TEST(TypedWriteTest, LoadOfStringIntoIntPartitionKeyIsInvalidArgument) {
+  Database db(2);
+  ASSERT_TRUE(db.Run("CREATE TABLE t (k int, v varchar) DISTRIBUTED BY (k) "
+                     "PARTITION BY RANGE (k) START 0 END 100 EVERY 10")
+                  .ok());
+  Status load = db.Load("t", {{Datum::Int32(5), Datum::String("a")},
+                              {Datum::String("x"), Datum::String("y")}});
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
+  auto count = db.Run("SELECT count(*) FROM t WHERE k >= 0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), 0);
 }
 
 // Every (column type, written value, statement form, key or non-key column)

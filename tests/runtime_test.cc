@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "runtime/partition_functions.h"
 #include "runtime/propagation.h"
 #include "test_util.h"
 
@@ -10,72 +9,54 @@ namespace {
 using testutil::D;
 using testutil::TestDb;
 
+// The paper's Table 1 built-ins are PartitionScheme methods
+// (partition_expansion = AllLeafOids, partition_selection = RouteValues,
+// partition_constraints = Leaves) and PartitionPropagationHub::Push
+// (partition_propagation).
 class PartitionFunctionsTest : public ::testing::Test {
  protected:
   PartitionFunctionsTest() { orders_ = db_.CreateOrdersTable(24); }
+  const PartitionScheme& scheme() const { return *orders_->partition_scheme; }
   TestDb db_{2};
   const TableDescriptor* orders_ = nullptr;
 };
 
 TEST_F(PartitionFunctionsTest, PartitionExpansion) {
   // Table 1: partition_expansion(rootOid) returns all child partition OIDs.
-  auto oids = partition_functions::PartitionExpansion(db_.catalog, orders_->oid);
-  ASSERT_TRUE(oids.ok());
-  EXPECT_EQ(oids->size(), 24u);
-}
-
-TEST_F(PartitionFunctionsTest, PartitionExpansionErrors) {
-  EXPECT_EQ(partition_functions::PartitionExpansion(db_.catalog, 424242).status().code(),
-            StatusCode::kNotFound);
-  const TableDescriptor* plain =
-      db_.CreatePlainTable("plain", Schema({{"x", TypeId::kInt64}}));
-  EXPECT_EQ(partition_functions::PartitionExpansion(db_.catalog, plain->oid)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scheme().AllLeafOids().size(), 24u);
 }
 
 TEST_F(PartitionFunctionsTest, PartitionSelection) {
   // Table 1: partition_selection(rootOid, value) = OID of the child holding
   // the value; ⊥ (kInvalidOid) outside the domain.
-  auto oid = partition_functions::PartitionSelection(db_.catalog, orders_->oid,
-                                                     D("2013-07-04"));
-  ASSERT_TRUE(oid.ok());
-  EXPECT_EQ(*oid, orders_->partition_scheme->RouteValues({D("2013-07-01")}));
-  auto missing = partition_functions::PartitionSelection(db_.catalog, orders_->oid,
-                                                         D("2031-01-01"));
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(*missing, kInvalidOid);
-  // Wrong number of key values is an error.
-  EXPECT_FALSE(partition_functions::PartitionSelection(
-                   db_.catalog, orders_->oid,
-                   std::vector<Datum>{D("2013-07-04"), Datum::Int64(1)})
-                   .ok());
+  const Oid oid = scheme().RouteValues({D("2013-07-04")});
+  EXPECT_NE(oid, kInvalidOid);
+  EXPECT_EQ(oid, scheme().RouteValues({D("2013-07-01")}));
+  EXPECT_EQ(scheme().RouteValues({D("2031-01-01")}), kInvalidOid);
 }
 
 TEST_F(PartitionFunctionsTest, PartitionConstraints) {
   // Table 1: partition_constraints(rootOid) returns (OID, interval) rows;
   // Fig. 15(b)'s range-based selection filters over these.
-  auto leaves = partition_functions::PartitionConstraints(db_.catalog, orders_->oid);
-  ASSERT_TRUE(leaves.ok());
-  ASSERT_EQ(leaves->size(), 24u);
+  const std::vector<LeafPartitionInfo>& leaves = scheme().Leaves();
+  ASSERT_EQ(leaves.size(), 24u);
   // Count partitions whose range starts before 2012-04-01 — the Fig. 15(b)
   // pattern "range_start < constant": 3 partitions (Jan, Feb, Mar 2012).
   int selected = 0;
-  for (const LeafPartitionInfo& leaf : *leaves) {
+  for (const LeafPartitionInfo& leaf : leaves) {
     const Interval& range = leaf.level_constraints[0].intervals()[0];
     if (Datum::Compare(range.lo().value, D("2012-04-01")) < 0) ++selected;
   }
   EXPECT_EQ(selected, 3);
 }
 
-TEST_F(PartitionFunctionsTest, PartitionPropagation) {
+TEST(PropagationHubTest, PushFillsOnlyItsOwnChannel) {
   // Table 1: partition_propagation(scanId, oid) pushes into the channel the
   // DynamicScan with that id consumes.
   PartitionPropagationHub hub(2);
-  partition_functions::PartitionPropagation(&hub, 0, 7, 101);
-  partition_functions::PartitionPropagation(&hub, 0, 7, 102);
-  partition_functions::PartitionPropagation(&hub, 0, 7, 101);  // duplicate
+  hub.Push(0, 7, 101);
+  hub.Push(0, 7, 102);
+  hub.Push(0, 7, 101);  // duplicate
   ASSERT_TRUE(hub.HasChannel(0, 7));
   EXPECT_EQ(hub.Selected(0, 7), (std::vector<Oid>{101, 102}));
   // Other segments/scans unaffected.
