@@ -154,6 +154,39 @@ void BM_FilterScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterScan)->Arg(1)->Arg(10)->Arg(50);
 
+// HashAgg over 120k rows with state.range(0) distinct keys: count(*) and a
+// double sum of a bare column, grouped on an int64. One segment, so the plan
+// is the aggregate over one storage slice read in place.
+void BM_HashAggGroups(benchmark::State& state) {
+  const int64_t groups = state.range(0);
+  Database db(1);
+  MPPDB_CHECK(db.CreateTable("bm_agg",
+                             Schema({{"g", TypeId::kInt64}, {"v", TypeId::kDouble}}),
+                             TableDistribution::kHashed, {0})
+                  .ok());
+  std::vector<Row> rows;
+  rows.reserve(120000);
+  for (int64_t i = 0; i < 120000; ++i) {
+    rows.push_back({Datum::Int64(i * 7919 % groups), Datum::Double(0.25 * (i % 13))});
+  }
+  MPPDB_CHECK(db.Load("bm_agg", rows).ok());
+  const TableDescriptor* t = db.catalog().FindTable("bm_agg");
+  auto scan = std::make_shared<TableScanNode>(t->oid, t->oid, std::vector<ColRefId>{1, 2});
+  PhysPtr plan = std::make_shared<HashAggNode>(
+      std::vector<ColRefId>{1},
+      std::vector<AggItem>{{AggFunc::kCountStar, nullptr, 3, "cnt"},
+                           {AggFunc::kSum, MakeColumnRef(2, "v", TypeId::kDouble), 4,
+                            "sv"}},
+      scan);
+  Executor exec(&db.catalog(), &db.storage());
+  for (auto _ : state) {
+    auto result = exec.Execute(plan);
+    MPPDB_CHECK(result.ok() && result->size() == static_cast<size_t>(groups));
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_HashAggGroups)->Arg(1)->Arg(1000)->Arg(100000);
+
 void BM_ExecutePrunedScan(benchmark::State& state) {
   static Database* db = [] {
     auto* database = new Database(4);

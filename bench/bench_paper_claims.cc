@@ -139,6 +139,8 @@ void Table3AndFig16() {
   };
   const char* paper_shares[kBuckets] = {"11%", "3%", "80%", "3%", "3%"};
   std::vector<int> buckets(kBuckets, 0);
+  // "Equal" queries under which neither optimizer eliminates anything.
+  std::vector<std::string> equal_none;
   std::map<std::string, size_t> orca_counts, planner_counts;
 
   const std::vector<workload::WorkloadQuery> queries = workload::TpcdsQueries(config);
@@ -182,6 +184,7 @@ void Table3AndFig16() {
       bucket = kOrcaFewer;
     }
     ++buckets[bucket];
+    if (bucket == kEqual && !orca_eliminates) equal_none.push_back(query.name);
     std::printf("%-28s %14zu %14zu   %s\n", query.name.c_str(), orca_scanned,
                 planner_scanned, bucket_names[bucket]);
   }
@@ -194,6 +197,11 @@ void Table3AndFig16() {
     std::printf("%-46s %3d %4.0f%% %8s\n", bucket_names[b], buckets[b],
                 buckets[b] / n * 100, paper_shares[b]);
   }
+  std::string names;
+  for (const std::string& name : equal_none) names += (names.empty() ? "" : ", ") + name;
+  std::printf("(report-only) %zu of the %d \"equal\" queries eliminate nothing under "
+              "either optimizer: %s\n",
+              equal_none.size(), buckets[kEqual], names.c_str());
 
   std::printf("\nFigure 16 (paper: Orca <= Planner on every table, up to ~80%% saved)\n");
   std::printf("%-18s %14s %10s %14s\n", "table", "Planner parts", "Orca parts",

@@ -74,7 +74,7 @@ inline Result<std::vector<int>> ResolvePositions(const ColumnLayout& layout,
   return positions;
 }
 
-/// A join/group key viewed in place inside a materialized row, with its hash
+/// A hash-join key viewed in place inside a materialized row, with its hash
 /// precomputed by a batch pass. Unlike JoinKey, no datums are copied:
 /// equality first compares the cached hashes (rejecting almost all bucket
 /// collisions with one integer compare) and only then falls back to

@@ -16,9 +16,10 @@
 // fallback).
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -58,9 +59,9 @@ void IdentitySel(size_t base, size_t end, SelVec* sel) {
   for (size_t i = base; i < end; ++i) sel->push_back(static_cast<uint32_t>(i));
 }
 
-/// Batch kernel for the join-filter probe: the CombineKeyHash fold of the
-/// key columns for every row in `sel` (same formula as HashRowKeys and as
-/// the summary's own key hash).
+/// Batch key-hash kernel for the join-filter probe and HashAgg's group ids:
+/// the CombineKeyHash fold of the key columns for every row in `sel` (same
+/// formula as HashRowKeys and as the summary's own key hash).
 void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
                     const std::vector<int>& positions,
                     std::vector<uint64_t>* hashes) {
@@ -112,6 +113,71 @@ class InputBatches {
   /// Rows of the concatenated input consumed so far.
   size_t offset_ = 0;
   bool grid_start_ = false;
+};
+
+/// HashAgg's group index: a power-of-two table of group ids, probed
+/// linearly and doubled at half full. A group's stored key hash rejects
+/// almost every collision before its JoinKey is compared.
+class GroupIndex {
+ public:
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
+
+  /// The group of `row`'s key at `positions`, or kNoGroup with `*slot` set
+  /// to where Insert places it.
+  uint32_t Find(const Row& row, const std::vector<int>& positions, uint64_t hash,
+                size_t* slot) const {
+    for (*slot = Home(hash);; *slot = (*slot + 1) & (slots_.size() - 1)) {
+      const uint32_t g = slots_[*slot];
+      if (g == kNoGroup || (hashes_[g] == hash && SameKey(row, positions, keys_[g]))) {
+        return g;
+      }
+    }
+  }
+
+  /// Adds a group at the `slot` Find returned; returns its id.
+  uint32_t Insert(size_t slot, uint64_t hash, JoinKey key) {
+    slots_[slot] = static_cast<uint32_t>(keys_.size());
+    hashes_.push_back(hash);
+    keys_.push_back(std::move(key));
+    if (2 * keys_.size() > slots_.size()) {
+      slots_.assign(2 * slots_.size(), kNoGroup);
+      for (uint32_t g = 0; g < keys_.size(); ++g) {
+        size_t s = Home(hashes_[g]);
+        while (slots_[s] != kNoGroup) s = (s + 1) & (slots_.size() - 1);
+        slots_[s] = g;
+      }
+    }
+    return static_cast<uint32_t>(keys_.size() - 1);
+  }
+
+  /// The group keys in id (first-appearance) order.
+  std::vector<JoinKey>& keys() { return keys_; }
+
+ private:
+  /// JoinKey::operator== of the row's key and `key`, BIGINT pairs inline.
+  static bool SameKey(const Row& row, const std::vector<int>& positions,
+                      const JoinKey& key) {
+    for (size_t i = 0; i < positions.size(); ++i) {
+      const Datum& a = row[static_cast<size_t>(positions[i])];
+      const Datum& b = key.values[i];
+      const bool bigints = a.type() == TypeId::kInt64 && b.type() == TypeId::kInt64 &&
+                           !a.is_null() && !b.is_null();
+      if (bigints ? a.int64_value() != b.int64_value() : Datum::Compare(a, b) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Fibonacci hashing: the top bits of the scrambled hash.
+  size_t Home(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >>
+                               (64 - std::countr_zero(slots_.size())));
+  }
+
+  std::vector<uint32_t> slots_ = std::vector<uint32_t>(16, kNoGroup);
+  std::vector<uint64_t> hashes_;
+  std::vector<JoinKey> keys_;
 };
 
 }  // namespace
@@ -732,32 +798,37 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
   MPPDB_ASSIGN_OR_RETURN(std::vector<int> group_pos,
                          ResolvePositions(layout, node.group_by()));
 
-  // One kernel per aggregate argument, evaluated chunk-at-a-time; count(*)
-  // has no argument.
+  // A bare-column argument is read in place from the row (`columns`); any
+  // other runs as a kernel. count(*) has no argument.
   const size_t num_aggs = node.aggs().size();
   std::vector<std::optional<KernelProgram>> programs(num_aggs);
   std::vector<KernelContext> ctxs(num_aggs);
+  std::vector<int> columns(num_aggs, -1);
   for (size_t i = 0; i < num_aggs; ++i) {
     if (node.aggs()[i].func == AggFunc::kCountStar) continue;
-    programs[i] = KernelProgram::Compile(node.aggs()[i].arg, layout);
+    KernelProgram program = KernelProgram::Compile(node.aggs()[i].arg, layout);
+    if (program.instrs().size() == 1 && program.instrs()[0].op == KernelOp::kLoadColumn) {
+      columns[i] = program.instrs()[0].arg;
+      continue;
+    }
+    programs[i] = std::move(program);
     ctxs[i].Prepare(*programs[i], KernelContext::kDefaultChunkRows);
   }
 
-  // Groups in first-appearance order, accumulated with the code the spill
-  // path shares (AccumulateAgg) in input row order. The index is keyed in
-  // place by each group's first input row (RowKeyRef: JoinKey's hash and
-  // equality), so a lookup hashes the key columns and copies nothing; a
-  // JoinKey is built only when a group appears.
-  std::unordered_map<RowKeyRef, size_t, RowKeyRefHash, RowKeyRefEq> group_index;
-  std::vector<JoinKey> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-  // Grouping state grows with distinct keys, not input rows — charge it
-  // incrementally as groups appear. String key payloads count on top of the
-  // fixed per-group estimate.
+  // Per batch: a key-hash pass, a group-id pass, then one accumulate loop
+  // per aggregate into column-major states (AccumulateAgg, shared with the
+  // spill path). Each group sees its rows in input order and groups are
+  // numbered in first-appearance order, so the output is a row-at-a-time
+  // loop's. Grouping state grows with distinct keys, so each new group is
+  // charged as it appears, in row order, string key payloads included.
+  GroupIndex index;
+  std::vector<std::vector<AggState>> states(num_aggs);
   const size_t group_bytes = ApproxRowsBytes(1, group_pos.size() + num_aggs);
   size_t charged_bytes = 0;
   bool spill = false;
   SelVec sel;
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> ids;
   for (InputBatches batch(input); !spill && batch.Next();) {
     if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
     const std::vector<Row>& rows = batch.rows();
@@ -767,41 +838,53 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
       if (!programs[i].has_value()) continue;
       MPPDB_RETURN_IF_ERROR(EvalExprBatch(*programs[i], &ctxs[i], rows, base, sel));
     }
-    for (uint32_t r : sel) {
-      const Row& row = rows[r];
-      uint64_t hash = kKeyHashSeed;
-      for (int pos : group_pos) {
-        hash = CombineKeyHash(hash, row[static_cast<size_t>(pos)]);
-      }
-      const RowKeyRef ref{hash, &row, &group_pos};
-      auto it = group_index.find(ref);
-      if (it == group_index.end()) {
-        JoinKey key = ExtractKey(row, group_pos);
-        const size_t this_group_bytes = group_bytes + RowPayloadBytes(key.values);
-        MPPDB_ASSIGN_OR_RETURN(
-            bool charged,
-            ChargeOrSpill(segment, this_group_bytes, "hash aggregate group"));
-        if (!charged) {
-          spill = true;
-          break;
+    // A refusal or a charge error stops the group-id pass at its row; the
+    // rows before it accumulate first, so a row error among them still wins.
+    size_t assigned = 0;
+    Status stop;
+    if (group_pos.empty() && !index.keys().empty()) {
+      ids.assign(sel.size(), 0);  // a scalar aggregate: one group, no hashing
+      assigned = sel.size();
+    } else {
+      HashKeysForSel(rows, sel, group_pos, &hashes);
+      ids.resize(sel.size());
+      for (; assigned < sel.size(); ++assigned) {
+        const Row& row = rows[sel[assigned]];
+        size_t slot = 0;
+        uint32_t g = index.Find(row, group_pos, hashes[assigned], &slot);
+        if (g == GroupIndex::kNoGroup) {
+          JoinKey key = ExtractKey(row, group_pos);
+          const size_t this_group_bytes = group_bytes + RowPayloadBytes(key.values);
+          Result<bool> charged =
+              ChargeOrSpill(segment, this_group_bytes, "hash aggregate group");
+          if (!charged.ok() || !*charged) {
+            stop = charged.status();
+            spill = charged.ok();
+            break;
+          }
+          charged_bytes += this_group_bytes;
+          g = index.Insert(slot, hashes[assigned], std::move(key));
+          for (std::vector<AggState>& agg_states : states) agg_states.emplace_back();
         }
-        charged_bytes += this_group_bytes;
-        it = group_index.emplace(ref, group_keys.size()).first;
-        group_keys.push_back(std::move(key));
-        group_states.emplace_back(num_aggs);
-      }
-      std::vector<AggState>& states = group_states[it->second];
-      for (size_t i = 0; i < num_aggs; ++i) {
-        AggState& state = states[i];
-        if (node.aggs()[i].func == AggFunc::kCountStar) {
-          ++state.count;
-          continue;
-        }
-        const Datum& v = ctxs[i].slot(programs[i]->root())[r - base];
-        if (v.is_null()) continue;
-        MPPDB_RETURN_IF_ERROR(AccumulateAgg(state, node.aggs()[i].func, v));
+        ids[assigned] = g;
       }
     }
+    for (size_t i = 0; i < num_aggs; ++i) {
+      const AggFunc func = node.aggs()[i].func;
+      std::vector<AggState>& agg_states = states[i];
+      if (func == AggFunc::kCountStar) {
+        for (size_t j = 0; j < assigned; ++j) ++agg_states[ids[j]].count;
+        continue;
+      }
+      for (size_t j = 0; j < assigned; ++j) {
+        const Datum& v = columns[i] >= 0
+                             ? rows[sel[j]][static_cast<size_t>(columns[i])]
+                             : ctxs[i].slot(programs[i]->root())[j];
+        if (v.is_null()) continue;
+        MPPDB_RETURN_IF_ERROR(AccumulateAgg(agg_states[ids[j]], func, v));
+      }
+    }
+    MPPDB_RETURN_IF_ERROR(stop);
   }
 
   if (spill) {
@@ -810,26 +893,26 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
     // accumulated so far return to the pool (the spill path charges per
     // partition instead).
     ctx_->budget().Release(charged_bytes);
-    group_index.clear();
-    group_keys.clear();
-    group_states.clear();
+    index = GroupIndex();
+    states.clear();
     const std::vector<Row> rows = std::move(input).Take();
     return SpillHashAgg(node, segment, rows, layout, group_pos);
   }
 
   // Scalar aggregate over empty input still has one (empty-keyed) group —
   // emitted on segment 0 only (see executor.h).
-  if (node.group_by().empty() && group_keys.empty() && segment == 0) {
-    group_keys.emplace_back();
-    group_states.emplace_back(num_aggs);
+  std::vector<JoinKey>& keys = index.keys();
+  if (node.group_by().empty() && keys.empty() && segment == 0) {
+    keys.emplace_back();
+    for (std::vector<AggState>& agg_states : states) agg_states.emplace_back();
   }
 
   std::vector<Row> out;
-  out.reserve(group_keys.size());
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = std::move(group_keys[g].values);
+  out.reserve(keys.size());
+  for (size_t g = 0; g < keys.size(); ++g) {
+    Row row = std::move(keys[g].values);
     for (size_t i = 0; i < num_aggs; ++i) {
-      row.push_back(FinalizeAgg(group_states[g][i], node.aggs()[i].func));
+      row.push_back(FinalizeAgg(states[i][g], node.aggs()[i].func));
     }
     out.push_back(std::move(row));
   }
