@@ -187,6 +187,83 @@ void BM_HashAggGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggGroups)->Arg(1)->Arg(1000)->Arg(100000);
 
+// Sort and TopN over 100k rows on one segment, by the key set
+// state.range(0) picks: 0 a BIGINT, 1 a DOUBLE, 2 a VARCHAR (random
+// 12-letter words), 3 an INT ascending then a DOUBLE descending.
+Database* SortBenchDb() {
+  static Database* db = [] {
+    auto* database = new Database(1);
+    MPPDB_CHECK(database
+                    ->CreateTable("bm_sort",
+                                  Schema({{"b", TypeId::kInt64},
+                                          {"d", TypeId::kDouble},
+                                          {"s", TypeId::kString},
+                                          {"g", TypeId::kInt32}}),
+                                  TableDistribution::kHashed, {0})
+                    .ok());
+    Random rng(11);
+    std::vector<Row> rows;
+    rows.reserve(100000);
+    for (int64_t i = 0; i < 100000; ++i) {
+      std::string word(12, 'a');
+      for (char& c : word) c = static_cast<char>('a' + rng.Uniform(26));
+      rows.push_back({Datum::Int64(rng.UniformRange(-1000000000, 1000000000)),
+                      Datum::Double(static_cast<double>(rng.UniformRange(90000, 10499000)) /
+                                    100.0),
+                      Datum::String(std::move(word)),
+                      Datum::Int32(static_cast<int32_t>(rng.Uniform(100)))});
+    }
+    MPPDB_CHECK(database->Load("bm_sort", rows).ok());
+    return database;
+  }();
+  return db;
+}
+
+std::vector<SortKey> SortBenchKeys(int64_t variant) {
+  switch (variant) {
+    case 0:
+      return {{1, true}};
+    case 1:
+      return {{2, true}};
+    case 2:
+      return {{3, true}};
+    default:
+      return {{4, true}, {2, false}};
+  }
+}
+
+PhysPtr SortBenchScan(Database* db) {
+  const TableDescriptor* t = db->catalog().FindTable("bm_sort");
+  return std::make_shared<TableScanNode>(t->oid, t->oid,
+                                         std::vector<ColRefId>{1, 2, 3, 4});
+}
+
+void BM_Sort(benchmark::State& state) {
+  Database* db = SortBenchDb();
+  PhysPtr plan = std::make_shared<SortNode>(SortBenchKeys(state.range(0)),
+                                            SortBenchScan(db));
+  Executor exec(&db->catalog(), &db->storage());
+  for (auto _ : state) {
+    auto result = exec.Execute(plan);
+    MPPDB_CHECK(result.ok() && result->size() == 100000);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_Sort)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+void BM_TopN(benchmark::State& state) {
+  Database* db = SortBenchDb();
+  PhysPtr plan = std::make_shared<TopNNode>(SortBenchKeys(state.range(0)), 20,
+                                            SortBenchScan(db));
+  Executor exec(&db->catalog(), &db->storage());
+  for (auto _ : state) {
+    auto result = exec.Execute(plan);
+    MPPDB_CHECK(result.ok() && result->size() == 20);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_TopN)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
 void BM_ExecutePrunedScan(benchmark::State& state) {
   static Database* db = [] {
     auto* database = new Database(4);

@@ -11,6 +11,7 @@
 
 #include "common/macros.h"
 #include "exec/join_hash.h"
+#include "exec/sort_keys.h"
 #include "expr/constraint_derivation.h"
 #include "expr/vector_eval.h"
 #include "runtime/spill/row_codec.h"
@@ -1175,10 +1176,8 @@ Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
   std::vector<int> positions;
   std::vector<bool> ascending;
   MPPDB_RETURN_IF_ERROR(ResolveSortKeys(node.keys(), layout, &positions, &ascending));
-  // Gather the sort keys into one contiguous buffer up front — O(n) key
-  // extractions instead of O(n log n) row indexing inside the comparator —
-  // then stable-sort a permutation and move the rows into place. Stability
-  // makes the permutation identical to sorting the rows directly.
+  // Order the rows by normalized key words (sort_keys.h), then move them
+  // into place.
   const size_t num_keys = positions.size();
   MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
   // Scoped charge: the key buffer and permutation live only for the sort.
@@ -1196,24 +1195,8 @@ Result<std::vector<Row>> Executor::ExecSort(const SortNode& node, int segment) {
     return SpillSortRows(node, segment, std::move(rows), positions, ascending,
                          sort_bytes);
   }
-  std::vector<Datum> keys;
-  keys.reserve(rows.size() * num_keys);
-  for (const Row& row : rows) {
-    for (size_t i = 0; i < num_keys; ++i) {
-      keys.push_back(row[static_cast<size_t>(positions[i])]);
-    }
-  }
-  std::vector<uint32_t> order(rows.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const Datum* ka = keys.data() + a * num_keys;
-    const Datum* kb = keys.data() + b * num_keys;
-    for (size_t i = 0; i < num_keys; ++i) {
-      int c = Datum::Compare(ka[i], kb[i]);
-      if (c != 0) return ascending[i] ? c < 0 : c > 0;
-    }
-    return false;
-  });
+  const std::vector<uint32_t> order =
+      SortKeys(positions, ascending, rows).Order(rows, 0, rows.size());
   std::vector<Row> sorted;
   sorted.reserve(rows.size());
   for (uint32_t idx : order) sorted.push_back(std::move(rows[idx]));
@@ -1240,20 +1223,24 @@ Result<std::vector<Row>> Executor::ExecTopN(const TopNNode& node, int segment) {
   const size_t heap_bytes = ApproxRowsBytes(retain, num_keys + 1);
   MPPDB_RETURN_IF_ERROR(ChargeBudget(segment, heap_bytes, "top-n heap"));
 
+  // Each retained entry's key words live in `slot_words` at its slot; a
+  // displaced entry's slot passes to the row that displaces it.
+  const SortKeys keys(positions, ascending, rows);
+  const size_t width = keys.width();
+  std::vector<uint64_t> slot_words(retain * width);
+  std::vector<uint64_t> candidate(width);
   struct Entry {
-    std::vector<Datum> keys;
     size_t arrival;
+    size_t slot;
     Row row;
   };
+  auto words_of = [&](const Entry& e) { return slot_words.data() + e.slot * width; };
   // Strict weak "ranks before" in the stable sort order: keys first, arrival
   // order as the tie-break — so the retained set and its final ordering are
   // exactly the first k rows of a stable sort (≡ Limit over Sort).
   auto before = [&](const Entry& a, const Entry& b) {
-    for (size_t i = 0; i < num_keys; ++i) {
-      int c = Datum::Compare(a.keys[i], b.keys[i]);
-      if (c != 0) return ascending[i] ? c < 0 : c > 0;
-    }
-    return a.arrival < b.arrival;
+    const int c = keys.Compare(words_of(a), a.row, words_of(b), b.row);
+    return c != 0 ? c < 0 : a.arrival < b.arrival;
   };
   // Max-heap under `before`: front is the worst retained entry.
   std::vector<Entry> heap;
@@ -1265,24 +1252,25 @@ Result<std::vector<Row>> Executor::ExecTopN(const TopNNode& node, int segment) {
       until_check = TableStore::kChunkRows;
     }
     --until_check;
-    Entry e;
-    e.keys.reserve(num_keys);
-    for (size_t i = 0; i < num_keys; ++i) {
-      e.keys.push_back(rows[r][static_cast<size_t>(positions[i])]);
-    }
-    e.arrival = r;
     if (heap.size() < k) {
-      e.row = std::move(rows[r]);
-      heap.push_back(std::move(e));
+      const size_t slot = heap.size();
+      keys.Encode(rows[r], slot_words.data() + slot * width);
+      heap.push_back(Entry{r, slot, std::move(rows[r])});
       std::push_heap(heap.begin(), heap.end(), before);
       continue;
     }
     // A later arrival that ties the worst retained entry on every key ranks
     // after it (stability), so only strictly-better rows displace.
-    if (!before(e, heap.front())) continue;
-    e.row = std::move(rows[r]);
+    keys.Encode(rows[r], candidate.data());
+    const Entry& worst = heap.front();
+    if (keys.Compare(candidate.data(), rows[r], words_of(worst), worst.row) >= 0) {
+      continue;
+    }
     std::pop_heap(heap.begin(), heap.end(), before);
-    heap.back() = std::move(e);
+    Entry& e = heap.back();
+    std::copy(candidate.begin(), candidate.end(), slot_words.begin() + e.slot * width);
+    e.arrival = r;
+    e.row = std::move(rows[r]);
     std::push_heap(heap.begin(), heap.end(), before);
   }
   stats.topn_rows_cut += rows.size() - heap.size();

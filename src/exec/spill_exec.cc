@@ -26,10 +26,11 @@
 //    of its first row; sorting finished groups by that index reproduces the
 //    oracle's first-appearance emission order.
 //
-//  * Sort: runs are contiguous input slices sorted with the oracle's
-//    comparator, and the k-way merge breaks equal keys toward the
-//    lower-numbered run — a stable merge of stable-sorted contiguous
-//    slices, which is exactly one global stable sort.
+//  * Sort: runs are contiguous input slices sorted in the oracle's order
+//    (one SortKeys encoding for the whole input), and the k-way merge
+//    breaks equal keys toward the lower-numbered run — a stable merge of
+//    stable-sorted contiguous slices, which is exactly one global stable
+//    sort.
 //
 // Documented divergence (DESIGN.md §14): a spilled join may evaluate a
 // residual predicate on candidate pairs the oracle's early-outs skipped
@@ -55,6 +56,7 @@
 #include "exec/agg_state.h"
 #include "exec/executor.h"
 #include "exec/join_hash.h"
+#include "exec/sort_keys.h"
 #include "runtime/spill/row_codec.h"
 #include "runtime/spill/spill_file.h"
 
@@ -700,17 +702,10 @@ Result<std::vector<Row>> Executor::SpillSortRows(
   if (num_keys == 0 || n == 0) return rows;
   MPPDB_ASSIGN_OR_RETURN(SpillFileManager * manager, EnsureSpillManager());
 
-  // The oracle's comparator, applied to rows directly: same Datum::Compare,
-  // same ascending handling, so a stable sort of any slice orders it
-  // exactly as the oracle's key-buffer permutation sort would.
-  auto row_less = [&](const Row& a, const Row& b) {
-    for (size_t i = 0; i < num_keys; ++i) {
-      int c = Datum::Compare(a[static_cast<size_t>(positions[i])],
-                             b[static_cast<size_t>(positions[i])]);
-      if (c != 0) return ascending[i] ? c < 0 : c > 0;
-    }
-    return false;
-  };
+  // One key encoding for the whole input, so run generation and every merge
+  // level order rows alike: exactly the oracle's Datum::Compare order.
+  const SortKeys keys(positions, ascending, rows);
+  const size_t width = keys.width();
 
   // Budget-sized runs: halve from the full input until the run buffer fits,
   // flooring at kMinRunRows where the charge becomes mandatory.
@@ -733,11 +728,12 @@ Result<std::vector<Row>> Executor::SpillSortRows(
   // can charge because the run buffer has been released by then.
   const size_t frame_rows = std::max<size_t>(1, run_rows / (2 * kMergeFanIn));
 
-  // Run generation: sort contiguous slices with the oracle's comparator and
+  // Run generation: sort contiguous slices in the oracle's order and
   // spill each as one run file, framed for the merge's read-back.
   struct RunState {
     std::unique_ptr<SpillFile> file;
     std::vector<Row> buffer;
+    std::vector<uint64_t> words;  // buffer's key words, encoded on read-back
     size_t pos = 0;
     bool eof = false;
   };
@@ -764,9 +760,12 @@ Result<std::vector<Row>> Executor::SpillSortRows(
       for (size_t base = 0; base < n; base += run_rows) {
         MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
         const size_t end = std::min(n, base + run_rows);
-        std::stable_sort(rows.begin() + static_cast<ptrdiff_t>(base),
-                         rows.begin() + static_cast<ptrdiff_t>(end), row_less);
-        MPPDB_RETURN_IF_ERROR(write_run(rows, base, end));
+        std::vector<Row> run;
+        run.reserve(end - base);
+        for (uint32_t i : keys.Order(rows, base, end)) {
+          run.push_back(std::move(rows[base + i]));
+        }
+        MPPDB_RETURN_IF_ERROR(write_run(run, 0, run.size()));
       }
       return Status::OK();
     };
@@ -791,8 +790,12 @@ Result<std::vector<Row>> Executor::SpillSortRows(
     MPPDB_ASSIGN_OR_RETURN(size_t bytes, run.file->ReadBatch(&run.buffer));
     if (bytes == 0) {
       run.eof = true;
-    } else {
-      stats.spill_bytes_read += bytes;
+      return Status::OK();
+    }
+    stats.spill_bytes_read += bytes;
+    run.words.resize(run.buffer.size() * width);
+    for (size_t i = 0; i < run.buffer.size(); ++i) {
+      keys.Encode(run.buffer[i], run.words.data() + i * width);
     }
     return Status::OK();
   };
@@ -811,9 +814,14 @@ Result<std::vector<Row>> Executor::SpillSortRows(
       size_t best = end;
       for (size_t r = begin; r < end; ++r) {
         if (runs[r].eof) continue;
-        if (best == end ||
-            row_less(runs[r].buffer[runs[r].pos],
-                     runs[best].buffer[runs[best].pos])) {
+        if (best == end) {
+          best = r;
+          continue;
+        }
+        const RunState& a = runs[r];
+        const RunState& b = runs[best];
+        if (keys.Compare(a.words.data() + a.pos * width, a.buffer[a.pos],
+                         b.words.data() + b.pos * width, b.buffer[b.pos]) < 0) {
           best = r;
         }
       }

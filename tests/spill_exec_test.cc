@@ -12,9 +12,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +30,7 @@
 #include "exec/plan.h"
 #include "expr/expr.h"
 #include "runtime/query_context.h"
+#include "runtime/spill/row_codec.h"
 #include "storage/storage.h"
 #include "test_util.h"
 
@@ -560,6 +566,348 @@ TEST(SpillExecTest, SortCascadedMergeBitIdentical) {
   auto result = exec.Execute(plan, &ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(exec.stats().sort_runs, 16u);
+}
+
+// --- Sort property: every sort path against an independent oracle --------
+//
+// The spill-sort tests above compare the engine's spilled sort with its own
+// in-memory sort. These compare Sort (in memory and spilled) and TopN with
+// std::stable_sort under Datum::Compare, computed here from the inserted
+// rows, over every key type and its edge values.
+
+// Columns of the property table. Every key column mixes duplicates (so
+// stability shows through the unique `id`) with its type's edge values.
+enum PropCol : int {
+  kId,
+  kInt,        // INT with NULLs
+  kBig,        // BIGINT incl. INT64_MAX and INT64_MIN + 1
+  kDate,       // DATE incl. days before 1970
+  kDbl,        // DOUBLE incl. -0.0 / 0.0, ±inf, ±1e300, denormals
+  kBool,       // BOOL with NULLs
+  kMixSmall,   // BIGINT, INT and DOUBLE values, every integer |v| <= 2^53
+  kMixBig,     // BIGINT and DOUBLE values on both sides of 2^53
+  kStr,        // VARCHAR sharing 8+ byte prefixes, an embedded NUL, 0xFF
+  kIntMinNull, // BIGINT with INT64_MIN beside NULLs
+  kNan,        // DOUBLE with NaN: Datum::Compare is no strict weak order
+  kMixInexact, // BIGINT beyond 2^53 beside DOUBLE, rounded: no order either
+  kNumPropCols,
+};
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+constexpr int64_t kTwo60 = int64_t{1} << 60;
+
+template <typename T>
+const T& Pick(const std::vector<T>& pool, std::mt19937_64& rng) {
+  return pool[rng() % pool.size()];
+}
+
+Row MakePropRow(int64_t id, std::mt19937_64& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto null_one_in = [&](uint64_t k) { return rng() % k == 0; };
+  Row row(kNumPropCols);
+  row[kId] = Datum::Int64(id);
+  if (!null_one_in(10)) row[kInt] = Datum::Int32(static_cast<int32_t>(rng() % 41) - 20);
+  if (!null_one_in(20)) {
+    static const std::vector<int64_t> big = {INT64_MAX, INT64_MIN + 1, -1, 0, 1,
+                                             int64_t{1} << 40, -(int64_t{1} << 40),
+                                             123456789012345};
+    row[kBig] = Datum::Int64(rng() % 2 ? Pick(big, rng)
+                                       : static_cast<int64_t>(rng() % 50) - 25);
+  }
+  if (!null_one_in(20)) row[kDate] = Datum::Date(static_cast<int32_t>(rng() % 60) - 5);
+  if (!null_one_in(20)) {
+    static const std::vector<double> dbl = {-0.0, 0.0, inf, -inf, 1e300, -1e300,
+                                            5e-324, -5e-324, 0.5, -0.5};
+    row[kDbl] = Datum::Double(rng() % 2 ? Pick(dbl, rng)
+                                        : static_cast<double>(rng() % 100) / 4 - 12);
+  }
+  if (!null_one_in(5)) row[kBool] = Datum::Bool(rng() % 2 == 0);
+  if (!null_one_in(20)) {
+    static const std::vector<Datum> mix_small = {
+        Datum::Int64(kTwo53),  Datum::Int64(-kTwo53), Datum::Int64(0),
+        Datum::Int64(7),       Datum::Int32(-1),      Datum::Int32(3),
+        Datum::Double(static_cast<double>(kTwo53)),   Datum::Double(-0.0),
+        Datum::Double(0.5),    Datum::Double(7.0),    Datum::Double(1e15 + 0.5)};
+    row[kMixSmall] = Pick(mix_small, rng);
+  }
+  if (!null_one_in(20)) {
+    // Every integer here is exact in a double, so Datum::Compare still
+    // orders the column; the encoder must fall back all the same.
+    static const std::vector<Datum> mix_big = {
+        Datum::Int64(kTwo60),      Datum::Int64(kTwo60 + 2048),
+        Datum::Int64(-kTwo60),     Datum::Int64(kTwo53 + 2),
+        Datum::Int64(5),           Datum::Double(static_cast<double>(kTwo60)),
+        Datum::Double(1.5e18),     Datum::Double(0.25),
+        Datum::Double(-3.0),       Datum::Double(static_cast<double>(kTwo53))};
+    row[kMixBig] = Pick(mix_big, rng);
+  }
+  if (!null_one_in(20)) {
+    static const std::vector<std::string> str = {
+        "", "a", "commonpr", "commonpre", "commonprefix", "commonprefix_1",
+        "commonprefix_10", "commonprefix_2", std::string("commonpr\0x", 10),
+        "\xff\xfe", "zz"};
+    row[kStr] = Datum::String(Pick(str, rng));
+  }
+  if (!null_one_in(10)) {
+    static const std::vector<int64_t> with_min = {INT64_MIN, INT64_MAX, 0, -3, 3};
+    row[kIntMinNull] = Datum::Int64(Pick(with_min, rng));
+  }
+  if (!null_one_in(20)) {
+    static const std::vector<double> nan = {std::nan(""), 1.0, -2.0, 0.0, inf};
+    row[kNan] = Datum::Double(Pick(nan, rng));
+  }
+  if (!null_one_in(20)) {
+    // 2^53 + 1 and 2^53 + 3 round in Compare's AsDouble: each ties a double
+    // that the other integers do not.
+    static const std::vector<Datum> inexact = {
+        Datum::Int64(kTwo53 + 1), Datum::Int64(kTwo53), Datum::Int64(kTwo53 + 3),
+        Datum::Double(static_cast<double>(kTwo53)),
+        Datum::Double(static_cast<double>(kTwo53 + 4)), Datum::Int64(-9),
+        Datum::Double(-9.5)};
+    row[kMixInexact] = Pick(inexact, rng);
+  }
+  return row;
+}
+
+struct PropKey {
+  int col;
+  bool ascending;
+};
+
+// The oracle: std::stable_sort under Datum::Compare, NULL first ascending
+// and last descending.
+std::vector<Row> OracleSort(std::vector<Row> rows, const std::vector<PropKey>& keys) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (const PropKey& k : keys) {
+      const int c = Datum::Compare(a[static_cast<size_t>(k.col)],
+                                   b[static_cast<size_t>(k.col)]);
+      if (c != 0) return k.ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  return rows;
+}
+
+// Row-for-row identity: the same input rows (by unique id) in the same
+// order, each datum the same type and bits.
+bool SameRowsInOrder(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t j = 0; j < a[i].size(); ++j) {
+      const Datum& x = a[i][j];
+      const Datum& y = b[i][j];
+      if (x.is_null() != y.is_null()) return false;
+      if (x.is_null()) continue;
+      if (x.type() != y.type()) return false;
+      if (x.type() == TypeId::kDouble) {
+        const double dx = x.double_value(), dy = y.double_value();
+        if (std::memcmp(&dx, &dy, sizeof dx) != 0) return false;
+      } else if (Datum::Compare(x, y) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// The same multiset of rows, by id.
+bool SameIds(const std::vector<Row>& a, const std::vector<Row>& b) {
+  auto ids = [](const std::vector<Row>& rows) {
+    std::vector<int64_t> out;
+    for (const Row& r : rows) out.push_back(r[kId].int64_value());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  return ids(a) == ids(b);
+}
+
+std::string KeysName(const std::vector<PropKey>& keys) {
+  std::string s;
+  for (const PropKey& k : keys) {
+    s += "col" + std::to_string(k.col) + (k.ascending ? "+" : "-") + " ";
+  }
+  return s;
+}
+
+struct SortPropertyFixture {
+  static constexpr int64_t kRows = 3000;
+
+  SortPropertyFixture() : db(1) {
+    std::vector<Column> cols;
+    const TypeId types[kNumPropCols] = {
+        TypeId::kInt64, TypeId::kInt32,  TypeId::kInt64, TypeId::kDate,
+        TypeId::kDouble, TypeId::kBool,  TypeId::kDouble, TypeId::kDouble,
+        TypeId::kString, TypeId::kInt64, TypeId::kDouble, TypeId::kDouble};
+    for (int c = 0; c < kNumPropCols; ++c) {
+      cols.push_back({"c" + std::to_string(c), types[c]});
+    }
+    t = db.CreatePlainTable("prop", Schema(cols), {0});
+    std::mt19937_64 rng(20240611);
+    for (int64_t i = 0; i < kRows; ++i) rows.push_back(MakePropRow(i, rng));
+    db.Insert(t, rows);
+  }
+
+  PhysPtr Scan() const {
+    std::vector<ColRefId> ids;
+    for (int c = 0; c < kNumPropCols; ++c) ids.push_back(static_cast<ColRefId>(c + 1));
+    return std::make_shared<TableScanNode>(t->oid, t->oid, ids);
+  }
+  static std::vector<SortKey> PlanKeys(const std::vector<PropKey>& keys) {
+    std::vector<SortKey> out;
+    for (const PropKey& k : keys) {
+      out.push_back({static_cast<ColRefId>(k.col + 1), k.ascending});
+    }
+    return out;
+  }
+  PhysPtr SortPlan(const std::vector<PropKey>& keys) const {
+    return std::make_shared<SortNode>(PlanKeys(keys), Scan());
+  }
+  PhysPtr TopNPlan(const std::vector<PropKey>& keys, size_t k) const {
+    return std::make_shared<TopNNode>(PlanKeys(keys), k, Scan());
+  }
+  // The budget model's charge for sorting every row: Sort spills below it.
+  size_t SortBytes(const std::vector<PropKey>& keys) const {
+    size_t payload = 0;
+    for (const Row& row : rows) {
+      for (const PropKey& k : keys) {
+        payload += DatumPayloadBytes(row[static_cast<size_t>(k.col)]);
+      }
+    }
+    return ApproxRowsBytes(rows.size(), keys.size()) + payload;
+  }
+
+  struct Run {
+    std::vector<Row> rows;
+    ExecStats stats;
+  };
+  Run Execute(const PhysPtr& plan, int workers, size_t limit) {
+    TempSpillDir dir;
+    Executor exec(&db.catalog, &db.storage, Executor::Options{.workers = workers});
+    QueryContext ctx;
+    ctx.set_spill_dir(dir.path);
+    ctx.budget().set_limit(limit);
+    auto result = exec.Execute(plan, &ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(FilesUnder(dir.path), 0u);
+    if (!result.ok()) return {};
+    return {std::move(*result), exec.stats()};
+  }
+
+  TestDb db;
+  const TableDescriptor* t;
+  std::vector<Row> rows;  // in insert order: the Sort's input
+};
+
+// Every key type on its own, both directions; then 2–3 key mixes. The two
+// unordered columns are kept apart (SortPropertyTest.UnorderedKeysKeepTodaysOrder).
+std::vector<std::vector<PropKey>> OrderedKeySets() {
+  std::vector<std::vector<PropKey>> sets;
+  for (int c = kInt; c <= kIntMinNull; ++c) {
+    sets.push_back({{c, true}});
+    sets.push_back({{c, false}});
+  }
+  sets.push_back({{kInt, true}, {kStr, false}});
+  sets.push_back({{kBool, false}, {kDbl, true}, {kDate, false}});
+  sets.push_back({{kMixSmall, true}, {kBig, false}});
+  sets.push_back({{kStr, true}, {kMixBig, false}, {kInt, true}});
+  sets.push_back({{kDate, true}, {kBool, true}});
+  sets.push_back({{kIntMinNull, false}, {kDbl, false}});
+  return sets;
+}
+
+TEST(SortPropertyTest, ScanFeedsRowsInInsertOrder) {
+  SortPropertyFixture fx;
+  for (int workers : {1, 4}) {
+    EXPECT_TRUE(SameRowsInOrder(fx.Execute(fx.Scan(), workers, 0).rows, fx.rows))
+        << "workers=" << workers;
+  }
+}
+
+TEST(SortPropertyTest, InMemorySortMatchesStableSortOracle) {
+  SortPropertyFixture fx;
+  for (const std::vector<PropKey>& keys : OrderedKeySets()) {
+    const std::vector<Row> oracle = OracleSort(fx.rows, keys);
+    for (int workers : {1, 4}) {
+      SortPropertyFixture::Run run = fx.Execute(fx.SortPlan(keys), workers, 0);
+      EXPECT_TRUE(SameRowsInOrder(run.rows, oracle))
+          << KeysName(keys) << "workers=" << workers;
+      EXPECT_EQ(run.stats.sort_runs, 0u);
+    }
+  }
+}
+
+// Budgets below the sort's charge: two runs (the fewest a spilled sort
+// makes, since each run is charged at the model's per-row rate), several
+// runs, and more runs than the merge fan-in (a cascaded merge).
+TEST(SortPropertyTest, SpilledSortMatchesStableSortOracle) {
+  SortPropertyFixture fx;
+  const struct {
+    size_t divisor_x4;  // limit = SortBytes * 4 / divisor_x4
+    size_t min_runs, max_runs;
+  } budgets[] = {{5, 2, 2}, {20, 3, 16}, {160, 17, 1000}};
+  for (const std::vector<PropKey>& keys : OrderedKeySets()) {
+    const std::vector<Row> oracle = OracleSort(fx.rows, keys);
+    for (const auto& b : budgets) {
+      const size_t limit = fx.SortBytes(keys) * 4 / b.divisor_x4;
+      SortPropertyFixture::Run run = fx.Execute(fx.SortPlan(keys), 1, limit);
+      EXPECT_TRUE(SameRowsInOrder(run.rows, oracle))
+          << KeysName(keys) << "limit=" << limit;
+      EXPECT_GE(run.stats.sort_runs, b.min_runs) << KeysName(keys) << "limit=" << limit;
+      EXPECT_LE(run.stats.sort_runs, b.max_runs) << KeysName(keys) << "limit=" << limit;
+      EXPECT_GT(run.stats.spill_bytes_read, 0u) << KeysName(keys);
+    }
+  }
+}
+
+TEST(SortPropertyTest, TopNMatchesStableSortOraclePrefix) {
+  SortPropertyFixture fx;
+  const size_t n = fx.rows.size();
+  for (const std::vector<PropKey>& keys : OrderedKeySets()) {
+    const std::vector<Row> oracle = OracleSort(fx.rows, keys);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{20}, n, n + 5}) {
+      const std::vector<Row> expected(oracle.begin(),
+                                      oracle.begin() + static_cast<ptrdiff_t>(std::min(k, n)));
+      for (int workers : {1, 4}) {
+        SortPropertyFixture::Run run = fx.Execute(fx.TopNPlan(keys, k), workers, 0);
+        EXPECT_TRUE(SameRowsInOrder(run.rows, expected))
+            << KeysName(keys) << "k=" << k << " workers=" << workers;
+        EXPECT_EQ(run.stats.topn_rows_cut, n - expected.size());
+      }
+    }
+  }
+}
+
+// With a NaN in a key, Datum::Compare calls NaN equal to every value; with
+// integers beyond 2^53 beside doubles it ties values that are unequal among
+// themselves. Either way it is no strict weak order, and the result of a
+// sort depends on the algorithm's comparisons. The in-memory Sort falls
+// back to the same stable sort under the same comparison outcomes, so it
+// still equals the oracle exactly; the run merge and the TopN heap compare
+// differently from one global stable sort, so for them only the row set is
+// checked.
+TEST(SortPropertyTest, UnorderedKeysKeepTodaysOrder) {
+  SortPropertyFixture fx;
+  const size_t n = fx.rows.size();
+  const std::vector<std::vector<PropKey>> sets = {
+      {{kNan, true}},
+      {{kNan, false}, {kInt, true}},
+      {{kInt, false}, {kNan, true}},
+      {{kMixInexact, true}},
+      {{kBool, true}, {kMixInexact, false}}};
+  for (const std::vector<PropKey>& keys : sets) {
+    const std::vector<Row> oracle = OracleSort(fx.rows, keys);
+    for (int workers : {1, 4}) {
+      EXPECT_TRUE(SameRowsInOrder(fx.Execute(fx.SortPlan(keys), workers, 0).rows, oracle))
+          << KeysName(keys) << "workers=" << workers;
+    }
+    SortPropertyFixture::Run spilled =
+        fx.Execute(fx.SortPlan(keys), 1, fx.SortBytes(keys) / 5);
+    EXPECT_GT(spilled.stats.sort_runs, 1u) << KeysName(keys);
+    EXPECT_TRUE(SameIds(spilled.rows, fx.rows)) << KeysName(keys);
+    EXPECT_EQ(fx.Execute(fx.TopNPlan(keys, 20), 1, 0).rows.size(), 20u);
+    EXPECT_TRUE(SameIds(fx.Execute(fx.TopNPlan(keys, n), 1, 0).rows, fx.rows));
+  }
 }
 
 // A budget below the irreducible spill working set (one run floor / one
