@@ -307,10 +307,16 @@ void BM_HubPushDedup(benchmark::State& state) {
 BENCHMARK(BM_HubPushDedup)->Arg(16)->Arg(256)->Arg(4096);
 
 // Motion exchange throughput: rows per second through one Motion of each
-// kind over a 120k-row scan. Exercises the exchange hot path — rows are
-// moved (not copied) into the per-destination send buffers, receive vectors
-// reserve() from the sender's batch hints, and Broadcast materializes the
-// batch once and shares it across the S-1 remote receiver queues.
+// kind over a 120k-row scan on 4 segments, the Motion at the plan root.
+// Gather hands segment 0 the source segments' storage slices by reference,
+// and the root copies each row once into the result. Redistribute copies
+// each row at deposit and moves it into its destination's buffer, sized
+// from the sender's batch hint. Broadcast copies each row once at deposit
+// into one shared batch that every destination reads in place; the root
+// then copies it once per segment. Case 3 is a Project of one column over
+// the Gather: it reads the slices in place and builds only the narrow rows.
+// The second argument is the worker count; on 4 workers the root's copy
+// runs in morsels on the pool.
 Database* MotionBenchDb() {
   static Database* db = [] {
     auto* database = new Database(4);
@@ -335,28 +341,36 @@ Database* MotionBenchDb() {
 void BM_MotionThroughput(benchmark::State& state) {
   Database* db = MotionBenchDb();
   const TableDescriptor* t = db->catalog().FindTable("bm_motion");
+  const int workers = static_cast<int>(state.range(1));
   MotionKind kind = MotionKind::kGather;
   std::vector<ColRefId> motion_cols;
+  std::string label;
   switch (state.range(0)) {
     case 0:
+    case 3:
       kind = MotionKind::kGather;
-      state.SetLabel("gather");
+      label = state.range(0) == 0 ? "gather" : "project-over-gather";
       break;
     case 1:
       kind = MotionKind::kRedistribute;
       // Redistribute on v, not the stored hash column, so rows reshuffle.
       motion_cols = {2};
-      state.SetLabel("redistribute");
+      label = "redistribute";
       break;
     default:
       kind = MotionKind::kBroadcast;
-      state.SetLabel("broadcast");
+      label = "broadcast";
       break;
   }
+  state.SetLabel(label + " workers=" + std::to_string(workers));
   auto scan = std::make_shared<TableScanNode>(t->oid, t->oid,
                                               std::vector<ColRefId>{1, 2});
   PhysPtr plan = std::make_shared<MotionNode>(kind, motion_cols, scan);
-  Executor exec(&db->catalog(), &db->storage());
+  if (state.range(0) == 3) {
+    plan = std::make_shared<ProjectNode>(
+        std::vector<ProjectItem>{{MakeColumnRef(2, "v", TypeId::kInt64), 2, "v"}}, plan);
+  }
+  Executor exec(&db->catalog(), &db->storage(), Executor::Options{.workers = workers});
   size_t rows_moved = 0;
   for (auto _ : state) {
     auto result = exec.Execute(plan);
@@ -367,7 +381,13 @@ void BM_MotionThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows_moved));
 }
-BENCHMARK(BM_MotionThroughput)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MotionThroughput)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({3, 1})
+    ->Args({0, 4})
+    ->Args({3, 4});
 
 // Index equality seek: TableStore::IndexLookup with equal_range + exact
 // reserve over a lazily built sorted index. The argument is the duplicate

@@ -1,7 +1,9 @@
 // 1 worker vs a pool under the morsel scheduler: wall-clock for a
 // scan-heavy aggregation (which reads the storage slices in place) and for
-// SELECT * (whose rows are copied once, when each segment deposits its
-// scan into the Gather) at S ∈ {1, 2, 4, 8} segments in three modes —
+// SELECT * (whose Gather hands segment 0 the storage slices by reference;
+// each row is copied once, into the result, split into morsels that the
+// pool's workers share when morsels are on) at S ∈ {1, 2, 4, 8} segments
+// in three modes —
 // 1 worker (the calling thread runs every segment task), a pool with morsels
 // off (morsel_rows = SIZE_MAX: each segment slice is one schedulable task),
 // and parallel with morsels on (slices decompose into chunk-aligned

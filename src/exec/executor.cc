@@ -77,13 +77,14 @@ struct Executor::MotionExchange {
   /// Set exactly once, after the buffers/`build_status` are final.
   bool built = false;
   Status build_status;
-  /// Per-source-segment child output, awaiting the exchange.
-  std::vector<std::vector<Row>> source_rows;
+  /// Per-source-segment child output, awaiting the exchange: a Gather's
+  /// source slices as the child returned them, one owned slice otherwise.
+  std::vector<InputRows> source_rows;
   /// Per-destination-segment buffers (gather/redistribute); each slot is
   /// read by exactly one segment once `built`, so reads move out of it.
-  std::vector<std::vector<Row>> buffers;
+  std::vector<InputRows> buffers;
   /// Broadcast motions materialize the batch here once and every
-  /// destination copies from it, instead of filling S identical buffers.
+  /// destination reads it in place, instead of filling S identical buffers.
   std::vector<Row> broadcast_shared;
 };
 
@@ -403,14 +404,23 @@ Result<std::vector<Row>> Executor::RunSegments(const PhysPtr& plan) {
       return seg_result.status();
     }
   }
-  std::vector<Row> result;
   size_t total_rows = 0;
+  size_t segments_with_rows = 0;
   for (const auto& seg_result : run.seg_results) {
-    if (seg_result.ok()) total_rows += seg_result.value().size();
+    if (!seg_result.ok()) return seg_result.status();
+    total_rows += seg_result.value().size();
+    if (!seg_result.value().empty()) ++segments_with_rows;
   }
+  if (segments_with_rows <= 1) {
+    // A Gather root: one segment holds the whole result, handed over as is.
+    for (auto& seg_result : run.seg_results) {
+      if (!seg_result.value().empty()) return std::move(seg_result).value();
+    }
+    return std::vector<Row>{};
+  }
+  std::vector<Row> result;
   result.reserve(total_rows);
   for (auto& seg_result : run.seg_results) {
-    if (!seg_result.ok()) return seg_result.status();
     std::vector<Row> rows = std::move(seg_result).value();
     result.insert(result.end(), std::make_move_iterator(rows.begin()),
                   std::make_move_iterator(rows.end()));
@@ -578,15 +588,17 @@ Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
     case PhysNodeKind::kSort:
       return Owned(ExecSort(static_cast<const SortNode&>(*node), segment));
     case PhysNodeKind::kLimit: {
+      // Reads its input in place and takes only the rows it keeps.
       const auto& limit = static_cast<const LimitNode&>(*node);
-      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(limit.child(0), segment));
-      if (rows.size() > limit.limit()) rows.resize(limit.limit());
+      MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(limit.child(0), segment));
+      std::vector<Row> rows;
+      input.MoveRange(0, std::min<size_t>(input.size(), limit.limit()), &rows);
       return InputRows(std::move(rows));
     }
     case PhysNodeKind::kTopN:
       return Owned(ExecTopN(static_cast<const TopNNode&>(*node), segment));
     case PhysNodeKind::kMotion:
-      return Owned(ExecMotion(static_cast<const MotionNode&>(*node), segment));
+      return ExecMotion(static_cast<const MotionNode&>(*node), segment);
     case PhysNodeKind::kValues: {
       const auto& values = static_cast<const ValuesNode&>(*node);
       if (segment != 0) return InputRows();
@@ -604,7 +616,28 @@ Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
 
 Result<std::vector<Row>> Executor::ExecOwned(const PhysPtr& node, int segment) {
   MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node, segment));
-  return std::move(input).Take();
+  if (input.IsOneOwnedSlice()) return std::move(input).Take();
+  // Slices read in place (a gathered scan, a broadcast batch) are copied
+  // here, the one copy they get. On a pool the morsels copy in parallel, at
+  // least one per worker, so that with whole-slice morsels (morsel_rows =
+  // SIZE_MAX) a gathered input is still not copied by one thread alone.
+  const size_t n = input.size();
+  size_t morsel_rows = MorselRows();
+  if (scheduler_ != nullptr) {
+    const size_t workers = static_cast<size_t>(scheduler_->num_workers());
+    const size_t chunk = TableStore::kChunkRows;
+    const size_t per_worker = ((n + workers - 1) / workers + chunk - 1) / chunk * chunk;
+    morsel_rows = std::min(morsel_rows, std::max(per_worker, chunk));
+  }
+  std::vector<Row> rows;
+  rows.reserve(n);
+  auto body = [&input](size_t begin, size_t end, ExecStats*,
+                       std::vector<Row>* out) -> Status {
+    input.MoveRange(begin, end, out);
+    return Status::OK();
+  };
+  MPPDB_RETURN_IF_ERROR(RunMorselScan(segment, n, body, &rows, morsel_rows));
+  return rows;
 }
 
 size_t Executor::MorselRows() const {
@@ -620,8 +653,9 @@ size_t Executor::MorselRows() const {
 }
 
 Status Executor::RunMorselScan(int segment, size_t row_count,
-                               const MorselBody& body, std::vector<Row>* out) {
-  const size_t morsel_rows = MorselRows();
+                               const MorselBody& body, std::vector<Row>* out,
+                               size_t morsel_rows) {
+  if (morsel_rows == 0) morsel_rows = MorselRows();
   if (scheduler_ == nullptr || scheduler_->num_workers() <= 1 ||
       row_count <= morsel_rows) {
     // Ineligible: run the body whole, against the segment accumulator — the
@@ -1283,11 +1317,11 @@ Result<std::vector<Row>> Executor::ExecTopN(const TopNNode& node, int segment) {
 }
 
 Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
-                                    std::vector<std::vector<Row>> source_rows,
+                                    std::vector<InputRows> source_rows,
                                     MotionExchange* exchange) {
   ColumnLayout layout = node.child(0)->OutputLayout();
   size_t total_rows = 0;
-  for (const auto& rows : source_rows) total_rows += rows.size();
+  for (const InputRows& rows : source_rows) total_rows += rows.size();
 
   // The exchange's receive buffers hold every in-flight row until the
   // destinations drain them: a mandatory charge, like a real interconnect's
@@ -1315,13 +1349,15 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
       }
       JoinFilterSummaryBuilder builder(positions.size(), total_rows);
       size_t rows_since_check = 0;
-      for (const auto& rows : source_rows) {
-        for (const Row& row : rows) {
-          if (++rows_since_check >= TableStore::kChunkRows) {
-            rows_since_check = 0;
-            MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
+      for (const InputRows& rows : source_rows) {
+        for (size_t s = 0; s < rows.num_slices(); ++s) {
+          for (const Row& row : rows.slice(s)) {
+            if (++rows_since_check >= TableStore::kChunkRows) {
+              rows_since_check = 0;
+              MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
+            }
+            builder.Add(row, positions);
           }
-          builder.Add(row, positions);
         }
       }
       hub_.PublishGlobalJoinFilter(spec.filter_id, builder.Finish());
@@ -1329,15 +1365,15 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
     }
   }
 
-  std::vector<std::vector<Row>>& buffers = exchange->buffers;
-  buffers.assign(static_cast<size_t>(num_segments_), {});
+  exchange->buffers.clear();
+  exchange->buffers.resize(static_cast<size_t>(num_segments_));
+  std::vector<std::vector<Row>> routed;
   std::vector<int> hash_pos;
   switch (node.motion_kind()) {
     case MotionKind::kGather:
-      buffers[0].reserve(total_rows);
       break;
     case MotionKind::kBroadcast:
-      // One shared materialization; destinations copy from it on read.
+      // One shared materialization; destinations read it in place.
       exchange->broadcast_shared.reserve(total_rows);
       break;
     case MotionKind::kRedistribute: {
@@ -1346,7 +1382,8 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
       // uniform hash; reserve that plus slack to avoid most regrows.
       const size_t expected =
           total_rows / static_cast<size_t>(num_segments_);
-      for (auto& buffer : buffers) buffer.reserve(expected + expected / 4 + 4);
+      routed.resize(static_cast<size_t>(num_segments_));
+      for (auto& buffer : routed) buffer.reserve(expected + expected / 4 + 4);
       break;
     }
   }
@@ -1356,43 +1393,50 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
   // on the rendezvous), so it re-checks liveness at batch granularity like
   // the operator hot loops do.
   size_t rows_since_check = 0;
-  for (auto& rows : source_rows) {
+  for (InputRows& input : source_rows) {
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
-    switch (node.motion_kind()) {
-      case MotionKind::kGather:
-        buffers[0].insert(buffers[0].end(), std::make_move_iterator(rows.begin()),
-                          std::make_move_iterator(rows.end()));
-        break;
-      case MotionKind::kBroadcast:
-        exchange->broadcast_shared.insert(exchange->broadcast_shared.end(),
-                                          std::make_move_iterator(rows.begin()),
-                                          std::make_move_iterator(rows.end()));
-        break;
-      case MotionKind::kRedistribute:
-        for (Row& row : rows) {
-          if (++rows_since_check >= TableStore::kChunkRows) {
-            rows_since_check = 0;
-            MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
-          }
-          uint64_t h = HashRowColumns(row, hash_pos);
-          buffers[h % static_cast<uint64_t>(num_segments_)].push_back(std::move(row));
-        }
-        break;
+    if (node.motion_kind() == MotionKind::kGather) {
+      // The slices themselves move; no row is touched.
+      exchange->buffers[0].Append(std::move(input));
+      continue;
     }
+    // Broadcast and Redistribute sources deposited one owned slice.
+    std::vector<Row> rows = std::move(input).Take();
+    if (node.motion_kind() == MotionKind::kBroadcast) {
+      exchange->broadcast_shared.insert(exchange->broadcast_shared.end(),
+                                        std::make_move_iterator(rows.begin()),
+                                        std::make_move_iterator(rows.end()));
+      continue;
+    }
+    for (Row& row : rows) {
+      if (++rows_since_check >= TableStore::kChunkRows) {
+        rows_since_check = 0;
+        MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
+      }
+      uint64_t h = HashRowColumns(row, hash_pos);
+      routed[h % static_cast<uint64_t>(num_segments_)].push_back(std::move(row));
+    }
+  }
+  for (size_t dest = 0; dest < routed.size(); ++dest) {
+    exchange->buffers[dest] = InputRows(std::move(routed[dest]));
   }
   return Status::OK();
 }
 
-std::vector<Row> Executor::ReadMotionBuffer(const MotionNode& node,
-                                            MotionExchange& exchange, int segment) {
+InputRows Executor::ReadMotionBuffer(const MotionNode& node, MotionExchange& exchange,
+                                     int segment) {
   if (node.motion_kind() == MotionKind::kBroadcast) {
-    return exchange.broadcast_shared;  // every destination copies the batch
+    // Every destination reads the one batch in place; it lives until the
+    // run ends.
+    InputRows shared;
+    shared.AddRef(exchange.broadcast_shared);
+    return shared;
   }
   // Sole reader of this slot: hand the buffer over without copying.
   return std::move(exchange.buffers[static_cast<size_t>(segment)]);
 }
 
-Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segment) {
+Result<InputRows> Executor::ExecMotion(const MotionNode& node, int segment) {
   MotionExchange& exchange = *exchanges_.at(&node);
   // A worker-count-independent exchange. Arrival is a counter each segment
   // bumps when it deposits; a segment whose peers are outstanding suspends
@@ -1402,10 +1446,18 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
     std::unique_lock<std::mutex> lock(exchange.mu);
     if (!exchange.deposited[static_cast<size_t>(segment)]) {
       lock.unlock();
-      // Ownership is taken here, on the source segment's own task, so a
-      // child read in place is copied in parallel across segments and never
-      // by the last arriver.
-      MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
+      // A Gather deposits its child's slices as they are: storage slices by
+      // reference, owned ones moved, and segment 0's consumer copies only
+      // what it must own. Broadcast and Redistribute take ownership here, on
+      // the source segment's own task, so a child read in place is copied in
+      // parallel across segments and never by the last arriver.
+      InputRows rows;
+      if (node.motion_kind() == MotionKind::kGather) {
+        MPPDB_ASSIGN_OR_RETURN(rows, ExecNode(node.child(0), segment));
+      } else {
+        MPPDB_ASSIGN_OR_RETURN(std::vector<Row> owned, ExecOwned(node.child(0), segment));
+        rows = InputRows(std::move(owned));
+      }
       MPPDB_RETURN_IF_ERROR(CheckExec(segment, "motion.send"));
       seg_stats_[static_cast<size_t>(segment)].rows_moved += rows.size();
       lock.lock();
@@ -1443,7 +1495,7 @@ Result<std::vector<Row>> Executor::ExecMotion(const MotionNode& node, int segmen
   }
   // `built` is final: the buffers/build_status are immutable from here on
   // (each segment only moves out of its own buffer slot, and the broadcast
-  // batch is only copied), so lock-free concurrent reads are safe.
+  // batch is only read), so lock-free concurrent reads are safe.
   if (!exchange.build_status.ok()) return exchange.build_status;
   MPPDB_RETURN_IF_ERROR(CheckExec(segment, "motion.recv"));
   return ReadMotionBuffer(node, exchange, segment);

@@ -1,6 +1,7 @@
 #ifndef MPPDB_EXEC_EXECUTOR_H_
 #define MPPDB_EXEC_EXECUTOR_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -158,9 +159,10 @@ struct ExecStats {
 };
 
 /// An operator's output as Executor::ExecNode returns it: a list of row
-/// slices in input order. A slice is either a storage slice read in place (a
-/// scan leaf's TableStore::UnitRows) or an owned vector held at a stable
-/// address. Storage slices are valid only until the consuming operator
+/// slices in input order. A slice is either read in place (a scan leaf's
+/// TableStore::UnitRows, or a Broadcast's shared batch) or an owned vector
+/// held at a stable address. A Gather hands its sources' slices to segment 0
+/// as they are. Storage slices are valid only until the consuming operator
 /// returns (DESIGN.md §15). Owned slices are held by unique_ptr, which makes
 /// the type move-only: no copy can keep slice pointers into another
 /// object's owned rows.
@@ -194,22 +196,45 @@ class InputRows {
     return total;
   }
 
-  /// The rows as one owned vector, in input order: a single owned slice is
-  /// moved out, owned rows are moved, and storage slices are copied.
-  std::vector<Row> Take() && {
-    if (slices_.size() == 1 && slices_[0].owned != nullptr) {
-      return std::move(*slices_[0].owned);
-    }
-    std::vector<Row> rows;
-    rows.reserve(size());
+  /// True when the input is exactly one owned vector, which Take moves out
+  /// without touching a row.
+  bool IsOneOwnedSlice() const {
+    return slices_.size() == 1 && slices_[0].owned != nullptr;
+  }
+
+  /// Appends rows [begin, end) of the concatenated input to `out`: owned
+  /// rows are moved, rows read in place are copied. Calls on disjoint ranges
+  /// may run concurrently (each touches only its own rows).
+  void MoveRange(size_t begin, size_t end, std::vector<Row>* out) {
+    out->reserve(out->size() + (end - begin));
+    size_t first = 0;  // concatenated position of the current slice's row 0
     for (Slice& s : slices_) {
-      if (s.owned != nullptr) {
-        rows.insert(rows.end(), std::make_move_iterator(s.owned->begin()),
-                    std::make_move_iterator(s.owned->end()));
-      } else {
-        rows.insert(rows.end(), s.rows->begin(), s.rows->end());
+      const size_t n = s.rows->size();
+      if (first + n > begin && first < end) {
+        const size_t lo = std::max(begin, first) - first;
+        const size_t hi = std::min(end, first + n) - first;
+        if (s.owned != nullptr) {
+          auto from = s.owned->begin();
+          out->insert(out->end(),
+                      std::make_move_iterator(from + static_cast<std::ptrdiff_t>(lo)),
+                      std::make_move_iterator(from + static_cast<std::ptrdiff_t>(hi)));
+        } else {
+          auto from = s.rows->begin();
+          out->insert(out->end(), from + static_cast<std::ptrdiff_t>(lo),
+                      from + static_cast<std::ptrdiff_t>(hi));
+        }
       }
+      first += n;
+      if (first >= end) break;
     }
+  }
+
+  /// The rows as one owned vector, in input order: a single owned slice is
+  /// moved out, owned rows are moved, and rows read in place are copied.
+  std::vector<Row> Take() && {
+    if (IsOneOwnedSlice()) return std::move(*slices_[0].owned);
+    std::vector<Row> rows;
+    MoveRange(0, size(), &rows);
     return rows;
   }
 
@@ -433,12 +458,14 @@ class Executor {
 
   /// Runs `body` over [0, row_count): inline when morsels are ineligible
   /// (no pool, single worker, or a slice no larger than one morsel),
-  /// otherwise split into chunk-aligned morsels spawned on a TaskGroup. Per-morsel rows land in pre-assigned slots appended to `out`
-  /// in range order and per-morsel stats merge in range order, so output and
-  /// stats are bit-identical to the inline run; on error the lowest range's
-  /// status is returned (the inline loop's first error).
+  /// otherwise split into chunk-aligned morsels of `morsel_rows` (0 means
+  /// MorselRows()) spawned on a TaskGroup. Per-morsel rows land in
+  /// pre-assigned slots appended to `out` in range order and per-morsel
+  /// stats merge in range order, so output and stats are bit-identical to
+  /// the inline run; on error the lowest range's status is returned (the
+  /// inline loop's first error).
   Status RunMorselScan(int segment, size_t row_count, const MorselBody& body,
-                       std::vector<Row>* out);
+                       std::vector<Row>* out, size_t morsel_rows = 0);
 
   /// Effective rows-per-morsel: Options::morsel_rows (0 = 4 chunks) rounded
   /// up to a whole number of storage chunks, saturating at the largest
@@ -453,20 +480,22 @@ class Executor {
 
   /// Routes per-source rows into the exchange's per-destination buffers
   /// according to the Motion kind, in source-segment order (determinism).
-  /// Broadcast materializes the batch once in the exchange's shared buffer
-  /// instead of once per destination. Also publishes any JoinFilterSpec the
-  /// optimizer attached to this Motion (the cross-segment merged summary),
-  /// before `built` is announced, so consumers blocked on the rendezvous
-  /// observe it. `segment` is the building segment (stats attribution).
+  /// Gather appends every source's slices to segment 0's buffer without
+  /// touching a row; Broadcast materializes the batch once in the exchange's
+  /// shared buffer instead of once per destination. Also publishes any
+  /// JoinFilterSpec the optimizer attached to this Motion (the cross-segment
+  /// merged summary), before `built` is announced, so consumers blocked on
+  /// the rendezvous observe it. `segment` is the building segment (stats
+  /// attribution).
   Status BuildMotionBuffers(const MotionNode& node, int segment,
-                            std::vector<std::vector<Row>> source_rows,
+                            std::vector<InputRows> source_rows,
                             MotionExchange* exchange);
 
   /// Reads `segment`'s output of a built exchange: the shared broadcast
-  /// buffer is copied (every destination reads it), per-destination buffers
-  /// are moved out (each has exactly one reader).
-  std::vector<Row> ReadMotionBuffer(const MotionNode& node, MotionExchange& exchange,
-                                    int segment);
+  /// buffer by reference (every destination reads it), per-destination
+  /// buffers moved out (each has exactly one reader).
+  InputRows ReadMotionBuffer(const MotionNode& node, MotionExchange& exchange,
+                             int segment);
 
   /// Marks the current run failed and resumes every continuation suspended
   /// at a Motion exchange, so each observes the abort and records its
@@ -565,12 +594,16 @@ class Executor {
                                      int segment);
 
   /// Runs `node` on `segment`. Scan leaves hand back storage slices read in
-  /// place (ExecScan), Sequence its last child's input and Append its
-  /// children's slices concatenated; every other operator's output is one
-  /// owned slice. A result parked in the suspension memo is returned as is.
+  /// place (ExecScan), Sequence its last child's input, Append its
+  /// children's slices concatenated, and Motion what its exchange routed to
+  /// `segment` (ExecMotion); every other operator's output is one owned
+  /// slice. A result parked in the suspension memo is returned as is.
   Result<InputRows> ExecNode(const PhysPtr& node, int segment);
-  /// ExecNode's output as an owned vector (InputRows::Take), for operators
-  /// that move, reorder or store their input rows.
+  /// ExecNode's output as an owned vector, for operators that move, reorder
+  /// or store their input rows. One owned slice is moved out; otherwise the
+  /// rows are copied (owned ones moved) in morsels through RunMorselScan, at
+  /// least one per worker, so on a pool the copy runs in parallel even when
+  /// scans keep whole slices.
   Result<std::vector<Row>> ExecOwned(const PhysPtr& node, int segment);
 
   /// A JoinFilterProbe resolved against a consumer's output layout, with the
@@ -622,7 +655,13 @@ class Executor {
   /// first, in that order — output is bit-identical to Limit(k) over
   /// Sort(keys) — holding at most k rows of sort state (O(k) budget charge).
   Result<std::vector<Row>> ExecTopN(const TopNNode& node, int segment);
-  Result<std::vector<Row>> ExecMotion(const MotionNode& node, int segment);
+  /// One segment's side of an exchange: deposits the child's output, then
+  /// returns what the exchange routed to `segment`. Gather deposits the
+  /// child's slices as they are and segment 0 receives their concatenation
+  /// in source-segment order; Broadcast and Redistribute take ownership at
+  /// deposit, and every Broadcast destination reads the one shared batch in
+  /// place.
+  Result<InputRows> ExecMotion(const MotionNode& node, int segment);
   Result<std::vector<Row>> ExecInsert(const InsertNode& node, int segment);
   Result<std::vector<Row>> ExecUpdate(const UpdateNode& node, int segment);
   Result<std::vector<Row>> ExecDelete(const DeleteNode& node, int segment);

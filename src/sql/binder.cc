@@ -411,6 +411,8 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
       BindFromWhere(select.from, select.joins, select.where.get(), &scope, nullptr));
 
   BoundSelect out;
+  // The select list's aggregates, kept for ORDER BY to match against.
+  std::vector<AggItem> select_aggs;
 
   bool has_aggregates = !select.group_by.empty() || select.having != nullptr;
   std::function<bool(const ParseExpr&)> contains_agg = [&](const ParseExpr& e) {
@@ -484,6 +486,7 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
         }
       }
     }
+    select_aggs = agg_items;
     plan = std::make_shared<LogicalAgg>(std::move(group_ids), std::move(agg_items),
                                         plan);
     if (having != nullptr) {
@@ -511,14 +514,26 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
   }
 
   if (!select.order_by.empty()) {
-    // Order-by columns resolve against output aliases first, then the scope;
-    // they must be present in the output row.
+    // An order-by item is a 1-based ordinal into the select list, an output
+    // alias, or an expression over the scope that is a column of the output
+    // row or equal to a select item (an aggregate matches the select list's
+    // aggregate).
     std::vector<ColRefId> output_ids = plan->OutputIds();
     std::unordered_set<ColRefId> output_set(output_ids.begin(), output_ids.end());
     std::vector<SortKey> keys;
     for (const auto& order : select.order_by) {
       ColRefId id = -1;
-      if (order.expr->kind == ParseExpr::Kind::kColumn && order.expr->qualifier.empty()) {
+      if (order.expr->kind == ParseExpr::Kind::kIntLit) {
+        const int64_t ordinal = order.expr->int_value;
+        if (ordinal < 1 || ordinal > static_cast<int64_t>(output_ids.size())) {
+          return Status::BindError("ORDER BY position " + std::to_string(ordinal) +
+                                   " is not in the select list (1.." +
+                                   std::to_string(output_ids.size()) + ")");
+        }
+        id = output_ids[static_cast<size_t>(ordinal - 1)];
+      }
+      if (id < 0 && order.expr->kind == ParseExpr::Kind::kColumn &&
+          order.expr->qualifier.empty()) {
         for (size_t i = 0; i < out.names.size() && i < output_ids.size(); ++i) {
           if (out.names[i] == order.expr->text) {
             id = output_ids[i];
@@ -527,11 +542,22 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql_ast::SelectStmt& select
         }
       }
       if (id < 0) {
-        MPPDB_ASSIGN_OR_RETURN(ExprPtr bound, BindScalar(*order.expr, scope, nullptr));
-        if (bound->kind() != ExprKind::kColumnRef) {
+        // Binding against a copy of the select list's aggregates turns an
+        // aggregate the list already computes into its output column.
+        std::vector<AggItem> aggs = select_aggs;
+        MPPDB_ASSIGN_OR_RETURN(
+            ExprPtr bound,
+            BindScalar(*order.expr, scope, has_aggregates ? &aggs : nullptr));
+        for (size_t i = 0; i < out.exprs.size() && i < output_ids.size(); ++i) {
+          if (Expr::Equals(bound, out.exprs[i])) {
+            id = output_ids[i];
+            break;
+          }
+        }
+        if (id < 0 && bound->kind() != ExprKind::kColumnRef) {
           return Status::BindError("ORDER BY must reference a column");
         }
-        id = static_cast<const ColumnRefExpr&>(*bound).id();
+        if (id < 0) id = static_cast<const ColumnRefExpr&>(*bound).id();
       }
       if (output_set.count(id) == 0) {
         return Status::BindError("ORDER BY column must appear in the select list");

@@ -40,6 +40,28 @@ void AppendParamSlot(size_t index, std::string* out) {
   out->append(std::to_string(index));
 }
 
+bool IsKeyword(const Token& token, const char* text) {
+  return token.type == TokenType::kKeyword && token.text == text;
+}
+
+bool IsSymbol(const Token& token, const char* text) {
+  return token.type == TokenType::kSymbol && token.text == text;
+}
+
+/// An ORDER BY ordinal: an integer literal that is a whole item of an
+/// ORDER BY list (`in_order_by`), between BY or a comma and a comma,
+/// ASC/DESC, LIMIT, a closing parenthesis or the end.
+bool IsOrderByOrdinal(const std::vector<Token>& tokens, size_t i, bool in_order_by) {
+  if (!in_order_by || i == 0 || tokens[i].type != TokenType::kIntLiteral) return false;
+  const Token& prev = tokens[i - 1];
+  if (!IsKeyword(prev, "BY") && !IsSymbol(prev, ",")) return false;
+  if (i + 1 >= tokens.size()) return true;
+  const Token& next = tokens[i + 1];
+  return next.type == TokenType::kEnd || IsSymbol(next, ",") || IsSymbol(next, ")") ||
+         IsSymbol(next, ";") || IsKeyword(next, "ASC") || IsKeyword(next, "DESC") ||
+         IsKeyword(next, "LIMIT");
+}
+
 bool IsLiteral(const Token& token) {
   return token.type == TokenType::kIntLiteral ||
          token.type == TokenType::kDoubleLiteral ||
@@ -66,9 +88,17 @@ Result<NormalizedSql> NormalizeSql(const std::string& sql) {
   out.cacheable = is_select;
   out.auto_params = is_select && !has_params;
 
+  // Inside an ORDER BY list: from ORDER BY up to LIMIT or a closing
+  // parenthesis (the list of a subquery).
+  bool in_order_by = false;
   for (size_t i = 0; i < tokens.size(); ++i) {
     const Token& token = tokens[i];
     if (token.type == TokenType::kEnd) break;
+    if (IsKeyword(token, "BY") && i > 0 && IsKeyword(tokens[i - 1], "ORDER")) {
+      in_order_by = true;
+    } else if (IsKeyword(token, "LIMIT") || IsSymbol(token, ")")) {
+      in_order_by = false;
+    }
     if (!out.auto_params) {
       AppendToken(token, &out.text);
       continue;
@@ -96,6 +126,12 @@ Result<NormalizedSql> NormalizeSql(const std::string& sql) {
         i + 1 < tokens.size() && tokens[i + 1].type == TokenType::kIntLiteral) {
       AppendToken(token, &out.text);
       AppendToken(tokens[++i], &out.text);
+      continue;
+    }
+    // An ORDER BY ordinal names an output column, not a value: it shapes the
+    // plan, so it stays inline like LIMIT's count.
+    if (IsOrderByOrdinal(tokens, i, in_order_by)) {
+      AppendToken(token, &out.text);
       continue;
     }
     if (IsLiteral(token)) {

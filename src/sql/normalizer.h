@@ -40,7 +40,9 @@ struct NormalizedSql {
 /// Parameterization rules (anything not parameterized is rendered inline,
 /// so the normalized text still distinguishes it):
 ///  * int / double / string literals become $n slots, except the literal
-///    after LIMIT (the grammar requires a plain integer there).
+///    after LIMIT (the grammar requires a plain integer there) and an
+///    integer that is a whole ORDER BY item (an ordinal into the select
+///    list, which the binder resolves to a column).
 ///  * DATE 'x' folds into one $n slot holding a Date datum when 'x' parses
 ///    as a date; a malformed date literal stays inline so the fresh bind
 ///    reports the same error it always did.

@@ -59,6 +59,20 @@ TEST(NormalizerTest, LimitLiteralStaysInline) {
   ASSERT_EQ(n->params.size(), 1u);
 }
 
+TEST(NormalizerTest, OrderByOrdinalStaysInline) {
+  auto n = NormalizeSql(
+      "SELECT b, count(*) FROM t WHERE a > 3 GROUP BY b ORDER BY 2 DESC, 1 LIMIT 5");
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n->text,
+            "SELECT b , COUNT ( * ) FROM t WHERE a > $1 GROUP BY b ORDER BY 2 DESC , 1 "
+            "LIMIT 5");
+  ASSERT_EQ(n->params.size(), 1u);
+  // A literal inside an ORDER BY expression is a value, and is lifted.
+  auto expr = NormalizeSql("SELECT a FROM t ORDER BY a + 1");
+  ASSERT_TRUE(expr.ok());
+  EXPECT_EQ(expr->text, "SELECT a FROM t ORDER BY a + $1");
+}
+
 TEST(NormalizerTest, OnlySelectIsCacheableAndExplicitParamsDisableLifting) {
   EXPECT_FALSE(NormalizeSql("INSERT INTO t VALUES (1)")->cacheable);
   EXPECT_FALSE(NormalizeSql("UPDATE t SET v = 1 WHERE k = 2")->cacheable);
@@ -113,6 +127,40 @@ TEST_F(PlanCacheTest, RepeatedStatementHitsAndSkipsPlanning) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(db_.plan_cache().size(), 1u);
+}
+
+TEST_F(PlanCacheTest, OrderByOrdinalIsPartOfTheKey) {
+  auto first_rows = [](const Result<QueryResult>& result) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : result->rows) {
+      out.emplace_back(row[0].int64_value(), row[1].int64_value());
+    }
+    return out;
+  };
+  using Pairs = std::vector<std::pair<int64_t, int64_t>>;
+  auto by_sk = db_.Execute(
+      "SELECT 100 - sk AS r, sk FROM orders WHERE sk < 30 ORDER BY 2 DESC LIMIT 2",
+      cached_);
+  ASSERT_TRUE(by_sk.ok()) << by_sk.status().ToString();
+  EXPECT_FALSE(by_sk->plan_cache_hit);
+  EXPECT_EQ(first_rows(by_sk), (Pairs{{71, 29}, {72, 28}}));
+
+  // Same ordinal, different literals: a hit.
+  auto hit = db_.Execute(
+      "SELECT 100 - sk AS r, sk FROM orders WHERE sk < 50 ORDER BY 2 DESC LIMIT 2",
+      cached_);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->plan_cache_hit);
+  EXPECT_EQ(first_rows(hit), (Pairs{{51, 49}, {52, 48}}));
+
+  // Another ordinal is another plan, not a rebound parameter.
+  auto by_r = db_.Execute(
+      "SELECT 100 - sk AS r, sk FROM orders WHERE sk < 50 ORDER BY 1 DESC LIMIT 2",
+      cached_);
+  ASSERT_TRUE(by_r.ok());
+  EXPECT_FALSE(by_r->plan_cache_hit);
+  EXPECT_EQ(first_rows(by_r), (Pairs{{100, 0}, {99, 1}}));
+  EXPECT_EQ(db_.plan_cache().size(), 2u);
 }
 
 TEST_F(PlanCacheTest, CacheOffNeverTouchesTheCache) {

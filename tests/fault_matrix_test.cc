@@ -192,6 +192,72 @@ TEST_F(FaultMatrixTest, EveryFaultPointInEveryModeIsIdenticalOrTyped) {
   }
 }
 
+// Faults at the Motion hand-off while slices cross it by reference: a
+// Gather hands segment 0 the source segments' storage slices as they are,
+// and every Broadcast destination reads the one shared batch in place. A
+// fault armed on one segment's motion.send or motion.recv, firing once,
+// fails the statement with kInternal (fatal) or is cured by the retry
+// (transient) with rows and ExecStats bit-identical to the oracle, in every
+// mode; a fault-free run afterwards still matches.
+TEST_F(FaultMatrixTest, MotionFaultsWhileSlicesCrossByReference) {
+  struct Shape {
+    std::string sql;
+    const char* motion;
+  };
+  const std::vector<Shape> shapes = {
+      {"SELECT * FROM fact", "GatherMotion"},
+      {"SELECT v, sk + 1 FROM fact", "GatherMotion"},
+      {"SELECT * FROM fact LIMIT 7", "GatherMotion"},
+      {"SELECT f.sk, d.grp FROM fact f JOIN dim d ON f.v = d.grp", "BroadcastMotion"},
+  };
+  for (const Shape& shape : shapes) {
+    auto explain = db_.Explain(shape.sql);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    ASSERT_NE(explain->find(shape.motion), std::string::npos) << *explain;
+    auto oracle = db_.Run(shape.sql);
+    ASSERT_TRUE(oracle.ok()) << shape.sql << "\n" << oracle.status().ToString();
+    ASSERT_FALSE(oracle->rows.empty()) << shape.sql;
+
+    for (Database* db : AllModes()) {
+      for (const char* point : {"motion.send", "motion.recv"}) {
+        for (int segment = 0; segment < 3; ++segment) {
+          for (FaultKind kind : {FaultKind::kTransient, FaultKind::kFatal}) {
+            FaultInjector injector(7);
+            FaultSpec spec;
+            spec.kind = kind;
+            spec.segment = segment;
+            spec.max_fires = 1;
+            injector.Arm(point, spec);
+            QueryOptions options;
+            options.fault_injector = &injector;
+            options.max_transient_retries = 2;
+            options.retry_backoff_ms = 0;
+            auto result = db->Run(shape.sql, options);
+            const std::string cell =
+                shape.sql + " workers=" + std::to_string(db->exec_options().workers) +
+                " point=" + point + " segment=" + std::to_string(segment) +
+                (kind == FaultKind::kTransient ? " transient" : " fatal");
+            EXPECT_EQ(injector.fires(point), 1u) << cell;
+            if (kind == FaultKind::kTransient) {
+              ASSERT_TRUE(result.ok()) << cell << ": " << result.status().ToString();
+              EXPECT_TRUE(result->rows == oracle->rows) << cell;
+              EXPECT_TRUE(result->stats == oracle->stats) << cell;
+            } else {
+              ASSERT_FALSE(result.ok()) << cell;
+              EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+                  << cell << ": " << result.status().ToString();
+            }
+          }
+        }
+      }
+      auto clean = db->Run(shape.sql);
+      ASSERT_TRUE(clean.ok()) << shape.sql << "\n" << clean.status().ToString();
+      EXPECT_TRUE(clean->rows == oracle->rows) << shape.sql;
+      EXPECT_TRUE(clean->stats == oracle->stats) << shape.sql;
+    }
+  }
+}
+
 TEST_F(FaultMatrixTest, RandomMemoryBudgetsAreOracleRowsOrResourceExhausted) {
   Random rng(7);
   const std::vector<std::string> queries = RandomQueries(&rng);

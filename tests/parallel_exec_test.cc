@@ -23,6 +23,7 @@
 namespace mppdb {
 namespace {
 
+using testutil::PlanHasEdge;
 using testutil::TestDb;
 
 ExprPtr Lit(int64_t v) { return MakeConst(Datum::Int64(v)); }
@@ -185,28 +186,6 @@ TEST(ParallelExecTest, InPlaceBuildSurvivesProbeSideRedistributeSuspension) {
       EXPECT_TRUE(exec.stats() == first_stats);
     }
   }
-}
-
-// True when some line of the EXPLAIN-style rendering `plan` that starts
-// with `parent` (after its indentation) has a direct child line starting
-// with `child`.
-bool PlanHasEdge(const std::string& plan, const std::string& parent,
-                 const std::string& child) {
-  std::vector<std::pair<size_t, std::string>> lines;
-  std::istringstream in(plan);
-  for (std::string line; std::getline(in, line);) {
-    const size_t indent = line.find_first_not_of(' ');
-    if (indent != std::string::npos) lines.emplace_back(indent, line.substr(indent));
-  }
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].second.rfind(parent, 0) != 0) continue;
-    for (size_t j = i + 1; j < lines.size() && lines[j].first > lines[i].first; ++j) {
-      if (lines[j].first == lines[i].first + 2 && lines[j].second.rfind(child, 0) == 0) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 // Every consumer that takes ownership of a bare scan's storage slices, on

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
@@ -25,6 +27,7 @@
 namespace mppdb {
 namespace {
 
+using testutil::PlanHasEdge;
 using testutil::TestDb;
 
 // Fig. 5(d) shape on 8 segments: dimension rows broadcast into a selector
@@ -780,6 +783,236 @@ TEST(ParallelStressTest, SharedStringBodiesAcrossWorkers) {
         }
       }
       ASSERT_TRUE(parallel->stats == oracle->stats) << sql;
+    }
+  }
+}
+
+// Every consumer of a Gather of bare scans, which hands segment 0 the source
+// segments' storage slices by reference: Project, Limit and HashAgg over the
+// Gather, Sort and TopN over a Project of it, a HashJoin built from a
+// Broadcast (read in place by every destination), a NestedLoopJoin over a
+// Broadcast, INSERT INTO t SELECT * FROM t, and an UPDATE that moves rows
+// across partitions. Rows and row order are computed by hand from the
+// storage slices, and the scan and Motion counters from the row counts, at
+// workers {1, 4} x morsel_rows {default, 1024, SIZE_MAX}; every ExecStats
+// is identical across the six. The pool runs copy the gathered slices in
+// morsels that cut through slices.
+TEST(ParallelStressTest, ConsumersOfGatheredSlicesAcrossWorkersAndMorsels) {
+  constexpr int kSegments = 4;
+  constexpr int64_t kRows = 6000;
+  // t(a, b, c): a = 0..5999, b = 7a % 100, c = a % 1000, in 10 range parts
+  // on b, hashed on a. u(k, w): k = 0, 5, ..., 95 and w = 1000 + k, hashed
+  // on k; small, so both joins broadcast it.
+  std::vector<Row> t_rows, u_rows;
+  for (int64_t a = 0; a < kRows; ++a) {
+    t_rows.push_back({Datum::Int64(a), Datum::Int64(7 * a % 100), Datum::Int64(a % 1000)});
+  }
+  for (int64_t k = 0; k < 100; k += 5) {
+    u_rows.push_back({Datum::Int64(k), Datum::Int64(1000 + k)});
+  }
+  using Rows = std::vector<Row>;
+  auto ints = [](std::initializer_list<int64_t> values) {
+    Row row;
+    for (int64_t v : values) row.push_back(Datum::Int64(v));
+    return row;
+  };
+
+  struct Config {
+    int workers;
+    size_t morsel_rows;
+  };
+  const Config configs[] = {{1, 0}, {1, 1024}, {1, SIZE_MAX},
+                            {4, 0}, {4, 1024}, {4, SIZE_MAX}};
+  std::map<std::string, ExecStats> first_stats;  // by statement, first config
+  auto same_stats = [&first_stats](const std::string& sql, const ExecStats& stats) {
+    auto [it, fresh] = first_stats.emplace(sql, stats);
+    return fresh || it->second == stats;
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE("workers=" + std::to_string(config.workers) +
+                 " morsel_rows=" + std::to_string(config.morsel_rows));
+    Database db(kSegments, Executor::Options{.workers = config.workers,
+                                             .morsel_rows = config.morsel_rows});
+    ASSERT_TRUE(db.Run("CREATE TABLE t (a bigint, b bigint, c bigint) DISTRIBUTED BY (a) "
+                       "PARTITION BY RANGE (b) START 0 END 100 EVERY 10")
+                    .ok());
+    ASSERT_TRUE(db.Run("CREATE TABLE u (k bigint, w bigint) DISTRIBUTED BY (k)").ok());
+    ASSERT_TRUE(db.Load("t", t_rows).ok());
+    ASSERT_TRUE(db.Load("u", u_rows).ok());
+
+    // A Gather's output: every segment's slices in segment order, each
+    // segment's parts in unit order.
+    auto slices_of = [&](const char* table, int segment) {
+      const TableStore& store = *db.storage().GetStore(db.catalog().FindTable(table)->oid);
+      Rows out;
+      for (Oid unit : store.UnitOids()) {
+        const Rows& rows = store.UnitRows(unit, segment);
+        out.insert(out.end(), rows.begin(), rows.end());
+      }
+      return out;
+    };
+    auto gathered = [&](const char* table) {
+      Rows out;
+      for (int segment = 0; segment < kSegments; ++segment) {
+        Rows part = slices_of(table, segment);
+        out.insert(out.end(), part.begin(), part.end());
+      }
+      return out;
+    };
+    const Rows t_gathered = gathered("t");
+    const Rows u_gathered = gathered("u");
+    ASSERT_EQ(t_gathered.size(), static_cast<size_t>(kRows));
+    auto a_of = [](const Row& row) { return row[0].AsInt64(); };
+    auto b_of = [](const Row& row) { return row[1].AsInt64(); };
+    auto c_of = [](const Row& row) { return row[2].AsInt64(); };
+
+    struct Case {
+      std::string sql;
+      std::pair<std::string, std::string> edge;
+      Rows expected;
+      size_t tuples;
+      size_t moved;
+    };
+    std::vector<Case> cases;
+    {
+      Rows rows;
+      for (const Row& r : t_gathered) rows.push_back(ints({b_of(r), a_of(r) + 1}));
+      cases.push_back(
+          {"SELECT b, a + 1 FROM t", {"Project", "GatherMotion"}, rows, 6000, 6000});
+    }
+    cases.push_back({"SELECT * FROM t LIMIT 10", {"Limit", "GatherMotion"},
+                     Rows(t_gathered.begin(), t_gathered.begin() + 10), 6000, 6000});
+    {
+      Rows sorted;
+      for (const Row& r : t_gathered) sorted.push_back(ints({a_of(r), b_of(r)}));
+      std::sort(sorted.begin(), sorted.end(), [&](const Row& x, const Row& y) {
+        return std::make_pair(b_of(x), a_of(x)) < std::make_pair(b_of(y), a_of(y));
+      });
+      cases.push_back({"SELECT a, b FROM t ORDER BY b, a", {"Project", "GatherMotion"},
+                       sorted, 6000, 6000});
+      std::sort(sorted.begin(), sorted.end(), [&](const Row& x, const Row& y) {
+        return std::make_pair(-b_of(x), a_of(x)) < std::make_pair(-b_of(y), a_of(y));
+      });
+      sorted.resize(25);
+      cases.push_back({"SELECT a, b FROM t ORDER BY b DESC, a LIMIT 25",
+                       {"Project", "GatherMotion"}, sorted, 6000, 6000});
+    }
+    {
+      // Groups in first-appearance order over the gathered rows.
+      std::vector<int64_t> order;
+      std::map<int64_t, std::pair<int64_t, int64_t>> groups;  // c -> (count, sum a)
+      for (const Row& r : t_gathered) {
+        auto [it, fresh] = groups.emplace(c_of(r), std::make_pair(0, 0));
+        if (fresh) order.push_back(c_of(r));
+        ++it->second.first;
+        it->second.second += a_of(r);
+      }
+      // avg keeps the aggregate in one phase; avg(c) is c exactly.
+      Rows rows;
+      for (int64_t c : order) {
+        Row row = ints({c, groups[c].first, groups[c].second});
+        row.push_back(Datum::Double(static_cast<double>(c)));
+        rows.push_back(std::move(row));
+      }
+      cases.push_back({"SELECT c, count(*), sum(a), avg(c) FROM t GROUP BY c",
+                       {"HashAgg", "GatherMotion"}, rows, 6000, 6000});
+    }
+    {
+      // Each segment probes its own t rows in storage order against the
+      // broadcast u (k unique): c < 100 with c % 5 == 0 joins the u row with
+      // k = c.
+      Rows rows;
+      for (const Row& r : t_gathered) {
+        if (c_of(r) < 100 && c_of(r) % 5 == 0) {
+          rows.push_back(ints({a_of(r), b_of(r), 1000 + c_of(r)}));
+        }
+      }
+      const size_t out = rows.size();
+      cases.push_back({"SELECT t.a, t.b, u.w FROM t JOIN u ON t.c = u.k",
+                       {"HashJoin", "BroadcastMotion"}, rows, 6020, 20 + out});
+    }
+    {
+      // The broadcast u is the outer side: per segment, every u row in
+      // broadcast order against that segment's t rows in storage order.
+      Rows rows;
+      for (int segment = 0; segment < kSegments; ++segment) {
+        const Rows t_segment = slices_of("t", segment);
+        for (const Row& u : u_gathered) {
+          for (const Row& r : t_segment) {
+            const int64_t w = u[1].AsInt64();
+            if (a_of(r) < w) rows.push_back(ints({a_of(r), b_of(r), w}));
+          }
+        }
+      }
+      const size_t out = rows.size();
+      cases.push_back({"SELECT t.a, t.b, u.w FROM t, u WHERE t.a < u.w",
+                       {"NestedLoopJoin", "BroadcastMotion"}, rows, 6020, 20 + out});
+    }
+    for (const Case& c : cases) {
+      auto explain = db.Explain(c.sql);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_TRUE(PlanHasEdge(*explain, c.edge.first, c.edge.second))
+          << c.sql << ": no " << c.edge.first << " over " << c.edge.second << "\n"
+          << *explain;
+      auto result = db.Run(c.sql);
+      ASSERT_TRUE(result.ok()) << c.sql << ": " << result.status().ToString();
+      EXPECT_TRUE(result->rows == c.expected) << c.sql;
+      EXPECT_EQ(result->stats.tuples_scanned, c.tuples) << c.sql;
+      EXPECT_EQ(result->stats.rows_moved, c.moved) << c.sql;
+      EXPECT_EQ(result->stats.TotalPartitionsScanned(), c.tuples == 6000 ? 10u : 11u)
+          << c.sql;
+      EXPECT_TRUE(same_stats(c.sql, result->stats)) << c.sql;
+    }
+
+    // Writes: UPDATE moves every row with a < 100 to the part 50 above or
+    // below, then the self-insert doubles the table. Both take ownership of
+    // the gathered slices before they write.
+    const std::string update = "UPDATE t SET b = (b + 50) % 100 WHERE a < 100";
+    auto explain = db.Explain(update);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_TRUE(PlanHasEdge(*explain, "Update", "GatherMotion")) << *explain;
+    auto updated = db.Run(update);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_TRUE(updated->rows == Rows{ints({100})});
+    EXPECT_EQ(updated->stats.tuples_scanned, 6000u);
+    EXPECT_EQ(updated->stats.rows_moved, 100u);
+    EXPECT_TRUE(same_stats(update, updated->stats));
+
+    const std::string self_insert = "INSERT INTO t SELECT * FROM t";
+    explain = db.Explain(self_insert);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_TRUE(PlanHasEdge(*explain, "Insert", "GatherMotion")) << *explain;
+    auto inserted = db.Run(self_insert);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    EXPECT_TRUE(inserted->rows == Rows{ints({6000})});
+    EXPECT_EQ(inserted->stats.tuples_scanned, 6000u);
+    EXPECT_EQ(inserted->stats.rows_moved, 6000u);
+    EXPECT_TRUE(same_stats(self_insert, inserted->stats));
+
+    // Every row, twice, with the updated b; and each part holds exactly its
+    // range (a pruned count reads one part only).
+    Rows want;
+    std::vector<int64_t> per_part(10, 0);
+    for (const Row& r : t_rows) {
+      const int64_t b = a_of(r) < 100 ? (b_of(r) + 50) % 100 : b_of(r);
+      want.push_back(ints({a_of(r), b}));
+      want.push_back(ints({a_of(r), b}));
+      per_part[static_cast<size_t>(b / 10)] += 2;
+    }
+    auto all = db.Run("SELECT a, b FROM t ORDER BY a, b");
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    std::sort(want.begin(), want.end(), [&](const Row& x, const Row& y) {
+      return std::make_pair(a_of(x), b_of(x)) < std::make_pair(a_of(y), b_of(y));
+    });
+    EXPECT_TRUE(all->rows == want);
+    for (int64_t part = 0; part < 10; ++part) {
+      auto count = db.Run("SELECT count(*) FROM t WHERE b >= " +
+                          std::to_string(10 * part) + " AND b < " +
+                          std::to_string(10 * part + 10));
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(count->rows[0][0].AsInt64(), per_part[static_cast<size_t>(part)])
+          << "part " << part;
+      EXPECT_EQ(count->stats.TotalPartitionsScanned(), 1u) << "part " << part;
     }
   }
 }

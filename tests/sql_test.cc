@@ -265,5 +265,98 @@ TEST_F(BinderTest, OrderByResolvesAliasesAndValidates) {
   EXPECT_FALSE(Bind("SELECT amount FROM orders ORDER BY date").ok());
 }
 
+TEST_F(BinderTest, OrderByOrdinalOutOfRangeIsTypedBindError) {
+  EXPECT_TRUE(Bind("SELECT amount, date FROM orders ORDER BY 2 DESC, 1").ok());
+  EXPECT_TRUE(Bind("SELECT * FROM orders ORDER BY 3").ok());
+  for (const char* sql : {"SELECT amount, date FROM orders ORDER BY 0",
+                          "SELECT amount, date FROM orders ORDER BY 3",
+                          "SELECT * FROM orders ORDER BY 4",
+                          "SELECT cust_id, count(*) FROM orders GROUP BY cust_id "
+                          "ORDER BY 3 DESC"}) {
+    auto stmt = Bind(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kBindError) << sql;
+    EXPECT_NE(stmt.status().message().find("ORDER BY position"), std::string::npos)
+        << stmt.status().ToString();
+  }
+}
+
+TEST_F(BinderTest, OrderByAggregateMustBeInTheSelectList) {
+  EXPECT_TRUE(Bind("SELECT cust_id, count(*) FROM orders GROUP BY cust_id "
+                   "ORDER BY count(*) DESC")
+                  .ok());
+  EXPECT_TRUE(Bind("SELECT cust_id, sum(amount) FROM orders GROUP BY cust_id "
+                   "ORDER BY sum(amount), cust_id")
+                  .ok());
+  // An aggregate the select list does not compute, and an aggregate in a
+  // query without aggregation, stay typed errors.
+  for (const char* sql : {"SELECT cust_id, count(*) FROM orders GROUP BY cust_id "
+                          "ORDER BY sum(amount)",
+                          "SELECT cust_id FROM orders ORDER BY count(*)"}) {
+    auto stmt = Bind(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kBindError) << sql;
+  }
+}
+
+/// ORDER BY ordinals and aggregates, executed: b takes the value v in v rows,
+/// so count(*) per b is b and every order below is total.
+class OrderByTest : public ::testing::Test {
+ protected:
+  OrderByTest() : db_(3) {
+    MPPDB_CHECK(db_.CreateTable("t",
+                                Schema({{"a", TypeId::kInt64}, {"b", TypeId::kInt64}}),
+                                TableDistribution::kHashed, {0})
+                    .ok());
+    std::vector<Row> rows;
+    int64_t a = 0;
+    for (int64_t b = 1; b <= 4; ++b) {
+      for (int64_t i = 0; i < b; ++i) {
+        rows.push_back({Datum::Int64(a++), Datum::Int64(b)});
+      }
+    }
+    MPPDB_CHECK(db_.Load("t", rows).ok());
+  }
+
+  /// The statement's rows as (col0, col1) pairs, in order.
+  std::vector<std::pair<int64_t, int64_t>> Pairs(const std::string& sql) {
+    auto result = db_.Run(sql);
+    MPPDB_CHECK(result.ok());
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : result->rows) {
+      out.emplace_back(row[0].int64_value(), row[1].int64_value());
+    }
+    return out;
+  }
+
+  Database db_;
+};
+
+TEST_F(OrderByTest, OrdinalAndAggregateOrderTheGroups) {
+  const std::vector<std::pair<int64_t, int64_t>> desc = {{4, 4}, {3, 3}, {2, 2}, {1, 1}};
+  const std::vector<std::pair<int64_t, int64_t>> asc = {{1, 1}, {2, 2}, {3, 3}, {4, 4}};
+  EXPECT_EQ(Pairs("SELECT b, count(*) FROM t GROUP BY b ORDER BY 2 DESC"), desc);
+  EXPECT_EQ(Pairs("SELECT b, count(*) FROM t GROUP BY b ORDER BY count(*) DESC"), desc);
+  EXPECT_EQ(Pairs("SELECT b, count(*) FROM t GROUP BY b ORDER BY count(*)"), asc);
+  EXPECT_EQ(Pairs("SELECT b, count(*) AS c FROM t GROUP BY b ORDER BY c DESC"), desc);
+  EXPECT_EQ(Pairs("SELECT b, count(*) FROM t GROUP BY b ORDER BY 1 DESC LIMIT 2"),
+            (std::vector<std::pair<int64_t, int64_t>>{{4, 4}, {3, 3}}));
+}
+
+TEST_F(OrderByTest, OrdinalOverPlainColumnsAndStar) {
+  // b descending, then a descending: a runs 0..9 with b's blocks in order.
+  const std::vector<std::pair<int64_t, int64_t>> expected = {
+      {9, 4}, {8, 4}, {7, 4}, {6, 4}, {5, 3}, {4, 3}, {3, 3}, {2, 2}, {1, 2}, {0, 1}};
+  EXPECT_EQ(Pairs("SELECT a, b FROM t ORDER BY 2 DESC, 1 DESC"), expected);
+  EXPECT_EQ(Pairs("SELECT * FROM t ORDER BY 2 DESC, 1 DESC"), expected);
+  EXPECT_EQ(Pairs("SELECT a, b FROM t ORDER BY b DESC, a DESC"), expected);
+  auto bad = db_.Run("SELECT a, b FROM t ORDER BY 5");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kBindError);
+  // The database serves the next statement.
+  EXPECT_EQ(Pairs("SELECT a, b FROM t ORDER BY 1 LIMIT 1"),
+            (std::vector<std::pair<int64_t, int64_t>>{{0, 1}}));
+}
+
 }  // namespace
 }  // namespace mppdb

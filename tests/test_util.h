@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,28 @@ inline bool SameRows(std::vector<Row> a, std::vector<Row> b) {
 }
 
 inline Datum D(const char* ymd) { return Datum::DateFromString(ymd); }
+
+/// True when some line of the EXPLAIN-style rendering `plan` that starts
+/// with `parent` (after its indentation) has a direct child line starting
+/// with `child`.
+inline bool PlanHasEdge(const std::string& plan, const std::string& parent,
+                        const std::string& child) {
+  std::vector<std::pair<size_t, std::string>> lines;
+  std::istringstream in(plan);
+  for (std::string line; std::getline(in, line);) {
+    const size_t indent = line.find_first_not_of(' ');
+    if (indent != std::string::npos) lines.emplace_back(indent, line.substr(indent));
+  }
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].second.rfind(parent, 0) != 0) continue;
+    for (size_t j = i + 1; j < lines.size() && lines[j].first > lines[i].first; ++j) {
+      if (lines[j].first == lines[i].first + 2 && lines[j].second.rfind(child, 0) == 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
 
 }  // namespace testutil
 }  // namespace mppdb
