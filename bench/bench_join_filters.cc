@@ -54,6 +54,7 @@ void ZeroJoinFilterCounters(ExecStats* stats) {
   stats->joinfilter_rows_rejected = 0;
   stats->joinfilter_chunks_skipped = 0;
   stats->joinfilter_motion_rows_saved = 0;
+  stats->joinfilter_probes_stopped = 0;
 }
 
 /// fact scan (probe annotation, below_motion) -> Redistribute(sk) joined

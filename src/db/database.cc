@@ -783,9 +783,9 @@ std::string IndexPathExplainFooter(const Catalog& catalog, const PhysPtr& plan) 
 }
 
 /// EXPLAIN ANALYZE footer: execution counters from the completed run. The
-/// out-of-core counters (DESIGN.md §14) make spilling observable here and in
-/// ExecStats without perturbing result rows — the stats-only-visibility
-/// invariant.
+/// out-of-core counters (DESIGN.md §14) and the join-filter counters (§8)
+/// make spilling and filtering observable here and in ExecStats without
+/// perturbing result rows — the stats-only-visibility invariant.
 std::string ExecStatsExplainFooter(const QueryResult& result) {
   const ExecStats& s = result.stats;
   std::string out = "Execution: " + std::to_string(result.rows.size()) +
@@ -796,6 +796,12 @@ std::string ExecStatsExplainFooter(const QueryResult& result) {
          " bytes_read=" + std::to_string(s.spill_bytes_read) +
          " passes=" + std::to_string(s.spill_passes) +
          " sort_runs=" + std::to_string(s.sort_runs) + "\n";
+  out += "Join filters: built=" + std::to_string(s.joinfilter_built) +
+         " probed=" + std::to_string(s.joinfilter_probed) +
+         " rejected=" + std::to_string(s.joinfilter_rows_rejected) +
+         " chunks_skipped=" + std::to_string(s.joinfilter_chunks_skipped) +
+         " motion_rows_saved=" + std::to_string(s.joinfilter_motion_rows_saved) +
+         " probes_stopped=" + std::to_string(s.joinfilter_probes_stopped) + "\n";
   return out;
 }
 

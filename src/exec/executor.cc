@@ -44,6 +44,7 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   joinfilter_rows_rejected += other.joinfilter_rows_rejected;
   joinfilter_chunks_skipped += other.joinfilter_chunks_skipped;
   joinfilter_motion_rows_saved += other.joinfilter_motion_rows_saved;
+  joinfilter_probes_stopped += other.joinfilter_probes_stopped;
   joinfilter_shed += other.joinfilter_shed;
   synopsis_rebuilds_shed += other.synopsis_rebuilds_shed;
   chunks_encoded_eval += other.chunks_encoded_eval;
@@ -532,8 +533,8 @@ Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
       return Owned(ExecDynamicIndexScan(static_cast<const DynamicIndexScanNode&>(*node),
                                         segment));
     case PhysNodeKind::kPartitionSelector:
-      return Owned(ExecPartitionSelector(
-          static_cast<const PartitionSelectorNode&>(*node), segment));
+      return ExecPartitionSelector(static_cast<const PartitionSelectorNode&>(*node),
+                                   segment);
     case PhysNodeKind::kSequence: {
       const auto& children = node->children();
       InputRows last;
@@ -573,7 +574,7 @@ Result<InputRows> Executor::ExecNode(const PhysPtr& node, int segment) {
       return out;
     }
     case PhysNodeKind::kFilter:
-      return Owned(ExecFilter(static_cast<const FilterNode&>(*node), segment));
+      return ExecFilter(static_cast<const FilterNode&>(*node), segment);
     case PhysNodeKind::kProject:
       return Owned(ExecProject(static_cast<const ProjectNode&>(*node), segment));
     case PhysNodeKind::kHashJoin:
@@ -652,9 +653,10 @@ size_t Executor::MorselRows() const {
   return chunks * TableStore::kChunkRows;
 }
 
+template <typename T>
 Status Executor::RunMorselScan(int segment, size_t row_count,
-                               const MorselBody& body, std::vector<Row>* out,
-                               size_t morsel_rows) {
+                               const std::type_identity_t<MorselBody<T>>& body,
+                               std::vector<T>* out, size_t morsel_rows) {
   if (morsel_rows == 0) morsel_rows = MorselRows();
   if (scheduler_ == nullptr || scheduler_->num_workers() <= 1 ||
       row_count <= morsel_rows) {
@@ -666,7 +668,7 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
   // rows/stats/errors are combined in range order no matter which worker ran
   // which morsel when.
   const size_t num_morsels = (row_count + morsel_rows - 1) / morsel_rows;
-  std::vector<std::vector<Row>> slot_rows(num_morsels);
+  std::vector<std::vector<T>> slot_rows(num_morsels);
   std::vector<ExecStats> slot_stats(num_morsels);
   std::vector<Status> slot_status(num_morsels, Status::OK());
   MorselScheduler::TaskGroup group(scheduler_);
@@ -690,6 +692,15 @@ Status Executor::RunMorselScan(int segment, size_t row_count,
   }
   return Status::OK();
 }
+
+// Morsels yield rows (copies, rowid scans, index scans) or the ids of the
+// rows a fused filtered scan keeps.
+template Status Executor::RunMorselScan<Row>(int, size_t,
+                                             const MorselBody<Row>&,
+                                             std::vector<Row>*, size_t);
+template Status Executor::RunMorselScan<uint32_t>(int, size_t,
+                                                  const MorselBody<uint32_t>&,
+                                                  std::vector<uint32_t>*, size_t);
 
 Result<std::vector<Executor::BoundJoinFilter>> Executor::BindJoinFilterProbes(
     const PhysicalNode& node, const ColumnLayout& layout, int segment) {
@@ -728,7 +739,8 @@ Status Executor::PublishLocalJoinFilters(const PhysicalNode& node,
     }
     JoinFilterSummaryBuilder builder(positions.size(), build_count);
     for (size_t s = 0; s < build.num_slices(); ++s) {
-      for (const Row& row : build.slice(s)) builder.Add(row, positions);
+      const InputRows::SliceView rows = build.slice(s);
+      for (size_t i = 0; i < rows.size(); ++i) builder.Add(rows[i], positions);
     }
     hub_.PublishJoinFilter(segment, spec.filter_id, builder.Finish());
     ++seg_stats_[static_cast<size_t>(segment)].joinfilter_built;
@@ -754,7 +766,7 @@ Result<InputRows> Executor::ExecScan(const PhysicalNode& node, int segment) {
       // Placement never annotates rowid-emitting scans (those exist for DML
       // plans, which get no placement pass at all).
       MPPDB_CHECK(!emit_rowids);
-      return Owned(ExecFusedFilterScan(nullptr, frag, layout, join_filters, segment));
+      return ExecFusedFilterScan(nullptr, frag, layout, join_filters, segment);
     }
   }
   InputRows input;
@@ -840,7 +852,8 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
                         std::vector<Row>* mout) -> Status {
     KernelContext kctx;
     if (residual_kernel) kctx.Prepare(*residual_kernel, KernelContext::kDefaultChunkRows);
-    SelVec sel, keep;
+    FilterScratch scratch;
+    SelVec keep;
     auto first_unit_at = [&first_row](size_t row) {
       return static_cast<size_t>(
           std::lower_bound(first_row.begin(), first_row.end(), row) - first_row.begin());
@@ -882,7 +895,7 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
             std::min(candidates.size(), base + KernelContext::kDefaultChunkRows);
         MPPDB_RETURN_IF_ERROR(FilterBatch(residual_kernel ? &*residual_kernel : nullptr,
                                           &kctx, candidates, base, chunk_end,
-                                          join_filters, stats, &sel, &keep));
+                                          join_filters, stats, &scratch, &keep));
         for (uint32_t i : keep) mout->push_back(std::move(candidates[i]));
       }
     }
@@ -893,8 +906,8 @@ Result<std::vector<Row>> Executor::ExecDynamicIndexScan(
   return out;
 }
 
-Result<std::vector<Row>> Executor::ExecPartitionSelector(
-    const PartitionSelectorNode& node, int segment) {
+Result<InputRows> Executor::ExecPartitionSelector(const PartitionSelectorNode& node,
+                                                  int segment) {
   const TableDescriptor* table = catalog_->FindTable(node.table_oid());
   if (table == nullptr || !table->IsPartitioned()) {
     return Status::ExecutionError("PartitionSelector on non-partitioned table oid " +
@@ -928,11 +941,30 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
     // Static selection: predicates reference only the partition key and
     // constants; one selection run covers the whole scan.
     select_with(node.level_predicates());
-    return std::vector<Row>{};
+    return InputRows();
   }
 
-  MPPDB_ASSIGN_OR_RETURN(std::vector<Row> rows, ExecOwned(node.child(0), segment));
+  // The child's input passes through as it is: the pushes below read its
+  // rows in place.
+  MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
+  // Visits every input row in order, running the hub.push check at every
+  // kChunkRows-th row.
+  auto for_each_row = [&](const auto& visit) -> Status {
+    size_t until_check = 0;
+    for (size_t s = 0; s < input.num_slices(); ++s) {
+      const InputRows::SliceView rows = input.slice(s);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (until_check == 0) {
+          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "hub.push"));
+          until_check = TableStore::kChunkRows;
+        }
+        --until_check;
+        visit(rows[i]);
+      }
+    }
+    return Status::OK();
+  };
 
   // Predicates that reference no child column are row-invariant; evaluate
   // once instead of per tuple.
@@ -952,7 +984,7 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
 
   if (!row_dependent) {
     select_with(node.level_predicates());
-    return rows;
+    return input;
   }
 
   // Fast path (paper Fig. 15(a)): when every level's predicate is
@@ -995,13 +1027,7 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
   }
   if (all_equality) {
     std::vector<Datum> key_values(num_levels);
-    size_t until_check = 0;
-    for (const Row& row : rows) {
-      if (until_check == 0) {
-        MPPDB_RETURN_IF_ERROR(CheckExec(segment, "hub.push"));
-        until_check = TableStore::kChunkRows;
-      }
-      --until_check;
+    MPPDB_RETURN_IF_ERROR(for_each_row([&](const Row& row) {
       for (size_t level = 0; level < num_levels; ++level) {
         key_values[level] = row[static_cast<size_t>(eq_positions[level])];
       }
@@ -1009,17 +1035,11 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
       if (oid != kInvalidOid) {
         hub_.Push(segment, node.scan_id(), oid);
       }
-    }
-    return rows;
+    }));
+    return input;
   }
 
-  size_t until_check = 0;
-  for (const Row& row : rows) {
-    if (until_check == 0) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "hub.push"));
-      until_check = TableStore::kChunkRows;
-    }
-    --until_check;
+  MPPDB_RETURN_IF_ERROR(for_each_row([&](const Row& row) {
     std::unordered_map<ColRefId, Datum> bindings;
     for (size_t i = 0; i < layout.ids().size(); ++i) {
       bindings.emplace(layout.ids()[i], row[i]);
@@ -1033,8 +1053,8 @@ Result<std::vector<Row>> Executor::ExecPartitionSelector(
       bound.push_back(pred == nullptr ? nullptr : SubstituteColumns(pred, bindings));
     }
     select_with(bound);
-  }
-  return rows;
+  }));
+  return input;
 }
 
 Result<std::vector<Row>> Executor::ExecNestedLoopJoin(const NestedLoopJoinNode& node,
@@ -1351,12 +1371,13 @@ Status Executor::BuildMotionBuffers(const MotionNode& node, int segment,
       size_t rows_since_check = 0;
       for (const InputRows& rows : source_rows) {
         for (size_t s = 0; s < rows.num_slices(); ++s) {
-          for (const Row& row : rows.slice(s)) {
+          const InputRows::SliceView slice = rows.slice(s);
+          for (size_t i = 0; i < slice.size(); ++i) {
             if (++rows_since_check >= TableStore::kChunkRows) {
               rows_since_check = 0;
               MPPDB_RETURN_IF_ERROR(CheckExec(segment, nullptr));
             }
-            builder.Add(row, positions);
+            builder.Add(slice[i], positions);
           }
         }
       }

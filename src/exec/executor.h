@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -70,6 +71,7 @@ struct ExecStats {
   size_t joinfilter_built = 0;
   /// Probe rows tested against a summary (predicate survivors
   /// at Filter consumers; rows of unskipped chunks at bare-scan consumers).
+  /// A stopped filter (joinfilter_probes_stopped) tests no further row.
   size_t joinfilter_probed = 0;
   /// Probed rows rejected (NULL key, out of build min/max, or bloom miss).
   size_t joinfilter_rows_rejected = 0;
@@ -79,6 +81,10 @@ struct ExecStats {
   /// Rows that were *not* serialized through an exchange because a consumer
   /// below the Motion rejected them (rows_moved still counts them).
   size_t joinfilter_motion_rows_saved = 0;
+  /// (filter, segment, scan) triples whose probe prefix rejected less than
+  /// Executor::kJoinFilterStopFraction of its rows, so the filter stopped
+  /// probing for the rest of that scan (chunk skipping continues).
+  size_t joinfilter_probes_stopped = 0;
 
   /// Memory-budget shedding counters (zero unless the query ran with a
   /// limited QueryContext budget — so the worker-count bit-identity
@@ -161,26 +167,57 @@ struct ExecStats {
 /// An operator's output as Executor::ExecNode returns it: a list of row
 /// slices in input order. A slice is either read in place (a scan leaf's
 /// TableStore::UnitRows, or a Broadcast's shared batch) or an owned vector
-/// held at a stable address. A Gather hands its sources' slices to segment 0
-/// as they are. Storage slices are valid only until the consuming operator
+/// held at a stable address, and it may carry a selection: ascending row ids
+/// within its vector, of which only those rows belong to the input (a
+/// filtered scan's survivors). A Gather hands its sources' slices to segment
+/// 0 as they are. Storage slices are valid only until the consuming operator
 /// returns (DESIGN.md §15). Owned slices are held by unique_ptr, which makes
 /// the type move-only: no copy can keep slice pointers into another
 /// object's owned rows.
 class InputRows {
  public:
+  /// One slice as its consumers read it: the i-th row of the slice is
+  /// rows()[id(i)]. Valid while the InputRows is not modified.
+  class SliceView {
+   public:
+    SliceView(const std::vector<Row>* rows, const std::vector<uint32_t>* sel)
+        : rows_(rows), sel_(sel) {}
+
+    size_t size() const { return sel_ != nullptr ? sel_->size() : rows_->size(); }
+    /// Position in rows() of the slice's i-th row.
+    uint32_t id(size_t i) const {
+      return sel_ != nullptr ? (*sel_)[i] : static_cast<uint32_t>(i);
+    }
+    const Row& operator[](size_t i) const { return (*rows_)[id(i)]; }
+    /// The vector the ids index, for batch kernels that take (rows, ids).
+    const std::vector<Row>& rows() const { return *rows_; }
+    /// The selection, or null when every row of rows() belongs to the slice.
+    const std::vector<uint32_t>* selection() const { return sel_; }
+
+   private:
+    const std::vector<Row>* rows_;
+    const std::vector<uint32_t>* sel_;
+  };
+
   InputRows() = default;
   explicit InputRows(std::vector<Row> rows) { AddOwned(std::move(rows)); }
 
   /// Appends a storage slice, read in place. Empty slices are omitted.
   void AddRef(const std::vector<Row>& rows) {
-    if (!rows.empty()) slices_.push_back(Slice{&rows, nullptr});
+    if (!rows.empty()) slices_.push_back(Slice{&rows, nullptr, {}});
+  }
+  /// Appends the rows of a storage slice whose ids `sel` lists (ascending),
+  /// read in place. An empty selection is omitted; a full one is dropped.
+  void AddSelected(const std::vector<Row>& rows, std::vector<uint32_t> sel) {
+    if (sel.size() == rows.size()) return AddRef(rows);
+    if (!sel.empty()) slices_.push_back(Slice{&rows, nullptr, std::move(sel)});
   }
   /// Appends an owned slice. Empty slices are omitted.
   void AddOwned(std::vector<Row> rows) {
     if (rows.empty()) return;
     auto owned = std::make_unique<std::vector<Row>>(std::move(rows));
     const std::vector<Row>* ptr = owned.get();
-    slices_.push_back(Slice{ptr, std::move(owned)});
+    slices_.push_back(Slice{ptr, std::move(owned), {}});
   }
   /// Appends `other`'s slices after this input's, without copying rows.
   void Append(InputRows other) {
@@ -188,18 +225,18 @@ class InputRows {
   }
 
   size_t num_slices() const { return slices_.size(); }
-  const std::vector<Row>& slice(size_t i) const { return *slices_[i].rows; }
+  SliceView slice(size_t i) const { return slices_[i].view(); }
 
   size_t size() const {
     size_t total = 0;
-    for (const Slice& s : slices_) total += s.rows->size();
+    for (const Slice& s : slices_) total += s.size();
     return total;
   }
 
-  /// True when the input is exactly one owned vector, which Take moves out
-  /// without touching a row.
+  /// True when the input is exactly one owned vector with no selection,
+  /// which Take moves out without touching a row.
   bool IsOneOwnedSlice() const {
-    return slices_.size() == 1 && slices_[0].owned != nullptr;
+    return slices_.size() == 1 && slices_[0].owned != nullptr && slices_[0].sel.empty();
   }
 
   /// Appends rows [begin, end) of the concatenated input to `out`: owned
@@ -209,19 +246,23 @@ class InputRows {
     out->reserve(out->size() + (end - begin));
     size_t first = 0;  // concatenated position of the current slice's row 0
     for (Slice& s : slices_) {
-      const size_t n = s.rows->size();
+      const size_t n = s.size();
       if (first + n > begin && first < end) {
-        const size_t lo = std::max(begin, first) - first;
-        const size_t hi = std::min(end, first + n) - first;
-        if (s.owned != nullptr) {
-          auto from = s.owned->begin();
-          out->insert(out->end(),
-                      std::make_move_iterator(from + static_cast<std::ptrdiff_t>(lo)),
-                      std::make_move_iterator(from + static_cast<std::ptrdiff_t>(hi)));
+        const auto lo = static_cast<std::ptrdiff_t>(std::max(begin, first) - first);
+        const auto hi = static_cast<std::ptrdiff_t>(std::min(end, first + n) - first);
+        if (!s.sel.empty()) {
+          for (auto id = s.sel.begin() + lo; id != s.sel.begin() + hi; ++id) {
+            if (s.owned != nullptr) {
+              out->push_back(std::move((*s.owned)[*id]));
+            } else {
+              out->push_back((*s.rows)[*id]);
+            }
+          }
+        } else if (s.owned != nullptr) {
+          out->insert(out->end(), std::make_move_iterator(s.owned->begin() + lo),
+                      std::make_move_iterator(s.owned->begin() + hi));
         } else {
-          auto from = s.rows->begin();
-          out->insert(out->end(), from + static_cast<std::ptrdiff_t>(lo),
-                      from + static_cast<std::ptrdiff_t>(hi));
+          out->insert(out->end(), s.rows->begin() + lo, s.rows->begin() + hi);
         }
       }
       first += n;
@@ -243,6 +284,12 @@ class InputRows {
     const std::vector<Row>* rows;
     /// Set for owned slices; `rows` then points at it.
     std::unique_ptr<std::vector<Row>> owned;
+    /// Ascending ids of the rows that belong to the slice; empty means all
+    /// of them (a slice with no selected row is never stored).
+    std::vector<uint32_t> sel;
+
+    size_t size() const { return sel.empty() ? rows->size() : sel.size(); }
+    SliceView view() const { return SliceView(rows, sel.empty() ? nullptr : &sel); }
   };
   std::vector<Slice> slices_;
 };
@@ -386,6 +433,19 @@ class Executor {
   /// when positive, otherwise hardware_concurrency (min 1).
   static int ResolveWorkerCount(int workers);
 
+  /// The join-filter stop rule (DESIGN.md §8). A fused scan with bound join
+  /// filters probes its first kJoinFilterPrefixRows probe rows on a segment
+  /// (predicate survivors, in slice order) in the segment's own task, with
+  /// a tally per filter; the prefix ends early once the scan has evaluated
+  /// kJoinFilterPrefixScanRows rows. A filter that rejected less than
+  /// kJoinFilterStopFraction of the prefix rows it probed stops probing for
+  /// the rest of the scan; one that probed none keeps probing. The prefix is
+  /// counted in rows, not in morsels or tasks, so the decision depends
+  /// neither on the worker count nor on Options::morsel_rows.
+  static constexpr size_t kJoinFilterPrefixRows = 64;
+  static constexpr size_t kJoinFilterPrefixScanRows = 4096;
+  static constexpr double kJoinFilterStopFraction = 0.2;
+
  private:
   /// Per-Motion-node exchange state: deposited source rows, the rendezvous
   /// barrier, and the per-destination buffers built exactly once.
@@ -449,12 +509,13 @@ class Executor {
   /// built meanwhile) and returns.
   void RunSegmentTask(int segment);
 
-  /// Morsel body: process rows [begin, end) of one storage slice into `out`,
-  /// accumulating into `stats`. Ranges are chunk-aligned at both ends
-  /// (except end == row_count).
+  /// Morsel body: process rows [begin, end) of one storage slice into `out`
+  /// (rows, or the ids of the rows it keeps), accumulating into `stats`.
+  /// Ranges are chunk-aligned at both ends (except end == row_count).
+  template <typename T>
   using MorselBody =
       std::function<Status(size_t begin, size_t end, ExecStats* stats,
-                           std::vector<Row>* out)>;
+                           std::vector<T>* out)>;
 
   /// Runs `body` over [0, row_count): inline when morsels are ineligible
   /// (no pool, single worker, or a slice no larger than one morsel),
@@ -464,8 +525,10 @@ class Executor {
   /// stats merge in range order, so output and stats are bit-identical to
   /// the inline run; on error the lowest range's status is returned (the
   /// inline loop's first error).
-  Status RunMorselScan(int segment, size_t row_count, const MorselBody& body,
-                       std::vector<Row>* out, size_t morsel_rows = 0);
+  template <typename T>
+  Status RunMorselScan(int segment, size_t row_count,
+                       const std::type_identity_t<MorselBody<T>>& body,
+                       std::vector<T>* out, size_t morsel_rows = 0);
 
   /// Effective rows-per-morsel: Options::morsel_rows (0 = 4 chunks) rounded
   /// up to a whole number of storage chunks, saturating at the largest
@@ -594,10 +657,13 @@ class Executor {
                                      int segment);
 
   /// Runs `node` on `segment`. Scan leaves hand back storage slices read in
-  /// place (ExecScan), Sequence its last child's input, Append its
-  /// children's slices concatenated, and Motion what its exchange routed to
-  /// `segment` (ExecMotion); every other operator's output is one owned
-  /// slice. A result parked in the suspension memo is returned as is.
+  /// place (ExecScan), a Filter over a scan fragment the storage slices
+  /// with a selection of its survivors (ExecFusedFilterScan), a
+  /// PartitionSelector its child's input, Sequence its last child's input,
+  /// Append its children's slices concatenated, and Motion what its
+  /// exchange routed to `segment` (ExecMotion); every other operator's
+  /// output is one owned slice. A result parked in the suspension memo is
+  /// returned as is.
   Result<InputRows> ExecNode(const PhysPtr& node, int segment);
   /// ExecNode's output as an owned vector, for operators that move, reorder
   /// or store their input rows. One owned slice is moved out; otherwise the
@@ -634,7 +700,8 @@ class Executor {
 
   /// TableScan, DynamicScan and CheckedPartScan: walks the leaf's storage
   /// units through ForEachScanUnit. A leaf with bound join-filter probes runs
-  /// as the fused filter-over-scan with no predicate; a rowid leaf (DML
+  /// as the fused filter-over-scan with no predicate (its survivors handed on
+  /// as selections); a rowid leaf (DML
   /// plans) copies every row with its rowid columns appended. Every other
   /// leaf adds each unit as a storage slice read in place, with the
   /// storage.scan_chunk check run once per chunk.
@@ -645,8 +712,10 @@ class Executor {
   /// (RunMorselScan); each morsel seeks the units whose first row it holds.
   Result<std::vector<Row>> ExecDynamicIndexScan(const DynamicIndexScanNode& node,
                                                 int segment);
-  Result<std::vector<Row>> ExecPartitionSelector(const PartitionSelectorNode& node,
-                                                 int segment);
+  /// Pushes the selected partition oids into the scan's channel and returns
+  /// its child's input unchanged (none for a static selector).
+  Result<InputRows> ExecPartitionSelector(const PartitionSelectorNode& node,
+                                          int segment);
   Result<std::vector<Row>> ExecNestedLoopJoin(const NestedLoopJoinNode& node,
                                               int segment);
   Result<std::vector<Row>> ExecIndexNLJoin(const IndexNLJoinNode& node, int segment);
@@ -705,45 +774,61 @@ class Executor {
   /// channel). The Sequence prefixes must already have been executed.
   Status ForEachScanUnit(const ScanFragment& frag, int segment, const ScanUnitFn& fn);
 
+  /// Rows one join filter probed and rejected, for the stop rule.
+  struct JoinFilterTally {
+    size_t probed = 0;
+    size_t rejected = 0;
+  };
+
+  /// Scratch of one batch loop's probes and filter steps, reused across
+  /// batches so steady-state batches allocate nothing.
+  struct FilterScratch {
+    std::vector<uint32_t> sel;
+    /// One key-hash column per bound join filter.
+    std::vector<std::vector<uint64_t>> hashes;
+  };
+
   /// Join-filter probe over a selection: hashes each bound filter's key
   /// columns over the selected rows in one batch pass, then tests every row
   /// and compacts the survivors into `sel` in place. Counters go to `stats`
   /// (a morsel-local shard inside morsel scans, the segment accumulator
-  /// elsewhere).
+  /// elsewhere); `tally`, when not null, holds one entry per filter.
   void ProbeJoinFilters(const std::vector<Row>& rows,
                         const std::vector<BoundJoinFilter>& filters,
-                        ExecStats* stats, std::vector<uint32_t>* sel);
+                        ExecStats* stats, std::vector<uint32_t>* sel,
+                        FilterScratch* scratch, JoinFilterTally* tally = nullptr);
 
   /// The batch step of every row-dropping operator (Filter, the fused
   /// filter-over-scan, the index scan's residual): evaluates `program` (null:
   /// no predicate, every row passes) over rows [base, end), then probes the
-  /// join filters with the survivors, which are left in `keep`. `sel` is
-  /// scratch.
+  /// join filters with the survivors, which are left in `keep`.
   Status FilterBatch(const KernelProgram* program, KernelContext* ctx,
                      const std::vector<Row>& rows, size_t base, size_t end,
                      const std::vector<BoundJoinFilter>& join_filters,
-                     ExecStats* stats, std::vector<uint32_t>* sel,
+                     ExecStats* stats, FilterScratch* scratch,
                      std::vector<uint32_t>* keep);
 
   /// Filter. Over a scan fragment it fuses with the scan
   /// (ExecFusedFilterScan); otherwise it evaluates the predicate kernel over
   /// the child's rows.
-  Result<std::vector<Row>> ExecFilter(const FilterNode& node, int segment);
+  Result<InputRows> ExecFilter(const FilterNode& node, int segment);
   /// Fused filter-over-scan: evaluates `filter`'s predicate in chunks
   /// directly over TableStore::UnitRows slices via a selection vector,
   /// skipping chunks and whole slices by zone map (Options::data_skipping)
   /// and evaluating the compilable prefix on encoded column chunks of
-  /// column-oriented units, then probes `join_filters`; rows that fail are
-  /// never copied. `layout` is the fragment's output layout. A null `filter`
-  /// is a scan leaf with bound probes: every row passes the predicate, so a
-  /// chunk the build key range proves disjoint is skipped for below-Motion
-  /// probes too. The Sequence prefixes must already have been executed.
-  Result<std::vector<Row>> ExecFusedFilterScan(
+  /// column-oriented units, then probes `join_filters` under the stop rule
+  /// (kJoinFilterPrefixRows). No row is copied: each unit's survivors are
+  /// handed on as a selection over its storage slice. `layout` is the
+  /// fragment's output layout. A null `filter` is a scan leaf with bound
+  /// probes: every row passes the predicate, so a chunk the build key range
+  /// proves disjoint is skipped for below-Motion probes too. The Sequence
+  /// prefixes must already have been executed.
+  Result<InputRows> ExecFusedFilterScan(
       const FilterNode* filter, const ScanFragment& frag, const ColumnLayout& layout,
       const std::vector<BoundJoinFilter>& join_filters, int segment);
-  // Project, HashJoin and HashAgg read ExecNode's slices without taking
-  // them: storage slices stay in place, and rows are copied only into output
-  // rows or into a spill fallback.
+  // Project, HashJoin and HashAgg read ExecNode's slices, selections
+  // included, without taking them: storage slices stay in place, and rows are
+  // copied only into output rows or into a spill fallback.
   Result<std::vector<Row>> ExecProject(const ProjectNode& node, int segment);
   Result<std::vector<Row>> ExecHashJoin(const HashJoinNode& node, int segment);
   Result<std::vector<Row>> ExecHashAgg(const HashAggNode& node, int segment);

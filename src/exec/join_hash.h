@@ -107,12 +107,6 @@ struct RowKeyRefEq {
   }
 };
 
-/// Batch key-hash pass: computes the CombineKeyHash of `positions` for
-/// every row, plus a has-null flag (NULL keys never join). One tight loop, no
-/// per-row datum copies.
-void HashRowKeys(const std::vector<Row>& rows, const std::vector<int>& positions,
-                 std::vector<uint64_t>* hashes, std::vector<uint8_t>* has_null);
-
 }  // namespace mppdb
 
 #endif  // MPPDB_EXEC_JOIN_HASH_H_

@@ -423,9 +423,29 @@ PhysPtr WithJoinFilters(const PhysPtr& node, std::vector<PhysPtr> children,
 
 namespace {
 
+/// The node's join-filter annotations as EXPLAIN shows them, after its
+/// Describe() on the same line; empty when it carries none.
+std::string JoinFiltersToString(const JoinFilterAnnotations& filters) {
+  if (filters.empty()) return "";
+  std::vector<std::string> parts;
+  for (const JoinFilterSpec& spec : filters.publishes) {
+    parts.push_back("publish jf" + std::to_string(spec.filter_id) +
+                    " keys=" + IdsToString(spec.key_columns) +
+                    (spec.global ? " global" : " local"));
+  }
+  for (const JoinFilterProbe& probe : filters.probes) {
+    parts.push_back("probe jf" + std::to_string(probe.filter_id) +
+                    " keys=" + IdsToString(probe.key_columns) +
+                    (probe.global ? " global" : " local") +
+                    (probe.below_motion ? " below-motion" : ""));
+  }
+  return "  [join filters: " + Join(parts, "; ") + "]";
+}
+
 void PlanToStringRecursive(const PhysPtr& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   out->append(node->Describe());
+  out->append(JoinFiltersToString(node->join_filters()));
   out->append("\n");
   for (const auto& child : node->children()) {
     PlanToStringRecursive(child, depth + 1, out);

@@ -701,7 +701,9 @@ PhysPtr CloneWithChildren(const PhysPtr& node, std::vector<PhysPtr> children);
 PhysPtr WithJoinFilters(const PhysPtr& node, std::vector<PhysPtr> children,
                         JoinFilterAnnotations annotations);
 
-/// Multi-line indented rendering of a plan tree (EXPLAIN-style).
+/// Multi-line indented rendering of a plan tree (EXPLAIN-style): one line
+/// per node, its Describe() followed by its join-filter publish and probe
+/// annotations. SerializePlan leaves the annotations out.
 std::string PlanToString(const PhysPtr& plan);
 
 /// Deterministic serialization of the full plan; its byte length is the

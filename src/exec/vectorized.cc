@@ -10,10 +10,11 @@
 // Also home of the scan-fragment grammar: MatchScanFragment, which the fused
 // filter-over-scan matches, and ForEachScanUnit, the one walk over the
 // storage units a fragment's scan leaves cover (ExecScan and
-// ExecDynamicIndexScan walk a one-leaf fragment). Project, HashJoin and
-// HashAgg read their input's slices without taking them, so storage slices
-// stay in place and rows are copied only when emitted (or handed to a spill
-// fallback).
+// ExecDynamicIndexScan walk a one-leaf fragment). The fused scan hands its
+// survivors on as selections over the storage slices, and Project, HashJoin
+// and HashAgg read their input's slices, selections included, without taking
+// them, so storage rows stay in place and are copied only when emitted (or
+// handed to a spill fallback).
 
 #include <algorithm>
 #include <bit>
@@ -34,15 +35,21 @@
 
 namespace mppdb {
 
-void HashRowKeys(const std::vector<Row>& rows, const std::vector<int>& positions,
+namespace {
+
+/// Batch key-hash pass over one input slice: the CombineKeyHash of
+/// `positions` for every row, plus a has-null flag (NULL keys never join).
+/// One tight loop, no per-row datum copies.
+void HashRowKeys(const InputRows::SliceView& rows, const std::vector<int>& positions,
                  std::vector<uint64_t>* hashes, std::vector<uint8_t>* has_null) {
   hashes->resize(rows.size());
   has_null->resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
     uint64_t h = kKeyHashSeed;
     uint8_t null_flag = 0;
     for (int pos : positions) {
-      const Datum& v = rows[i][static_cast<size_t>(pos)];
+      const Datum& v = row[static_cast<size_t>(pos)];
       null_flag = static_cast<uint8_t>(null_flag | (v.is_null() ? 1 : 0));
       h = CombineKeyHash(h, v);
     }
@@ -50,8 +57,6 @@ void HashRowKeys(const std::vector<Row>& rows, const std::vector<int>& positions
     (*has_null)[i] = null_flag;
   }
 }
-
-namespace {
 
 /// Fills `sel` with the identity selection [base, end).
 void IdentitySel(size_t base, size_t end, SelVec* sel) {
@@ -74,42 +79,62 @@ void HashKeysForSel(const std::vector<Row>& rows, const SelVec& sel,
   }
 }
 
-/// Walks an operator input in kernel batches: row ranges [base, end) within
-/// one slice, cut at slice boundaries and at every kDefaultChunkRows-th row
-/// of the concatenated input. A batch that starts on that grid is where a
-/// chunk loop over the concatenated rows would start a chunk, so consumers
-/// run their exec.batch check exactly there: the same checks at the same
-/// rows whether the input is owned or read in place. An owned input yields
-/// exactly that chunk loop's batches.
+/// Walks an operator input in kernel batches: runs of a slice's rows, cut at
+/// slice boundaries and at every kDefaultChunkRows-th row of the
+/// concatenated input (selected rows are what counts). A batch that starts on
+/// that grid is where a chunk loop over the concatenated rows would start a
+/// chunk, so consumers run their exec.batch check exactly there: the same
+/// checks at the same rows whether the input is owned, read in place or
+/// selected. An owned input yields exactly that chunk loop's batches. A
+/// selected batch is also cut where its ids would span a chunk, since
+/// kernels index a batch's scratch by id - base().
 class InputBatches {
  public:
   explicit InputBatches(const InputRows& input) : input_(input) {}
 
   /// Advances to the next non-empty batch; false once the input is done.
   bool Next() {
-    for (; slice_ < input_.num_slices(); ++slice_, end_ = 0) {
-      const size_t slice_rows = input_.slice(slice_).size();
-      if (end_ == slice_rows) continue;
+    for (; slice_ < input_.num_slices(); ++slice_, pos_ = 0) {
+      const InputRows::SliceView slice = input_.slice(slice_);
+      if (pos_ == slice.size()) continue;
       constexpr size_t kChunk = KernelContext::kDefaultChunkRows;
-      base_ = end_;
       grid_start_ = offset_ % kChunk == 0;
-      end_ = std::min(slice_rows, base_ + (kChunk - offset_ % kChunk));
-      offset_ += end_ - base_;
+      size_t end = std::min(slice.size(), pos_ + (kChunk - offset_ % kChunk));
+      rows_ = &slice.rows();
+      base_ = slice.id(pos_);
+      if (const std::vector<uint32_t>* ids = slice.selection()) {
+        end = static_cast<size_t>(
+            std::lower_bound(ids->begin() + static_cast<std::ptrdiff_t>(pos_),
+                             ids->begin() + static_cast<std::ptrdiff_t>(end),
+                             base_ + kChunk) -
+            ids->begin());
+        sel_.assign(ids->begin() + static_cast<std::ptrdiff_t>(pos_),
+                    ids->begin() + static_cast<std::ptrdiff_t>(end));
+      } else {
+        IdentitySel(pos_, end, &sel_);
+      }
+      offset_ += end - pos_;
+      pos_ = end;
       return true;
     }
     return false;
   }
 
-  const std::vector<Row>& rows() const { return input_.slice(slice_); }
+  /// The slice's backing rows; the batch is rows()[sel()[i]].
+  const std::vector<Row>& rows() const { return *rows_; }
+  /// The batch's row ids, ascending, within [base(), base() + chunk).
+  const SelVec& sel() const { return sel_; }
   size_t base() const { return base_; }
-  size_t end() const { return end_; }
   bool grid_start() const { return grid_start_; }
 
  private:
   const InputRows& input_;
   size_t slice_ = 0;
+  /// Position within the current slice's selected rows.
+  size_t pos_ = 0;
+  const std::vector<Row>* rows_ = nullptr;
+  SelVec sel_;
   size_t base_ = 0;
-  size_t end_ = 0;
   /// Rows of the concatenated input consumed so far.
   size_t offset_ = 0;
   bool grid_start_ = false;
@@ -184,10 +209,12 @@ class GroupIndex {
 
 void Executor::ProbeJoinFilters(const std::vector<Row>& rows,
                                 const std::vector<BoundJoinFilter>& filters,
-                                ExecStats* stats_out, std::vector<uint32_t>* sel) {
+                                ExecStats* stats_out, std::vector<uint32_t>* sel,
+                                FilterScratch* scratch, JoinFilterTally* tally) {
   if (filters.empty() || sel->empty()) return;
   ExecStats& stats = *stats_out;
-  std::vector<std::vector<uint64_t>> hashes(filters.size());
+  std::vector<std::vector<uint64_t>>& hashes = scratch->hashes;
+  if (hashes.size() < filters.size()) hashes.resize(filters.size());
   for (size_t f = 0; f < filters.size(); ++f) {
     HashKeysForSel(rows, *sel, filters[f].key_positions, &hashes[f]);
   }
@@ -199,8 +226,10 @@ void Executor::ProbeJoinFilters(const std::vector<Row>& rows,
     // decides the below-Motion rows_moved compensation.
     const BoundJoinFilter* rejecter = nullptr;
     for (size_t f = 0; f < filters.size(); ++f) {
+      if (tally != nullptr) ++tally[f].probed;
       if (!filters[f].summary->RowMayMatchHashed(rows[r], filters[f].key_positions,
                                                  hashes[f][i])) {
+        if (tally != nullptr) ++tally[f].rejected;
         rejecter = &filters[f];
         break;
       }
@@ -367,20 +396,21 @@ Status Executor::RunFragmentPrefix(const ScanFragment& frag, int segment) {
 Status Executor::FilterBatch(const KernelProgram* program, KernelContext* ctx,
                              const std::vector<Row>& rows, size_t base, size_t end,
                              const std::vector<BoundJoinFilter>& join_filters,
-                             ExecStats* stats, SelVec* sel, SelVec* keep) {
+                             ExecStats* stats, FilterScratch* scratch, SelVec* keep) {
   if (program == nullptr) {
     IdentitySel(base, end, keep);
   } else {
-    IdentitySel(base, end, sel);
-    MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(*program, ctx, rows, base, *sel, keep));
+    IdentitySel(base, end, &scratch->sel);
+    MPPDB_RETURN_IF_ERROR(
+        EvalPredicateBatch(*program, ctx, rows, base, scratch->sel, keep));
   }
   // Join filters apply to predicate survivors only (identical error
   // behavior to filters off).
-  ProbeJoinFilters(rows, join_filters, stats, keep);
+  ProbeJoinFilters(rows, join_filters, stats, keep, scratch);
   return Status::OK();
 }
 
-Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segment) {
+Result<InputRows> Executor::ExecFilter(const FilterNode& node, int segment) {
   const ColumnLayout layout = node.child(0)->OutputLayout();
   ScanFragment frag;
   if (MatchScanFragment(node.child(0), &frag)) {
@@ -397,19 +427,20 @@ Result<std::vector<Row>> Executor::ExecFilter(const FilterNode& node, int segmen
   ctx.Prepare(program, KernelContext::kDefaultChunkRows);
   std::vector<Row> out;
   out.reserve(rows.size());
-  SelVec sel, keep;
+  FilterScratch scratch;
+  SelVec keep;
   for (size_t base = 0; base < rows.size(); base += ctx.chunk_capacity()) {
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
     size_t end = std::min(rows.size(), base + ctx.chunk_capacity());
     MPPDB_RETURN_IF_ERROR(FilterBatch(&program, &ctx, rows, base, end, join_filters,
-                                      &seg_stats_[static_cast<size_t>(segment)], &sel,
-                                      &keep));
+                                      &seg_stats_[static_cast<size_t>(segment)],
+                                      &scratch, &keep));
     for (uint32_t r : keep) out.push_back(std::move(rows[r]));
   }
-  return out;
+  return InputRows(std::move(out));
 }
 
-Result<std::vector<Row>> Executor::ExecFusedFilterScan(
+Result<InputRows> Executor::ExecFusedFilterScan(
     const FilterNode* filter, const ScanFragment& frag, const ColumnLayout& layout,
     const std::vector<BoundJoinFilter>& join_filters, int segment) {
   // The program is compiled once and shared read-only across morsels; each
@@ -431,7 +462,7 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
     }
   }
   const bool can_prune = compiled.CanPrune();
-  std::vector<Row> out;
+  InputRows out;
 
   // A join filter may skip a whole chunk only when every row it drops is
   // accounted for: (a) the whole predicate is provably error-free on the
@@ -439,7 +470,8 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
   // it, so no conjunct may be allowed to error behind the skip; and (b)
   // below a Motion, the dropped rows' rows_moved compensation needs per-row
   // predicate outcomes, so only a scan with no predicate (every row would
-  // have reached the Motion) skips for a below-Motion filter.
+  // have reached the Motion) skips for a below-Motion filter. A filter that
+  // stopped probing still skips chunks: that costs one synopsis test each.
   auto join_filter_chunk_skip = [&](const ChunkSynopsis& chunk, size_t chunk_rows,
                                     ExecStats& stats) {
     if (join_filters.empty()) return false;
@@ -460,19 +492,148 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
     return false;
   };
 
-  // Evaluates the predicate in chunks directly over the storage slice and
-  // copies only the surviving rows — filtered-out tuples are never
-  // materialized. ForEachScanUnit records the logical stats, so they match
-  // an unfused Filter over the scan; only chunks_* and units_skipped reveal
-  // the skipping (a scan with no predicate counts neither). The chunk loop is
-  // morsel-ranged: chunk-aligned sub-ranges of the slice run as stealable
-  // tasks, each with its own kernel context and stats shard, concatenated in
-  // range order.
+  // One storage unit's slice with what the scan reads about it.
+  struct Unit {
+    const std::vector<Row>* rows;
+    const SliceSynopsis* synopsis;
+    const SliceColumns* cols;
+  };
+  // Evaluation scratch of one task's chunk loop, sized to the rows it covers.
+  struct ChunkScratch {
+    KernelContext ctx;
+    KernelContext residual_ctx;
+    FilterScratch filter;
+    SelVec keep;
+    std::vector<char> pure;
+  };
+  auto make_scratch = [&](size_t rows) {
+    ChunkScratch scratch;
+    const size_t capacity = std::min(TableStore::kChunkRows, rows);
+    if (program) scratch.ctx.Prepare(*program, capacity);
+    if (residual_program) scratch.residual_ctx.Prepare(*residual_program, capacity);
+    return scratch;
+  };
+
+  // Evaluates the predicate over the chunk at `base` directly over the
+  // storage slice, leaving the ids of the rows that satisfy it in
+  // scratch->keep, the join filters' probe rows; filtered-out tuples are
+  // never materialized. False when the chunk was skipped by zone map (keep
+  // is then empty).
+  // TableStore::kChunkRows == KernelContext::kDefaultChunkRows (static_assert
+  // above), so batch boundaries land exactly on synopsis chunk boundaries
+  // and a skipped chunk is a skipped batch.
+  auto scan_chunk = [&](const Unit& unit, size_t base, ChunkScratch* scratch,
+                        ExecStats* stats) -> Result<bool> {
+    MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
+    SelVec& keep = scratch->keep;
+    keep.clear();
+    const std::vector<Row>& rows = *unit.rows;
+    const size_t chunk_end = std::min(rows.size(), base + TableStore::kChunkRows);
+    const size_t chunk_idx = base / TableStore::kChunkRows;
+    if (unit.synopsis != nullptr) {
+      const ChunkSynopsis& chunk = unit.synopsis->chunks[chunk_idx];
+      // Predicate-driven skips run first so chunks_skipped is identical
+      // with join filters on or off.
+      if (can_prune && SynopsisCanSkip(compiled, chunk)) {
+        ++stats->chunks_skipped;
+        return false;
+      }
+      if (join_filter_chunk_skip(chunk, chunk_end - base, *stats)) return false;
+    }
+    if (unit.cols != nullptr && EncodedChunkEligible(encoded, *unit.cols, chunk_idx)) {
+      // Encoded fast path: prefix on the encoded chunk; the residual
+      // kernel program sees only the survivor selection (the kernel AND
+      // already short-circuits per row on FALSE, so this is the same set
+      // of rows it would evaluate the residual conjuncts on).
+      const SliceColumns& cols = *unit.cols;
+      SelVec& sel = scratch->filter.sel;
+      ++stats->chunks_encoded_eval;
+      stats->encoded_bytes_scanned += cols.ChunkEncodedBytes(chunk_idx);
+      EvalEncodedPredicate(encoded, cols, chunk_idx, base, chunk_end - base, &sel,
+                           residual_program ? &scratch->pure : nullptr);
+      stats->rows_late_materialized += sel.size();
+      if (residual_program) {
+        MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(
+            *residual_program, &scratch->residual_ctx, rows, base, sel, &keep));
+        // Final keep needs every prefix verdict TRUE as well: intersect
+        // with the purity flags (aligned to sel; keep ⊆ sel, both
+        // ascending).
+        size_t kept = 0, si = 0;
+        for (uint32_t r : keep) {
+          while (sel[si] != r) ++si;
+          if (scratch->pure[si] != 0) keep[kept++] = r;
+        }
+        keep.resize(kept);
+      } else {
+        keep = sel;
+      }
+    } else if (program) {
+      IdentitySel(base, chunk_end, &scratch->filter.sel);
+      MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(*program, &scratch->ctx, rows, base,
+                                               scratch->filter.sel, &keep));
+    } else {
+      IdentitySel(base, chunk_end, &keep);
+    }
+    return true;
+  };
+
+  // The stop rule (kJoinFilterPrefixRows). The prefix is the scan's first
+  // probe rows on this segment, in slice order, probed in this task with a
+  // tally per filter; only then do the rest of the scan's chunks fan out as
+  // morsels, probing with the filters that did not stop.
+  ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
+  std::vector<BoundJoinFilter> probing = join_filters;
+  std::vector<JoinFilterTally> tally(probing.size());
+  bool in_prefix = !probing.empty();
+  size_t prefix_probes = 0;  // probe rows the prefix has probed
+  size_t prefix_rows = 0;    // rows of the chunks the prefix evaluated
+  auto end_prefix = [&]() {
+    in_prefix = false;
+    size_t kept = 0;
+    for (size_t f = 0; f < probing.size(); ++f) {
+      // A filter that probed nothing keeps probing: 0 < 0 is false.
+      if (static_cast<double>(tally[f].rejected) <
+          kJoinFilterStopFraction * static_cast<double>(tally[f].probed)) {
+        ++seg_stats.joinfilter_probes_stopped;
+        continue;
+      }
+      probing[kept++] = probing[f];
+    }
+    probing.resize(kept);
+  };
+  // The prefix's step over one evaluated chunk: probes the chunk's first
+  // probe rows with tallies up to the prefix length, settles the filters
+  // when the prefix is complete, and probes the rest with the filters that
+  // still probe. Survivor ids go to `ids` in order.
+  SelVec rest;
+  auto probe_prefix = [&](const std::vector<Row>& rows, size_t evaluated_rows,
+                          ChunkScratch* scratch, std::vector<uint32_t>* ids) {
+    SelVec& keep = scratch->keep;
+    const size_t head = std::min(keep.size(), kJoinFilterPrefixRows - prefix_probes);
+    rest.assign(keep.begin() + static_cast<std::ptrdiff_t>(head), keep.end());
+    keep.resize(head);
+    ProbeJoinFilters(rows, probing, &seg_stats, &keep, &scratch->filter, tally.data());
+    ids->insert(ids->end(), keep.begin(), keep.end());
+    prefix_probes += head;
+    prefix_rows += evaluated_rows;
+    if (prefix_probes == kJoinFilterPrefixRows ||
+        prefix_rows >= kJoinFilterPrefixScanRows) {
+      end_prefix();
+    }
+    ProbeJoinFilters(rows, probing, &seg_stats, &rest, &scratch->filter);
+    ids->insert(ids->end(), rest.begin(), rest.end());
+  };
+
+  // ForEachScanUnit records the logical stats, so they match an unfused
+  // Filter over the scan; only chunks_* and units_skipped reveal the
+  // skipping (a scan with no predicate counts neither). Past the stop rule's
+  // prefix the chunk loop is morsel-ranged: chunk-aligned sub-ranges of the
+  // slice run as stealable tasks, each with its own scratch and stats shard,
+  // their survivor ids concatenated in range order.
   auto scan_unit_filtered = [&](const TableStore& store, Oid unit_oid,
                                 const std::vector<Row>& rows) -> Status {
     if (rows.empty()) return Status::OK();
-    ExecStats& seg_stats = seg_stats_[static_cast<size_t>(segment)];
-    const SliceSynopsis* synopsis = nullptr;
+    Unit unit{&rows, nullptr, nullptr};
     if (options_.data_skipping) {
       if (filter != nullptr) {
         seg_stats.chunks_total +=
@@ -482,12 +643,12 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
         // A shed synopsis rebuild (budget pressure) returns null: the slice
         // scans unskipped. Acquired here, in the spawning task (the lazy
         // rebuild is owner-confined); morsel bodies only read it.
-        synopsis = AcquireSynopsis(store, unit_oid, segment);
-        if (synopsis != nullptr) {
-          MPPDB_CHECK(synopsis->rollup.row_count == rows.size());
-          if (can_prune && SynopsisCanSkip(compiled, synopsis->rollup)) {
+        unit.synopsis = AcquireSynopsis(store, unit_oid, segment);
+        if (unit.synopsis != nullptr) {
+          MPPDB_CHECK(unit.synopsis->rollup.row_count == rows.size());
+          if (can_prune && SynopsisCanSkip(compiled, unit.synopsis->rollup)) {
             ++seg_stats.units_skipped;
-            seg_stats.chunks_skipped += synopsis->chunks.size();
+            seg_stats.chunks_skipped += unit.synopsis->chunks.size();
             return Status::OK();
           }
         }
@@ -495,75 +656,38 @@ Result<std::vector<Row>> Executor::ExecFusedFilterScan(
     }
     // Encoded image of column-oriented units (null for row-oriented ones, a
     // shed re-encode, or a predicate with no compilable prefix).
-    const SliceColumns* cols =
-        encoded.HasTerms() ? AcquireColumns(store, unit_oid, segment) : nullptr;
-    if (cols != nullptr) MPPDB_CHECK(cols->row_count == rows.size());
-    auto body = [this, segment, &rows, &join_filters, &join_filter_chunk_skip,
-                 &program, &compiled, can_prune, &encoded, &residual_program,
-                 cols, synopsis](size_t begin, size_t end, ExecStats* stats,
-                                 std::vector<Row>* mout) -> Status {
-      // TableStore::kChunkRows == KernelContext::kDefaultChunkRows
-      // (static_assert above), so batch boundaries land exactly on synopsis
-      // chunk boundaries and a skipped chunk is a skipped batch.
-      KernelContext ctx;
-      if (program) ctx.Prepare(*program, TableStore::kChunkRows);
-      KernelContext residual_ctx;
-      if (residual_program) {
-        residual_ctx.Prepare(*residual_program, TableStore::kChunkRows);
+    if (encoded.HasTerms()) {
+      unit.cols = AcquireColumns(store, unit_oid, segment);
+      if (unit.cols != nullptr) MPPDB_CHECK(unit.cols->row_count == rows.size());
+    }
+    std::vector<uint32_t> ids;
+    size_t start = 0;
+    if (in_prefix) {
+      ChunkScratch scratch = make_scratch(rows.size());
+      for (; in_prefix && start < rows.size(); start += TableStore::kChunkRows) {
+        MPPDB_ASSIGN_OR_RETURN(bool evaluated,
+                               scan_chunk(unit, start, &scratch, &seg_stats));
+        probe_prefix(rows,
+                     evaluated ? std::min(rows.size() - start, TableStore::kChunkRows) : 0,
+                     &scratch, &ids);
       }
-      SelVec sel, keep;
-      std::vector<char> pure;
-      for (size_t base = begin; base < end; base += TableStore::kChunkRows) {
-        MPPDB_RETURN_IF_ERROR(CheckExec(segment, "storage.scan_chunk"));
-        const size_t chunk_end = std::min(end, base + TableStore::kChunkRows);
-        const size_t chunk_idx = base / TableStore::kChunkRows;
-        if (synopsis != nullptr) {
-          const ChunkSynopsis& chunk = synopsis->chunks[chunk_idx];
-          // Predicate-driven skips run first so chunks_skipped is identical
-          // with join filters on or off.
-          if (can_prune && SynopsisCanSkip(compiled, chunk)) {
-            ++stats->chunks_skipped;
-            continue;
-          }
-          if (join_filter_chunk_skip(chunk, chunk_end - base, *stats)) continue;
+    }
+    if (start < rows.size()) {
+      auto body = [&, start](size_t begin, size_t end, ExecStats* stats,
+                             std::vector<uint32_t>* mids) -> Status {
+        ChunkScratch scratch = make_scratch(end - begin);
+        for (size_t base = start + begin; base < start + end;
+             base += TableStore::kChunkRows) {
+          MPPDB_RETURN_IF_ERROR(scan_chunk(unit, base, &scratch, stats).status());
+          ProbeJoinFilters(rows, probing, stats, &scratch.keep, &scratch.filter);
+          mids->insert(mids->end(), scratch.keep.begin(), scratch.keep.end());
         }
-        if (cols != nullptr && EncodedChunkEligible(encoded, *cols, chunk_idx)) {
-          // Encoded fast path: prefix on the encoded chunk; the residual
-          // kernel program sees only the survivor selection (the kernel AND
-          // already short-circuits per row on FALSE, so this is the same set
-          // of rows it would evaluate the residual conjuncts on).
-          ++stats->chunks_encoded_eval;
-          stats->encoded_bytes_scanned += cols->ChunkEncodedBytes(chunk_idx);
-          EvalEncodedPredicate(encoded, *cols, chunk_idx, base,
-                               chunk_end - base, &sel,
-                               residual_program ? &pure : nullptr);
-          stats->rows_late_materialized += sel.size();
-          if (residual_program) {
-            MPPDB_RETURN_IF_ERROR(EvalPredicateBatch(
-                *residual_program, &residual_ctx, rows, base, sel, &keep));
-            // Final keep needs every prefix verdict TRUE as well: intersect
-            // with the purity flags (aligned to sel; keep ⊆ sel, both
-            // ascending).
-            size_t kept = 0, si = 0;
-            for (uint32_t r : keep) {
-              while (sel[si] != r) ++si;
-              if (pure[si] != 0) keep[kept++] = r;
-            }
-            keep.resize(kept);
-          } else {
-            keep = sel;
-          }
-          ProbeJoinFilters(rows, join_filters, stats, &keep);
-        } else {
-          MPPDB_RETURN_IF_ERROR(FilterBatch(program ? &*program : nullptr, &ctx, rows,
-                                            base, chunk_end, join_filters, stats, &sel,
-                                            &keep));
-        }
-        for (uint32_t r : keep) mout->push_back(rows[r]);
-      }
-      return Status::OK();
-    };
-    return RunMorselScan(segment, rows.size(), body, &out);
+        return Status::OK();
+      };
+      MPPDB_RETURN_IF_ERROR(RunMorselScan(segment, rows.size() - start, body, &ids));
+    }
+    out.AddSelected(rows, std::move(ids));
+    return Status::OK();
   };
 
   MPPDB_RETURN_IF_ERROR(ForEachScanUnit(frag, segment, scan_unit_filtered));
@@ -583,11 +707,10 @@ Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segm
   }
   std::vector<Row> out;
   out.reserve(input.size());
-  SelVec sel;
   for (InputBatches batch(input); batch.Next();) {
     if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
     const size_t base = batch.base();
-    IdentitySel(base, batch.end(), &sel);
+    const SelVec& sel = batch.sel();
     for (size_t i = 0; i < num_items; ++i) {
       MPPDB_RETURN_IF_ERROR(
           EvalExprBatch(programs[i], &ctxs[i], batch.rows(), base, sel));
@@ -627,7 +750,8 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
     // whether the build rows are read in place or owned.
     size_t build_bytes = ApproxRowsBytes(build.size(), build_layout.ids().size());
     for (size_t s = 0; s < build.num_slices(); ++s) {
-      build_bytes += RowsPayloadBytes(build.slice(s));
+      const InputRows::SliceView rows = build.slice(s);
+      for (size_t i = 0; i < rows.size(); ++i) build_bytes += RowPayloadBytes(rows[i]);
     }
     MPPDB_ASSIGN_OR_RETURN(
         bool charged, ChargeOrSpill(segment, build_bytes, "hash join build table"));
@@ -681,7 +805,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
   std::unordered_multiset<RowKeyRef, RowKeyRefHash, RowKeyRefEq> table;
   table.reserve(build.size());
   for (size_t s = 0; s < build.num_slices(); ++s) {
-    const std::vector<Row>& rows = build.slice(s);
+    const InputRows::SliceView rows = build.slice(s);
     HashRowKeys(rows, build_pos, &hashes, &has_null);
     for (size_t i = 0; i < rows.size(); ++i) {
       if (has_null[i]) continue;  // NULL keys never join
@@ -709,7 +833,7 @@ Result<std::vector<Row>> Executor::ExecHashJoin(const HashJoinNode& node,
   auto for_each_probe = [&](const auto& visit) -> Status {
     size_t p = 0;
     for (size_t s = 0; s < probe.num_slices(); ++s) {
-      const std::vector<Row>& rows = probe.slice(s);
+      const InputRows::SliceView rows = probe.slice(s);
       HashRowKeys(rows, probe_pos, &hashes, &has_null);
       for (size_t i = 0; i < rows.size(); ++i, ++p) {
         if (p % TableStore::kChunkRows == 0) {
@@ -826,14 +950,13 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
   const size_t group_bytes = ApproxRowsBytes(1, group_pos.size() + num_aggs);
   size_t charged_bytes = 0;
   bool spill = false;
-  SelVec sel;
   std::vector<uint64_t> hashes;
   std::vector<uint32_t> ids;
   for (InputBatches batch(input); !spill && batch.Next();) {
     if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
     const std::vector<Row>& rows = batch.rows();
     const size_t base = batch.base();
-    IdentitySel(base, batch.end(), &sel);
+    const SelVec& sel = batch.sel();
     for (size_t i = 0; i < num_aggs; ++i) {
       if (!programs[i].has_value()) continue;
       MPPDB_RETURN_IF_ERROR(EvalExprBatch(*programs[i], &ctxs[i], rows, base, sel));
@@ -879,7 +1002,7 @@ Result<std::vector<Row>> Executor::ExecHashAgg(const HashAggNode& node, int segm
       for (size_t j = 0; j < assigned; ++j) {
         const Datum& v = columns[i] >= 0
                              ? rows[sel[j]][static_cast<size_t>(columns[i])]
-                             : ctxs[i].slot(programs[i]->root())[j];
+                             : ctxs[i].slot(programs[i]->root())[sel[j] - base];
         if (v.is_null()) continue;
         MPPDB_RETURN_IF_ERROR(AccumulateAgg(agg_states[ids[j]], func, v));
       }

@@ -99,6 +99,7 @@ class ColumnarExecTest : public ::testing::Test {
     stats->joinfilter_rows_rejected = 0;
     stats->joinfilter_chunks_skipped = 0;
     stats->joinfilter_motion_rows_saved = 0;
+    stats->joinfilter_probes_stopped = 0;
   }
 
   void CheckAgainstRowOracle(const std::string& sql) {

@@ -192,34 +192,29 @@ TEST_F(FaultMatrixTest, EveryFaultPointInEveryModeIsIdenticalOrTyped) {
   }
 }
 
-// Faults at the Motion hand-off while slices cross it by reference: a
-// Gather hands segment 0 the source segments' storage slices as they are,
-// and every Broadcast destination reads the one shared batch in place. A
-// fault armed on one segment's motion.send or motion.recv, firing once,
-// fails the statement with kInternal (fatal) or is cured by the retry
-// (transient) with rows and ExecStats bit-identical to the oracle, in every
-// mode; a fault-free run afterwards still matches.
-TEST_F(FaultMatrixTest, MotionFaultsWhileSlicesCrossByReference) {
-  struct Shape {
-    std::string sql;
-    const char* motion;
-  };
-  const std::vector<Shape> shapes = {
-      {"SELECT * FROM fact", "GatherMotion"},
-      {"SELECT v, sk + 1 FROM fact", "GatherMotion"},
-      {"SELECT * FROM fact LIMIT 7", "GatherMotion"},
-      {"SELECT f.sk, d.grp FROM fact f JOIN dim d ON f.v = d.grp", "BroadcastMotion"},
-  };
-  for (const Shape& shape : shapes) {
-    auto explain = db_.Explain(shape.sql);
+// A statement and the Motion its plan must contain.
+struct FaultShape {
+  std::string sql;
+  const char* motion;
+};
+
+// For every shape in every mode: a fault armed on one segment's `point`,
+// firing once, fails the statement with kInternal (fatal) or is cured by the
+// retry (transient) with rows and ExecStats bit-identical to the oracle; a
+// fault-free run afterwards still matches.
+void CheckOneShotFaults(const std::vector<FaultShape>& shapes,
+                        const std::vector<const char*>& points,
+                        Database* oracle_db, const std::vector<Database*>& modes) {
+  for (const FaultShape& shape : shapes) {
+    auto explain = oracle_db->Explain(shape.sql);
     ASSERT_TRUE(explain.ok()) << explain.status().ToString();
     ASSERT_NE(explain->find(shape.motion), std::string::npos) << *explain;
-    auto oracle = db_.Run(shape.sql);
+    auto oracle = oracle_db->Run(shape.sql);
     ASSERT_TRUE(oracle.ok()) << shape.sql << "\n" << oracle.status().ToString();
     ASSERT_FALSE(oracle->rows.empty()) << shape.sql;
 
-    for (Database* db : AllModes()) {
-      for (const char* point : {"motion.send", "motion.recv"}) {
+    for (Database* db : modes) {
+      for (const char* point : points) {
         for (int segment = 0; segment < 3; ++segment) {
           for (FaultKind kind : {FaultKind::kTransient, FaultKind::kFatal}) {
             FaultInjector injector(7);
@@ -256,6 +251,37 @@ TEST_F(FaultMatrixTest, MotionFaultsWhileSlicesCrossByReference) {
       EXPECT_TRUE(clean->stats == oracle->stats) << shape.sql;
     }
   }
+}
+
+// Faults at the Motion hand-off while slices cross it by reference: a
+// Gather hands segment 0 the source segments' storage slices as they are,
+// and every Broadcast destination reads the one shared batch in place.
+TEST_F(FaultMatrixTest, MotionFaultsWhileSlicesCrossByReference) {
+  CheckOneShotFaults(
+      {
+          {"SELECT * FROM fact", "GatherMotion"},
+          {"SELECT v, sk + 1 FROM fact", "GatherMotion"},
+          {"SELECT * FROM fact LIMIT 7", "GatherMotion"},
+          {"SELECT f.sk, d.grp FROM fact f JOIN dim d ON f.v = d.grp", "BroadcastMotion"},
+      },
+      {"motion.send", "motion.recv"}, &db_, AllModes());
+}
+
+// Faults in the scan and at the Motion hand-off while a filtered scan's
+// selected slices cross a Gather: the storage slices travel with the
+// selection of their survivors, and the join-filtered probe side hands its
+// selection to the join. The predicates are not sargable, so every segment
+// scans every chunk.
+TEST_F(FaultMatrixTest, ScanAndMotionFaultsWhileSelectedSlicesCrossAGather) {
+  CheckOneShotFaults(
+      {
+          {"SELECT * FROM fact WHERE v % 2 = 0", "GatherMotion"},
+          {"SELECT sk, v + 1 FROM fact WHERE v % 3 = 1", "GatherMotion"},
+          {"SELECT * FROM fact WHERE v % 5 <> 2 LIMIT 9", "GatherMotion"},
+          {"SELECT f.sk, d.grp FROM fact f JOIN dim d ON f.sk = d.k WHERE f.v % 4 <> 1",
+           "GatherMotion"},
+      },
+      {"storage.scan_chunk", "motion.send"}, &db_, AllModes());
 }
 
 TEST_F(FaultMatrixTest, RandomMemoryBudgetsAreOracleRowsOrResourceExhausted) {

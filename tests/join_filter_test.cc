@@ -5,11 +5,13 @@
 // skipping on, off} — and every observable difference is
 // confined to the joinfilter_* counter family. On top of that, the suite
 // pins down the semantic corners: an empty build side rejects every probe
-// row, NULL join keys never pass a filter, filtering (and chunk skipping at
+// row, NULL join keys never pass a probing filter, a filter whose prefix
+// rejects nothing stops probing, filtering (and chunk skipping at
 // a bare scan) below a Redistribute Motion reports exchange savings while
 // rows_moved stays logical, probes
-// reach multi-level partitioned scans, and the cost gate (and its off
-// switch) keeps filters off joins that cannot pay for them.
+// reach multi-level partitioned scans, the cost gate (and its off switch)
+// keeps filters off joins that cannot pay for them, and EXPLAIN shows the
+// filters and their counters.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "common/random.h"
 #include "db/database.h"
+#include "exec/plan.h"
 #include "runtime/join_filter.h"
 #include "test_util.h"
 
@@ -32,6 +35,7 @@ void ZeroJoinFilterCounters(ExecStats* stats) {
   stats->joinfilter_rows_rejected = 0;
   stats->joinfilter_chunks_skipped = 0;
   stats->joinfilter_motion_rows_saved = 0;
+  stats->joinfilter_probes_stopped = 0;
 }
 
 // --- BlockedBloomFilter / JoinFilterSummary unit coverage ----------------
@@ -286,18 +290,21 @@ TEST(JoinFilterEndToEndTest, BareProbeScanBelowMotionSkipsDisjointChunks) {
     const ExecStats& stats = result.stats;
     // Every fact row was redistributed, logically.
     EXPECT_GE(stats.rows_moved, static_cast<size_t>(kFactRows));
-    // A bare scan probes every row of the chunks it does not skip.
-    ASSERT_LE(stats.joinfilter_probed, static_cast<size_t>(kFactRows));
-    const size_t skipped_rows = kFactRows - stats.joinfilter_probed;
+    // Each segment's first chunk lies inside the build range, so the first
+    // probe rows all join: the filter stops probing on every segment after
+    // its prefix, and rejects nothing.
+    EXPECT_EQ(stats.joinfilter_probes_stopped, 4u);
+    EXPECT_EQ(stats.joinfilter_probed, 4 * Executor::kJoinFilterPrefixRows);
+    EXPECT_EQ(stats.joinfilter_rows_rejected, 0u);
+    // The stopped filter still skips every chunk past a segment's first.
+    const size_t skipped_rows =
+        mode.data_skipping ? kFactRows - 4 * TableStore::kChunkRows : 0;
     if (mode.data_skipping) {
       EXPECT_GT(stats.joinfilter_chunks_skipped, 0u);
-      EXPECT_GT(skipped_rows, 0u);
     } else {
       EXPECT_EQ(stats.joinfilter_chunks_skipped, 0u);
-      EXPECT_EQ(skipped_rows, 0u);
     }
     // Skipped and rejected rows alike stayed out of the exchange.
-    EXPECT_GE(stats.joinfilter_motion_rows_saved, skipped_rows);
     EXPECT_EQ(stats.joinfilter_motion_rows_saved,
               skipped_rows + stats.joinfilter_rows_rejected);
   }
@@ -395,6 +402,131 @@ TEST(JoinFilterEndToEndTest, CostGateAndOffSwitch) {
   EXPECT_EQ(plain->stats.joinfilter_probed, 0u);
   EXPECT_EQ(plain->stats.joinfilter_rows_rejected, 0u);
   EXPECT_TRUE(filtered->rows == plain->rows);
+}
+
+// A predicate that lets few rows through cannot fill the stop rule's probe
+// prefix quickly: the prefix ends once the scan has evaluated
+// kJoinFilterPrefixScanRows rows (chunks the zone maps skip are not
+// evaluated), and the filter, which rejects nothing, stops on every segment
+// that probed a row. Which rows it probed follows from the slice order
+// alone, at every worker count and morsel size.
+TEST(JoinFilterEndToEndTest, SelectivePredicateEndsThePrefixAtTheScanCap) {
+  constexpr int64_t kFactRows = 30000;
+  std::vector<Executor::Options> modes = ExecutorModeMatrix(/*with_noskip=*/true);
+  modes.push_back({.workers = 4, .morsel_rows = 1024});
+  for (const Executor::Options& mode : modes) {
+    Database db(3, mode);
+    ASSERT_TRUE(db.CreateTable("fact", Schema({{"sk", TypeId::kInt64},
+                                               {"v", TypeId::kInt64}}),
+                               TableDistribution::kHashed, {0})
+                    .ok());
+    ASSERT_TRUE(db.CreateTable("dim", Schema({{"k", TypeId::kInt64},
+                                              {"grp", TypeId::kInt64}}),
+                               TableDistribution::kHashed, {0})
+                    .ok());
+    // Every fact key joins; v = 0 holds for 20 rows in every 5000.
+    std::vector<Row> fact_rows;
+    for (int64_t i = 0; i < kFactRows; ++i) {
+      fact_rows.push_back({Datum::Int64(i % 20), Datum::Int64(i / 20 % 250)});
+    }
+    std::vector<Row> dim_rows;
+    for (int64_t k = 0; k < 20; ++k) dim_rows.push_back({Datum::Int64(k), Datum::Int64(k)});
+    ASSERT_TRUE(db.Load("fact", fact_rows).ok());
+    ASSERT_TRUE(db.Load("dim", dim_rows).ok());
+    ModeResult result = CheckTransparent(
+        &db, "SELECT count(*) FROM fact f JOIN dim d ON f.sk = d.k WHERE f.v = 0");
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_EQ(result.rows[0][0], Datum::Int64(kFactRows / 250));
+
+    // Each segment's prefix is the first chunks of its slice that the scan
+    // evaluates, up to kJoinFilterPrefixScanRows rows: with data skipping
+    // a chunk holding no v = 0 row is skipped by its zone map. The filter
+    // probes the prefix's v = 0 rows and nothing after.
+    const Oid fact = db.catalog().FindTable("fact")->oid;
+    const TableStore& store = *db.storage().GetStore(fact);
+    size_t probed = 0, stopped = 0;
+    for (int seg = 0; seg < 3; ++seg) {
+      const std::vector<Row>& rows = store.UnitRows(fact, seg);
+      size_t evaluated = 0, prefix = 0;
+      for (size_t base = 0; base < rows.size() &&
+                            evaluated < Executor::kJoinFilterPrefixScanRows;
+           base += TableStore::kChunkRows) {
+        const size_t end = std::min(rows.size(), base + TableStore::kChunkRows);
+        size_t matches = 0;
+        for (size_t r = base; r < end; ++r) matches += rows[r][1].AsInt64() == 0;
+        if (mode.data_skipping && matches == 0) continue;
+        evaluated += end - base;
+        prefix += matches;
+      }
+      ASSERT_GE(evaluated, Executor::kJoinFilterPrefixScanRows) << "segment " << seg;
+      ASSERT_LT(prefix, Executor::kJoinFilterPrefixRows) << "segment " << seg;
+      probed += prefix;
+      if (prefix > 0) ++stopped;
+    }
+    EXPECT_GT(stopped, 0u);
+    EXPECT_EQ(result.stats.joinfilter_probed, probed);
+    EXPECT_EQ(result.stats.joinfilter_rows_rejected, 0u);
+    EXPECT_EQ(result.stats.joinfilter_probes_stopped, stopped);
+  }
+}
+
+// EXPLAIN shows where each filter is published and probed; EXPLAIN ANALYZE
+// adds the run's join-filter counters. The annotations stay out of the
+// serialized plan, so plan-cache keys and plan sizes do not move.
+TEST(JoinFilterEndToEndTest, ExplainShowsFiltersAndAnalyzeShowsCounters) {
+  Database db(3);
+  ASSERT_TRUE(db.CreateTable("big", Schema({{"a", TypeId::kInt64},
+                                            {"pad", TypeId::kInt64}}),
+                             TableDistribution::kHashed, {0})
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("tiny", Schema({{"t", TypeId::kInt64}}),
+                             TableDistribution::kHashed, {0})
+                  .ok());
+  std::vector<Row> big_rows;
+  for (int64_t i = 0; i < 500; ++i) {
+    big_rows.push_back({Datum::Int64(i), Datum::Int64(i)});
+  }
+  ASSERT_TRUE(db.Load("big", big_rows).ok());
+  ASSERT_TRUE(db.Load("tiny", {{Datum::Int64(3)}, {Datum::Int64(4)}}).ok());
+  const std::string sql = "SELECT count(*) FROM big JOIN tiny ON big.a = tiny.t";
+
+  auto explained = db.Run("EXPLAIN " + sql);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string plan_text = explained->rows[0][0].string_value();
+  EXPECT_NE(plan_text.find("[join filters: publish jf0 keys=["), std::string::npos)
+      << plan_text;
+  EXPECT_NE(plan_text.find("probe jf0 keys=["), std::string::npos) << plan_text;
+  auto plan = db.PlanSql(sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(PlanToString(*plan).find("jf0"), std::string::npos);
+  EXPECT_EQ(SerializePlan(*plan).find("jf0"), std::string::npos);
+
+  auto analyzed = db.Run("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const ExecStats& s = analyzed->stats;
+  EXPECT_GE(s.joinfilter_built, 1u);
+  EXPECT_GT(s.joinfilter_rows_rejected, 0u);
+  const std::string footer =
+      "Join filters: built=" + std::to_string(s.joinfilter_built) +
+      " probed=" + std::to_string(s.joinfilter_probed) +
+      " rejected=" + std::to_string(s.joinfilter_rows_rejected) +
+      " chunks_skipped=" + std::to_string(s.joinfilter_chunks_skipped) +
+      " motion_rows_saved=" + std::to_string(s.joinfilter_motion_rows_saved) +
+      " probes_stopped=" + std::to_string(s.joinfilter_probes_stopped) + "\n";
+  const std::string analyzed_text = analyzed->rows[0][0].string_value();
+  EXPECT_NE(analyzed_text.find(footer), std::string::npos) << analyzed_text;
+
+  // Filters off: no annotation, and a footer of zeros.
+  QueryOptions off;
+  off.enable_join_filters = false;
+  auto plain = db.Run("EXPLAIN ANALYZE " + sql, off);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const std::string plain_text = plain->rows[0][0].string_value();
+  EXPECT_EQ(plain_text.find("[join filters:"), std::string::npos) << plain_text;
+  EXPECT_NE(plain_text.find("Join filters: built=0 probed=0 rejected=0 chunks_skipped=0 "
+                            "motion_rows_saved=0 probes_stopped=0\n"),
+            std::string::npos)
+      << plain_text;
 }
 
 TEST(JoinFilterEndToEndTest, SemiJoinProbesAreFiltered) {

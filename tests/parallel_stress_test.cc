@@ -21,6 +21,7 @@
 #include "exec/executor.h"
 #include "exec/plan.h"
 #include "expr/expr.h"
+#include "join_filter_matrix.h"
 #include "storage/storage.h"
 #include "test_util.h"
 
@@ -785,6 +786,13 @@ TEST(ParallelStressTest, SharedStringBodiesAcrossWorkers) {
       ASSERT_TRUE(parallel->stats == oracle->stats) << sql;
     }
   }
+}
+
+// Every consumer of a filtered, join-filtered scan's selected slices, with
+// pool workers copying, routing and reading them in morsels (see
+// join_filter_matrix.h).
+TEST(ParallelStressTest, SelectedSlicesAcrossWorkersAndMorsels) {
+  testutil::CheckSelectedSliceConsumers();
 }
 
 // Every consumer of a Gather of bare scans, which hands segment 0 the source

@@ -383,6 +383,7 @@ class RandomQueryTest : public ::testing::Test {
     stats->joinfilter_rows_rejected = 0;
     stats->joinfilter_chunks_skipped = 0;
     stats->joinfilter_motion_rows_saved = 0;
+    stats->joinfilter_probes_stopped = 0;
   }
 
   void CheckAllConfigsAgree(const std::string& sql) {

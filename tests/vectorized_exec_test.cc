@@ -25,6 +25,7 @@
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "expr/vector_eval.h"
+#include "join_filter_matrix.h"
 #include "test_util.h"
 #include "types/date.h"
 #include "workload/tpcds_lite.h"
@@ -64,6 +65,14 @@ struct WorkerCountDbs {
   Database parallel;
   Database parallel_fine;
 };
+
+// A filtered, join-filtered scan hands its consumers selections over the
+// storage slices: every consumer reads exactly the selected rows, at every
+// worker count and morsel size, and the join-filter stop rule decides the
+// same way at all of them (see join_filter_matrix.h).
+TEST(BatchExecutionTest, SelectedSlicesReachEveryConsumer) {
+  testutil::CheckSelectedSliceConsumers();
+}
 
 // Every TPC-DS workload query: static pruning, join-induced dynamic pruning,
 // IN subqueries, star joins, and aggregations.
