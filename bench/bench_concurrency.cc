@@ -20,10 +20,9 @@
 //      (group_waits > 0, nothing fails) and overflowed queues reject with
 //      kResourceExhausted.
 //
-// Emits BENCH_concurrency.json. `--smoke` shrinks data, clients, and
-// iterations for the release_concurrency_smoke ctest gate, which asserts
-// the correctness invariants (identical rows, hits observed, typed
-// rejections), not speed.
+// `--smoke` shrinks data, clients, and iterations for the
+// release_concurrency_smoke ctest gate, which asserts the correctness
+// invariants (identical rows, hits observed, typed rejections), not speed.
 
 #include <algorithm>
 #include <atomic>
@@ -111,15 +110,6 @@ std::vector<Row> SortedRows(std::vector<Row> rows) {
 
 int RunBenchmark(bool smoke) {
   const BenchSizes sizes = smoke ? SmokeSizes() : BenchSizes{};
-  std::vector<benchutil::BenchJsonEntry> entries;
-  entries.push_back(
-      {"env",
-       {{"smoke", smoke ? 1.0 : 0.0},
-        {"order_rows", static_cast<double>(sizes.order_rows)},
-        {"segments", static_cast<double>(sizes.segments)},
-        {"hardware_threads",
-         static_cast<double>(std::thread::hardware_concurrency())}}});
-
   Database db(sizes.segments, Executor::Options{.workers = 0});
   BuildOrders(&db, sizes);
 
@@ -174,12 +164,6 @@ int RunBenchmark(bool smoke) {
     std::printf("%-12s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
                 use_cache ? "cache-on" : "cache-off", stats.median_ms, stats.p95_ms,
                 stats.p99_ms, stats.mean_ms, stats.min_ms);
-    entries.push_back({use_cache ? "cache_on" : "cache_off",
-                       {{"p50_ms", stats.median_ms},
-                        {"p95_ms", stats.p95_ms},
-                        {"p99_ms", stats.p99_ms},
-                        {"mean_ms", stats.mean_ms},
-                        {"min_ms", stats.min_ms}}});
     (use_cache ? cached_p50 : fresh_p50) = stats.median_ms;
   }
   const PlanCache::Stats cache_stats = db.plan_cache().stats();
@@ -193,11 +177,6 @@ int RunBenchmark(bool smoke) {
               static_cast<unsigned long long>(cache_stats.hits),
               static_cast<unsigned long long>(cache_stats.misses), 100 * hit_rate,
               cached_p50 > 0 ? fresh_p50 / cached_p50 : 0.0);
-  entries.push_back({"cache_totals",
-                     {{"hits", static_cast<double>(cache_stats.hits)},
-                      {"misses", static_cast<double>(cache_stats.misses)},
-                      {"hit_rate", hit_rate},
-                      {"p50_speedup", cached_p50 > 0 ? fresh_p50 / cached_p50 : 0}}});
   // The whole point of the cache: repeated statements must not pay
   // parse+bind+Cascades again. One miss (the first), hits after.
   MPPDB_CHECK(cache_stats.hits > 0);
@@ -274,13 +253,6 @@ int RunBenchmark(bool smoke) {
                            static_cast<double>(lookups);
     std::printf("%-8d %10.1f %10.3f %10.3f %10.3f %7.0f%%\n", clients, qps,
                 stats.median_ms, stats.p95_ms, stats.p99_ms, 100 * run_hit_rate);
-    entries.push_back({"clients_" + std::to_string(clients),
-                       {{"clients", static_cast<double>(clients)},
-                        {"qps", qps},
-                        {"p50_ms", stats.median_ms},
-                        {"p95_ms", stats.p95_ms},
-                        {"p99_ms", stats.p99_ms},
-                        {"hit_rate", run_hit_rate}}});
   }
 
   // --- 3. Admission control: saturation queues, overflow rejects ----------
@@ -327,17 +299,8 @@ int RunBenchmark(bool smoke) {
     MPPDB_CHECK(serve_stats.failed == 0);
     auto groups = manager.group_states();
     MPPDB_CHECK(groups.at("tiny").peak_running <= 2);
-    entries.push_back({"admission_burst",
-                       {{"burst", static_cast<double>(burst)},
-                        {"served", static_cast<double>(ok_count)},
-                        {"rejected", static_cast<double>(rejected)},
-                        {"group_waits",
-                         static_cast<double>(serve_stats.group_waits)},
-                        {"peak_running",
-                         static_cast<double>(groups.at("tiny").peak_running)}}});
   }
 
-  benchutil::WriteBenchJson("BENCH_concurrency.json", "concurrency", entries);
   std::printf("\nOK\n");
   return 0;
 }

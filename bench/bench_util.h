@@ -80,36 +80,6 @@ inline double MedianMillis(int iterations, const std::function<void()>& fn) {
   return MeasureMillis(/*warmup=*/1, iterations, fn).median_ms;
 }
 
-/// One record of a benchmark JSON report: a name plus numeric fields.
-struct BenchJsonEntry {
-  std::string name;
-  std::vector<std::pair<std::string, double>> fields;
-};
-
-/// Writes `{"bench": <bench>, "entries": [{"name": ..., <k>: <v>, ...}]}` to
-/// `path` so successive PRs can track the trajectory. Returns false (after
-/// printing a warning) if the file cannot be written.
-inline bool WriteBenchJson(const std::string& path, const std::string& bench,
-                           const std::vector<BenchJsonEntry>& entries) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "WARNING: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"entries\": [\n", bench.c_str());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    std::fprintf(out, "    {\"name\": \"%s\"", entries[i].name.c_str());
-    for (const auto& [key, value] : entries[i].fields) {
-      std::fprintf(out, ", \"%s\": %.6g", key.c_str(), value);
-    }
-    std::fprintf(out, "}%s\n", i + 1 == entries.size() ? "" : ",");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
 /// Prints a horizontal rule sized to `width`.
 inline void Rule(int width) {
   for (int i = 0; i < width; ++i) std::putchar('-');

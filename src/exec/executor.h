@@ -58,6 +58,15 @@ struct ExecStats {
   /// (unit, segment) slices skipped wholesale via the rollup synopsis; their
   /// chunks are also counted in chunks_skipped.
   size_t units_skipped = 0;
+  /// A copy with the zone-map skipping counters above zeroed: what is left
+  /// must not depend on data_skipping (DESIGN.md invariant 8).
+  ExecStats WithoutSkipCounters() const {
+    ExecStats out = *this;
+    out.chunks_total = 0;
+    out.chunks_skipped = 0;
+    out.units_skipped = 0;
+    return out;
+  }
 
   /// Runtime join-filter counters (Options::join_filters; all zero when the
   /// feature — or the optimizer's placement — is off). Like the zone-map
@@ -85,6 +94,19 @@ struct ExecStats {
   /// Executor::kJoinFilterStopFraction of its rows, so the filter stopped
   /// probing for the rest of that scan (chunk skipping continues).
   size_t joinfilter_probes_stopped = 0;
+  /// A copy with the joinfilter_* counters above zeroed (joinfilter_shed,
+  /// a budget counter, stays): what is left must not depend on join filters
+  /// (DESIGN.md invariant 9).
+  ExecStats WithoutJoinFilterCounters() const {
+    ExecStats out = *this;
+    out.joinfilter_built = 0;
+    out.joinfilter_probed = 0;
+    out.joinfilter_rows_rejected = 0;
+    out.joinfilter_chunks_skipped = 0;
+    out.joinfilter_motion_rows_saved = 0;
+    out.joinfilter_probes_stopped = 0;
+    return out;
+  }
 
   /// Memory-budget shedding counters (zero unless the query ran with a
   /// limited QueryContext budget — so the worker-count bit-identity
@@ -115,6 +137,16 @@ struct ExecStats {
   /// Stale encoded column images scanned via the row image instead because
   /// their re-encode charge was refused under memory pressure.
   size_t colstore_rebuilds_shed = 0;
+  /// A copy with the columnar-execution counters above zeroed: what is left
+  /// must not depend on storage orientation (DESIGN.md invariant 12).
+  ExecStats WithoutEncodedCounters() const {
+    ExecStats out = *this;
+    out.chunks_encoded_eval = 0;
+    out.rows_late_materialized = 0;
+    out.encoded_bytes_scanned = 0;
+    out.colstore_rebuilds_shed = 0;
+    return out;
+  }
 
   /// Index access-path counters (QueryOptions::enable_index_paths; all zero
   /// when the optimizer picked no index plan). Like the counters above, the

@@ -37,16 +37,6 @@ inline ExecStats JoinFilterCounters(const ExecStats& stats) {
   return out;
 }
 
-inline ExecStats WithoutJoinFilterCounters(ExecStats stats) {
-  stats.joinfilter_built = 0;
-  stats.joinfilter_probed = 0;
-  stats.joinfilter_rows_rejected = 0;
-  stats.joinfilter_chunks_skipped = 0;
-  stats.joinfilter_motion_rows_saved = 0;
-  stats.joinfilter_probes_stopped = 0;
-  return stats;
-}
-
 /// f(a, b) holds a = b = 0..3999 in 40 range parts of 100 on b, hashed on a
 /// over 4 segments: 160 slices of about 25 rows, each one storage chunk, and
 /// a rises along every segment's scan order. X = Filter(a % 7 <> 3) over a
@@ -346,7 +336,7 @@ inline void CheckSelectedSliceConsumers() {
             ASSERT_TRUE(off_rows.ok()) << off_rows.status().ToString();
             EXPECT_TRUE(*rows == *off_rows) << "rows differ from filters off";
             if (c.stats_like_off) {
-              EXPECT_TRUE(WithoutJoinFilterCounters(on.stats()) == off.stats())
+              EXPECT_TRUE(on.stats().WithoutJoinFilterCounters() == off.stats())
                   << "a counter other than joinfilter_* differs from filters off";
             }
             EXPECT_EQ(rows->empty(), total_kept == 0);

@@ -370,22 +370,6 @@ class RandomQueryTest : public ::testing::Test {
            RandomPredicate(rng, columns, depth - 1) + ")";
   }
 
-  static void ZeroEncodedCounters(ExecStats* stats) {
-    stats->chunks_encoded_eval = 0;
-    stats->rows_late_materialized = 0;
-    stats->encoded_bytes_scanned = 0;
-    stats->colstore_rebuilds_shed = 0;
-  }
-
-  static void ZeroJoinFilterCounters(ExecStats* stats) {
-    stats->joinfilter_built = 0;
-    stats->joinfilter_probed = 0;
-    stats->joinfilter_rows_rejected = 0;
-    stats->joinfilter_chunks_skipped = 0;
-    stats->joinfilter_motion_rows_saved = 0;
-    stats->joinfilter_probes_stopped = 0;
-  }
-
   void CheckAllConfigsAgree(const std::string& sql) {
     QueryOptions reference_options;
     auto reference = db_.Run(sql, reference_options);
@@ -415,11 +399,9 @@ class RandomQueryTest : public ::testing::Test {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
-      ExecStats mode_stats = mode_result->stats;
-      ZeroEncodedCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
           << sql << " (columnar, workers=" << db->exec_options().workers << ")";
-      EXPECT_TRUE(reference->stats == mode_stats)
+      EXPECT_TRUE(reference->stats == mode_result->stats.WithoutEncodedCounters())
           << sql << " (columnar, workers=" << db->exec_options().workers << ")";
     }
 
@@ -428,20 +410,15 @@ class RandomQueryTest : public ::testing::Test {
     // skipping-on side. Join-filter counters are zeroed on both sides: how
     // many rows a filter probes (vs skips wholesale at chunk level) depends
     // on zone maps, but everything the filters feed downstream does not.
-    ExecStats reference_noskip = reference->stats;
-    reference_noskip.chunks_total = 0;
-    reference_noskip.chunks_skipped = 0;
-    reference_noskip.units_skipped = 0;
-    ZeroJoinFilterCounters(&reference_noskip);
+    const ExecStats reference_noskip =
+        reference->stats.WithoutSkipCounters().WithoutJoinFilterCounters();
     for (Database* db : {&db_noskip_, &db_noskip_parallel_}) {
       auto mode_result = db->Run(sql, reference_options);
       ASSERT_TRUE(mode_result.ok())
           << sql << "\n" << mode_result.status().ToString();
-      ExecStats mode_stats = mode_result->stats;
-      ZeroJoinFilterCounters(&mode_stats);
       EXPECT_TRUE(reference->rows == mode_result->rows)
           << sql << " (skipping off, workers=" << db->exec_options().workers << ")";
-      EXPECT_TRUE(reference_noskip == mode_stats)
+      EXPECT_TRUE(reference_noskip == mode_result->stats.WithoutJoinFilterCounters())
           << sql << " (skipping off, workers=" << db->exec_options().workers << ")";
     }
 
@@ -453,9 +430,7 @@ class RandomQueryTest : public ::testing::Test {
     auto unfiltered = db_.Run(sql, no_filters);
     ASSERT_TRUE(unfiltered.ok()) << sql << "\n" << unfiltered.status().ToString();
     EXPECT_TRUE(reference->rows == unfiltered->rows) << sql << " (filters off)";
-    ExecStats reference_nofilter = reference->stats;
-    ZeroJoinFilterCounters(&reference_nofilter);
-    EXPECT_TRUE(reference_nofilter == unfiltered->stats)
+    EXPECT_TRUE(reference->stats.WithoutJoinFilterCounters() == unfiltered->stats)
         << sql << " (filters off)";
 
     // Index access paths: with the toggle off the optimizer plans exactly
