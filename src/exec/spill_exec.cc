@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -162,7 +161,7 @@ Result<std::vector<Row>> Executor::SpillHashJoin(
     }
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.write"));
     MPPDB_ASSIGN_OR_RETURN(size_t bytes,
-                           w.file->WriteBatch(w.buffer, 0, w.buffer.size()));
+                           w.file->WriteBatch(w.buffer.data(), w.buffer.size()));
     stats.spill_bytes_written += bytes;
     w.buffer.clear();
     return Status::OK();
@@ -468,7 +467,7 @@ Result<std::vector<Row>> Executor::SpillHashAgg(const HashAggNode& node,
     }
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.write"));
     MPPDB_ASSIGN_OR_RETURN(size_t bytes,
-                           w.file->WriteBatch(w.buffer, 0, w.buffer.size()));
+                           w.file->WriteBatch(w.buffer.data(), w.buffer.size()));
     stats.spill_bytes_written += bytes;
     w.buffer.clear();
     return Status::OK();
@@ -728,44 +727,37 @@ Result<std::vector<Row>> Executor::SpillSortRows(
   // can charge because the run buffer has been released by then.
   const size_t frame_rows = std::max<size_t>(1, run_rows / (2 * kMergeFanIn));
 
-  // Run generation: sort contiguous slices in the oracle's order and
-  // spill each as one run file, framed for the merge's read-back.
+  // Run generation: order contiguous slices as the oracle does and spill
+  // each as one run file, framed for the merge's read-back. A frame is
+  // encoded straight from the input rows through its slice's permutation,
+  // and a run's rows are freed once it is written.
   struct RunState {
     std::unique_ptr<SpillFile> file;
-    std::vector<Row> buffer;
-    std::vector<uint64_t> words;  // buffer's key words, encoded on read-back
-    size_t pos = 0;
-    bool eof = false;
+    std::vector<Row> frame;       // the frame being merged; empty at the end
+    std::vector<uint64_t> words;  // frame's key words, encoded on read-back
   };
   std::vector<RunState> runs;
   ++stats.spill_passes;
-  auto write_run = [&](std::vector<Row>& source, size_t begin,
-                       size_t end) -> Status {
-    MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.open"));
-    MPPDB_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> file, manager->Create());
-    for (size_t f = begin; f < end; f += frame_rows) {
-      MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.write"));
-      MPPDB_ASSIGN_OR_RETURN(
-          size_t bytes,
-          file->WriteBatch(source, f, std::min(end, f + frame_rows)));
-      stats.spill_bytes_written += bytes;
-    }
-    RunState run;
-    run.file = std::move(file);
-    runs.push_back(std::move(run));
-    return Status::OK();
-  };
   {
     auto generate = [&]() -> Status {
       for (size_t base = 0; base < n; base += run_rows) {
         MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
         const size_t end = std::min(n, base + run_rows);
-        std::vector<Row> run;
-        run.reserve(end - base);
-        for (uint32_t i : keys.Order(rows, base, end)) {
-          run.push_back(std::move(rows[base + i]));
+        const std::vector<uint32_t> order = keys.Order(rows, base, end);
+        MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.open"));
+        MPPDB_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> file, manager->Create());
+        for (size_t f = 0; f < order.size(); f += frame_rows) {
+          const size_t count = std::min(frame_rows, order.size() - f);
+          MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.write"));
+          MPPDB_ASSIGN_OR_RETURN(
+              size_t bytes, file->WriteBatch(rows.data() + base, count, order.data() + f));
+          stats.spill_bytes_written += bytes;
         }
-        MPPDB_RETURN_IF_ERROR(write_run(run, 0, run.size()));
+        // Freed in input order, the order they were allocated in: the
+        // allocator then coalesces neighbouring blocks instead of chasing
+        // a permutation through the heap.
+        for (size_t i = base; i < end; ++i) rows[i] = Row();
+        runs.push_back(RunState{std::move(file)});
       }
       return Status::OK();
     };
@@ -782,55 +774,64 @@ Result<std::vector<Row>> Executor::SpillSortRows(
   // lower-numbered (earlier-input) run at every level: a stable merge of
   // stable-sorted contiguous slices — exactly the oracle's global stable
   // sort. Each level's buffers are charged before use and released after.
+  //
+  // Reads `run`'s next frame and encodes its key words; the frame comes
+  // back empty at the end of the run.
   auto refill = [&](RunState& run) -> Status {
-    if (run.eof || run.pos < run.buffer.size()) return Status::OK();
-    run.buffer.clear();
-    run.pos = 0;
+    run.frame.clear();
     MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.read"));
-    MPPDB_ASSIGN_OR_RETURN(size_t bytes, run.file->ReadBatch(&run.buffer));
-    if (bytes == 0) {
-      run.eof = true;
-      return Status::OK();
-    }
+    MPPDB_ASSIGN_OR_RETURN(size_t bytes, run.file->ReadBatch(&run.frame));
     stats.spill_bytes_read += bytes;
-    run.words.resize(run.buffer.size() * width);
-    for (size_t i = 0; i < run.buffer.size(); ++i) {
-      keys.Encode(run.buffer[i], run.words.data() + i * width);
+    run.words.resize(run.frame.size() * width);
+    for (size_t i = 0; i < run.frame.size(); ++i) {
+      keys.Encode(run.frame[i], run.words.data() + i * width);
     }
     return Status::OK();
   };
-  // Merges runs[begin, end) in run order, streaming each merged row into
-  // `sink`.
-  auto merge_group = [&](size_t begin, size_t end,
-                         const std::function<Status(Row)>& sink) -> Status {
+  // Merges runs[begin, end) in run order, moving each merged row into `out`
+  // and calling `flush` whenever `out` holds `flush_rows` rows. A run is
+  // refilled only when its frame is used up.
+  auto merge_group = [&](size_t begin, size_t end, std::vector<Row>& out,
+                         size_t flush_rows, const auto& flush) -> Status {
+    // The head row of each run with rows left, in run order.
+    struct Head {
+      RunState* run;
+      const uint64_t* words;
+      Row* row;
+      Row* frame_end;
+    };
+    auto head_of = [](RunState& run) {
+      return Head{&run, run.words.data(), run.frame.data(),
+                  run.frame.data() + run.frame.size()};
+    };
+    std::vector<Head> heads;
     for (size_t r = begin; r < end; ++r) {
       MPPDB_RETURN_IF_ERROR(runs[r].file->Rewind());
-      runs[r].buffer.clear();
-      runs[r].pos = 0;
-      runs[r].eof = false;
       MPPDB_RETURN_IF_ERROR(refill(runs[r]));
+      if (!runs[r].frame.empty()) heads.push_back(head_of(runs[r]));
     }
-    for (;;) {
-      size_t best = end;
-      for (size_t r = begin; r < end; ++r) {
-        if (runs[r].eof) continue;
-        if (best == end) {
-          best = r;
-          continue;
-        }
-        const RunState& a = runs[r];
-        const RunState& b = runs[best];
-        if (keys.Compare(a.words.data() + a.pos * width, a.buffer[a.pos],
-                         b.words.data() + b.pos * width, b.buffer[b.pos]) < 0) {
-          best = r;
+    while (!heads.empty()) {
+      size_t best = 0;
+      for (size_t i = 1; i < heads.size(); ++i) {
+        if (keys.Compare(heads[i].words, *heads[i].row, heads[best].words,
+                         *heads[best].row) < 0) {
+          best = i;
         }
       }
-      if (best == end) return Status::OK();
-      MPPDB_RETURN_IF_ERROR(
-          sink(std::move(runs[best].buffer[runs[best].pos])));
-      ++runs[best].pos;
-      MPPDB_RETURN_IF_ERROR(refill(runs[best]));
+      Head& head = heads[best];
+      out.push_back(std::move(*head.row));
+      if (out.size() == flush_rows) MPPDB_RETURN_IF_ERROR(flush());
+      head.words += width;
+      if (++head.row == head.frame_end) {
+        MPPDB_RETURN_IF_ERROR(refill(*head.run));
+        if (head.run->frame.empty()) {
+          heads.erase(heads.begin() + static_cast<ptrdiff_t>(best));
+        } else {
+          head = head_of(*head.run);
+        }
+      }
     }
+    return Status::OK();
   };
   const size_t group_buffer_charge =
       (kMergeFanIn + 1) * frame_rows * per_row;
@@ -850,20 +851,14 @@ Result<std::vector<Row>> Executor::SpillSortRows(
           if (buffer.empty()) return Status::OK();
           MPPDB_RETURN_IF_ERROR(CheckExec(segment, "spill.write"));
           MPPDB_ASSIGN_OR_RETURN(size_t bytes,
-                                 file->WriteBatch(buffer, 0, buffer.size()));
+                                 file->WriteBatch(buffer.data(), buffer.size()));
           stats.spill_bytes_written += bytes;
           buffer.clear();
           return Status::OK();
         };
-        MPPDB_RETURN_IF_ERROR(merge_group(begin, end, [&](Row row) -> Status {
-          buffer.push_back(std::move(row));
-          if (buffer.size() >= frame_rows) return flush_merged();
-          return Status::OK();
-        }));
+        MPPDB_RETURN_IF_ERROR(merge_group(begin, end, buffer, frame_rows, flush_merged));
         MPPDB_RETURN_IF_ERROR(flush_merged());
-        RunState merged;
-        merged.file = std::move(file);
-        next.push_back(std::move(merged));
+        next.push_back(RunState{std::move(file)});
         return Status::OK();
       };
       Status merge_status = merge_to_file();
@@ -878,10 +873,8 @@ Result<std::vector<Row>> Executor::SpillSortRows(
       ChargeBudget(segment, final_buffer_charge, "sort merge read buffers"));
   std::vector<Row> out;
   out.reserve(n);
-  Status final_status = merge_group(0, runs.size(), [&](Row row) -> Status {
-    out.push_back(std::move(row));
-    return Status::OK();
-  });
+  Status final_status = merge_group(0, runs.size(), out, SIZE_MAX,
+                                    [] { return Status::OK(); });
   ctx_->budget().Release(final_buffer_charge);
   MPPDB_RETURN_IF_ERROR(final_status);
   return out;

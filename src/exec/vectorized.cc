@@ -697,31 +697,43 @@ Result<InputRows> Executor::ExecFusedFilterScan(
 Result<std::vector<Row>> Executor::ExecProject(const ProjectNode& node, int segment) {
   MPPDB_ASSIGN_OR_RETURN(InputRows input, ExecNode(node.child(0), segment));
   ColumnLayout layout = node.child(0)->OutputLayout();
+  // A bare-column item is read in place from the row (`columns`), as
+  // ExecHashAgg reads a bare-column argument; any other runs as a kernel.
   const size_t num_items = node.items().size();
-  std::vector<KernelProgram> programs;
-  programs.reserve(num_items);
+  std::vector<std::optional<KernelProgram>> programs(num_items);
   std::vector<KernelContext> ctxs(num_items);
+  std::vector<int> columns(num_items, -1);
   for (size_t i = 0; i < num_items; ++i) {
-    programs.push_back(KernelProgram::Compile(node.items()[i].expr, layout));
-    ctxs[i].Prepare(programs[i], KernelContext::kDefaultChunkRows);
+    KernelProgram program = KernelProgram::Compile(node.items()[i].expr, layout);
+    if (program.instrs().size() == 1 && program.instrs()[0].op == KernelOp::kLoadColumn) {
+      columns[i] = program.instrs()[0].arg;
+      continue;
+    }
+    programs[i] = std::move(program);
+    ctxs[i].Prepare(*programs[i], KernelContext::kDefaultChunkRows);
   }
   std::vector<Row> out;
   out.reserve(input.size());
   for (InputBatches batch(input); batch.Next();) {
     if (batch.grid_start()) MPPDB_RETURN_IF_ERROR(CheckExec(segment, "exec.batch"));
+    const std::vector<Row>& rows = batch.rows();
     const size_t base = batch.base();
     const SelVec& sel = batch.sel();
     for (size_t i = 0; i < num_items; ++i) {
-      MPPDB_RETURN_IF_ERROR(
-          EvalExprBatch(programs[i], &ctxs[i], batch.rows(), base, sel));
+      if (!programs[i].has_value()) continue;
+      MPPDB_RETURN_IF_ERROR(EvalExprBatch(*programs[i], &ctxs[i], rows, base, sel));
     }
     for (uint32_t r : sel) {
       Row projected;
       projected.reserve(num_items);
       for (size_t i = 0; i < num_items; ++i) {
+        if (columns[i] >= 0) {
+          projected.push_back(rows[r][static_cast<size_t>(columns[i])]);
+          continue;
+        }
         // Moving out of the slot is safe: every kernel rewrites all selected
         // positions on the next chunk before they are read again.
-        projected.push_back(std::move(ctxs[i].slot(programs[i].root())[r - base]));
+        projected.push_back(std::move(ctxs[i].slot(programs[i]->root())[r - base]));
       }
       out.push_back(std::move(projected));
     }

@@ -23,26 +23,17 @@ namespace mppdb {
 /// back to back (each row is u32 datum count + datums). The payload length
 /// lets a reader pull one batch with two reads and detect truncation.
 
-/// Appends one datum to `out`.
-void EncodeDatum(const Datum& value, std::string* out);
-
-/// Appends one row (u32 datum count + datums) to `out`.
-void EncodeRow(const Row& row, std::string* out);
-
-/// Encodes a batch body (rows only, no framing header) into `out`,
-/// replacing its contents.
-void EncodeBatchBody(const std::vector<Row>& rows, size_t begin, size_t end,
+/// Encodes `count` rows as a batch body (rows only, no framing header) into
+/// `out`, replacing its contents: rows[order[i]] for i < count when `order`
+/// is given, else rows[0, count).
+void EncodeBatchBody(const Row* rows, size_t count, const uint32_t* order,
                      std::string* out);
 
-/// Decodes one datum from data[*offset...], advancing *offset.
-Result<Datum> DecodeDatum(const std::string& data, size_t* offset);
-
-/// Decodes one row from data[*offset...], advancing *offset.
-Result<Row> DecodeRow(const std::string& data, size_t* offset);
-
-/// Decodes `num_rows` rows from a batch body produced by EncodeBatchBody,
-/// appending them to `rows`.
-Status DecodeBatchBody(const std::string& data, uint32_t num_rows,
+/// Decodes `num_rows` rows from the `size` bytes at `data`, a batch body
+/// produced by EncodeBatchBody, appending them to `rows`. A truncated body,
+/// an unknown datum tag or trailing bytes fail with kInternal and leave
+/// `rows` as it was.
+Status DecodeBatchBody(const char* data, size_t size, uint32_t num_rows,
                        std::vector<Row>* rows);
 
 /// Heap payload bytes of a datum beyond its fixed Datum slot: the string

@@ -31,11 +31,11 @@ SpillFile::~SpillFile() {
   }
 }
 
-Result<size_t> SpillFile::WriteBatch(const std::vector<Row>& rows,
-                                     size_t begin, size_t end) {
-  EncodeBatchBody(rows, begin, end, &scratch_);
+Result<size_t> SpillFile::WriteBatch(const Row* rows, size_t count,
+                                     const uint32_t* order) {
+  EncodeBatchBody(rows, count, order, &scratch_);
   BatchHeader header;
-  header.num_rows = static_cast<uint32_t>(end - begin);
+  header.num_rows = static_cast<uint32_t>(count);
   header.payload_bytes = static_cast<uint32_t>(scratch_.size());
   if (std::fwrite(&header, sizeof(header), 1, file_) != 1 ||
       (!scratch_.empty() &&
@@ -44,7 +44,7 @@ Result<size_t> SpillFile::WriteBatch(const std::vector<Row>& rows,
     return Status::Internal("spill write failed for " + path_);
   }
   const size_t bytes = sizeof(header) + scratch_.size();
-  num_rows_ += end - begin;
+  num_rows_ += count;
   bytes_written_ += bytes;
   return bytes;
 }
@@ -70,7 +70,8 @@ Result<size_t> SpillFile::ReadBatch(std::vector<Row>* rows) {
           scratch_.size()) {
     return Status::Internal("spill read truncated for " + path_);
   }
-  MPPDB_RETURN_IF_ERROR(DecodeBatchBody(scratch_, header.num_rows, rows));
+  MPPDB_RETURN_IF_ERROR(
+      DecodeBatchBody(scratch_.data(), scratch_.size(), header.num_rows, rows));
   return sizeof(header) + static_cast<size_t>(header.payload_bytes);
 }
 

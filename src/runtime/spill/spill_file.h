@@ -1,6 +1,7 @@
 #ifndef MPPDB_RUNTIME_SPILL_SPILL_FILE_H_
 #define MPPDB_RUNTIME_SPILL_SPILL_FILE_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -30,10 +31,12 @@ class SpillFile {
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
 
-  /// Serializes rows[begin, end) as one framed batch and appends it to the
-  /// file. Returns the number of bytes written (frame header included).
-  Result<size_t> WriteBatch(const std::vector<Row>& rows, size_t begin,
-                            size_t end);
+  /// Serializes `count` rows as one framed batch and appends it to the file:
+  /// rows[order[i]] for i < count when `order` is given (a sort run writes
+  /// straight from its permutation), else rows[0, count). Returns the number
+  /// of bytes written (frame header included).
+  Result<size_t> WriteBatch(const Row* rows, size_t count,
+                            const uint32_t* order = nullptr);
 
   /// Flushes buffered writes and repositions to the start for reading.
   Status Rewind();

@@ -96,6 +96,151 @@ ExecStats WithoutSpillCounters(ExecStats stats) {
   return stats;
 }
 
+// --- Row codec ------------------------------------------------------------
+
+// Same datum, bit for bit: null flag, type id and payload (a double's bits,
+// so -0.0 and a NaN's payload count).
+bool SameDatum(const Datum& a, const Datum& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (a.type() != b.type()) return false;
+  if (a.type() == TypeId::kDouble) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return Datum::Compare(a, b) == 0;
+}
+
+bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t j = 0; j < a[i].size(); ++j) {
+      if (!SameDatum(a[i][j], b[i][j])) return false;
+    }
+  }
+  return true;
+}
+
+double NanWithPayload() {
+  const uint64_t bits = 0x7ff8000000000001ull;
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// A fixed batch over every tag, and the bytes the codec has always written
+// for it (one-byte tags, little-endian payloads, u32 row and string
+// lengths): the spilled byte counts rest on this format.
+std::vector<Row> GoldenBatch() {
+  const double kInf = std::numeric_limits<double>::infinity();
+  return {
+      {Datum::Null(), Datum::Bool(true), Datum::Bool(false), Datum::Int32(-7),
+       Datum::Int64(std::numeric_limits<int64_t>::min()), Datum::Double(-0.0),
+       Datum::Date(-1), Datum::String("")},
+      {Datum::Int32(std::numeric_limits<int32_t>::max()),
+       Datum::Int64(0x0102030405060708), Datum::Double(kInf),
+       Datum::Double(-kInf), Datum::String(std::string("a\0b", 3)),
+       Datum::String("\xff\xfe")},
+      {},
+      {Datum::Double(NanWithPayload()), Datum::Date(19000), Datum::String("spill")},
+  };
+}
+
+constexpr const char* kGoldenHex =
+    "08000000000101010002f9ffffff030000000000000080040000000000000080"
+    "06ffffffff05000000000600000002ffffff7f03080706050403020104000000"
+    "000000f07f04000000000000f0ff05030000006100620502000000fffe000000"
+    "000300000004010000000000f87f06384a000005050000007370696c6c";
+
+std::string ToHex(const std::string& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+TEST(RowCodecTest, RoundTripsEveryTag) {
+  std::vector<Row> rows = GoldenBatch();
+  rows.push_back({Datum::Int32(std::numeric_limits<int32_t>::min()),
+                  Datum::Int64(std::numeric_limits<int64_t>::max()),
+                  Datum::Double(0.0), Datum::Double(5e-324), Datum::Date(0),
+                  Datum::String(std::string(70000, '\xff'))});
+  std::string body;
+  EncodeBatchBody(rows.data(), rows.size(), nullptr, &body);
+  std::vector<Row> decoded;
+  ASSERT_TRUE(DecodeBatchBody(body.data(), body.size(),
+                              static_cast<uint32_t>(rows.size()), &decoded)
+                  .ok());
+  EXPECT_TRUE(SameRows(decoded, rows));
+
+  // Through a permutation: rows come back in the order given, and the
+  // decoder appends after what `decoded` already holds.
+  const std::vector<uint32_t> order = {4, 2, 0, 3, 1};
+  EncodeBatchBody(rows.data(), order.size(), order.data(), &body);
+  ASSERT_TRUE(DecodeBatchBody(body.data(), body.size(),
+                              static_cast<uint32_t>(order.size()), &decoded)
+                  .ok());
+  ASSERT_EQ(decoded.size(), rows.size() + order.size());
+  std::vector<Row> permuted;
+  for (uint32_t i : order) permuted.push_back(rows[i]);
+  EXPECT_TRUE(SameRows(
+      std::vector<Row>(decoded.begin() + static_cast<ptrdiff_t>(rows.size()),
+                       decoded.end()),
+      permuted));
+}
+
+TEST(RowCodecTest, EncodesTheGoldenBytes) {
+  const std::vector<Row> rows = GoldenBatch();
+  std::string body;
+  EncodeBatchBody(rows.data(), rows.size(), nullptr, &body);
+  EXPECT_EQ(ToHex(body), kGoldenHex);
+  std::vector<Row> decoded;
+  ASSERT_TRUE(DecodeBatchBody(body.data(), body.size(),
+                              static_cast<uint32_t>(rows.size()), &decoded)
+                  .ok());
+  EXPECT_TRUE(SameRows(decoded, rows));
+}
+
+// A frame cut at any byte, an unknown tag, a string length past the end or
+// trailing bytes fail typed kInternal and append nothing: no half-decoded
+// row reaches the caller.
+TEST(RowCodecTest, CorruptFramesFailTypedAndAppendNothing) {
+  const std::vector<Row> rows = GoldenBatch();
+  const uint32_t num_rows = static_cast<uint32_t>(rows.size());
+  std::string body;
+  EncodeBatchBody(rows.data(), rows.size(), nullptr, &body);
+  const Row sentinel = {Datum::Int64(42)};
+  auto expect_rejected = [&](const std::string& bytes, const std::string& what) {
+    std::vector<Row> out = {sentinel};
+    const Status st = DecodeBatchBody(bytes.data(), bytes.size(), num_rows, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << what << ": " << st.ToString();
+    EXPECT_TRUE(SameRows(out, {sentinel})) << what;
+  };
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    expect_rejected(body.substr(0, cut), "cut at " + std::to_string(cut));
+  }
+  expect_rejected(body + '\0', "trailing byte");
+  // The first row's datums start after its u32 count: tag 0 (NULL), then
+  // tag 1 (BOOL) at offset 5.
+  for (const char tag : {'\x07', '\x80', '\xff'}) {
+    std::string planted = body;
+    planted[5] = tag;
+    expect_rejected(planted, "unknown tag at a datum");
+  }
+  std::string long_string = body;
+  // The first row's empty string: tag at 37, its u32 length at 38.
+  ASSERT_EQ(long_string[37], '\x05');
+  long_string[38] = '\x7f';
+  expect_rejected(long_string, "string length past the end");
+  std::string huge_count = body;
+  huge_count[3] = '\x7f';
+  expect_rejected(huge_count, "row count past the end");
+}
+
 // --- Fixtures -------------------------------------------------------------
 
 // Single-segment database: handcrafted operator-rooted plans are
@@ -940,35 +1085,53 @@ TEST(SpillExecTest, BudgetBelowSpillFloorFailsTypedAndClean) {
 
 // --- Temp-file lifecycle --------------------------------------------------
 
-// Spill files must be unlinked after every outcome: fatal faults at each
-// spill point (files already on disk when the error fires) and cancellation
-// arriving while a spill is in progress.
+// Spill files must be unlinked, and every budget charge released, after
+// every outcome: fatal faults at each spill point (files already on disk
+// when the error fires) in the join, the aggregate, the sort and the sort's
+// cascaded merge, and cancellation arriving while a spill is in progress.
 TEST(SpillExecTest, SpillFilesReclaimedOnFaultAndCancel) {
   SpillJoinFixture fx(4000, 600, /*all_dup_keys=*/false);
   PhysPtr plan = fx.JoinPlan(JoinType::kInner, nullptr, /*gather=*/true);
+  SpillAggFixture agg_fx(/*skewed=*/false);
+  SpillSortFixture sort_fx(20000);
+  const struct {
+    const char* name;
+    TestDb* db;
+    PhysPtr plan;
+    size_t limit;
+  } cases[] = {
+      {"join", &fx.db, plan, 200 * 1000},
+      {"agg", &agg_fx.db, agg_fx.AggPlan(), 300 * 1000},
+      {"sort", &sort_fx.db, sort_fx.SortPlan(/*ascending=*/true), 300 * 1000},
+      // About 32 runs: the cascaded merge writes and reads merged runs.
+      {"sort cascade", &sort_fx.db, sort_fx.SortPlan(/*ascending=*/true), 40 * 1000},
+  };
 
-  for (const Executor::Options& mode : kModes) {
-    for (const char* point : {"spill.open", "spill.write", "spill.read"}) {
-      TempSpillDir dir;
-      Executor exec(&fx.db.catalog, &fx.db.storage, mode);
-      FaultInjector injector(7);
-      FaultSpec fatal;
-      fatal.kind = FaultKind::kFatal;
-      // Let some spill I/O happen first so files exist when the fault fires.
-      fatal.skip_first = 3;
-      injector.Arm(point, fatal);
-      QueryContext ctx;
-      ctx.set_fault_injector(&injector);
-      ctx.set_spill_dir(dir.path);
-      ctx.budget().set_limit(200 * 1000);
-      auto result = exec.Execute(plan, &ctx);
-      ASSERT_FALSE(result.ok()) << ModeName(mode) << " " << point;
-      EXPECT_EQ(result.status().code(), StatusCode::kInternal)
-          << ModeName(mode) << " " << point << ": "
-          << result.status().ToString();
-      EXPECT_GT(injector.fires(point), 0u) << ModeName(mode) << " " << point;
-      EXPECT_EQ(FilesUnder(dir.path), 0u)
-          << ModeName(mode) << " " << point << ": leaked spill files";
+  for (const auto& c : cases) {
+    for (const Executor::Options& mode : kModes) {
+      for (const char* point : {"spill.open", "spill.write", "spill.read"}) {
+        const std::string what =
+            std::string(c.name) + " " + ModeName(mode) + " " + point;
+        TempSpillDir dir;
+        Executor exec(&c.db->catalog, &c.db->storage, mode);
+        FaultInjector injector(7);
+        FaultSpec fatal;
+        fatal.kind = FaultKind::kFatal;
+        // Let some spill I/O happen first so files exist when the fault fires.
+        fatal.skip_first = 3;
+        injector.Arm(point, fatal);
+        QueryContext ctx;
+        ctx.set_fault_injector(&injector);
+        ctx.set_spill_dir(dir.path);
+        ctx.budget().set_limit(c.limit);
+        auto result = exec.Execute(c.plan, &ctx);
+        ASSERT_FALSE(result.ok()) << what;
+        EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+            << what << ": " << result.status().ToString();
+        EXPECT_GT(injector.fires(point), 0u) << what;
+        EXPECT_EQ(FilesUnder(dir.path), 0u) << what << ": leaked spill files";
+        EXPECT_EQ(ctx.budget().used(), 0u) << what << ": budget charges leaked";
+      }
     }
   }
 
