@@ -181,22 +181,33 @@ std::vector<QueryResult> CompareLegs(const Comparison& c) {
 }
 
 /// Times `legs` round-robin: one untimed round, then `iterations` rounds of
-/// one run each, rotating which leg goes first so machine drift lands on
-/// every leg alike. Every run must return `rows`. Report-only.
+/// one sample each, rotating which leg goes first so machine drift lands on
+/// every leg alike. A sample is one run, or, with `min_sample_ms`, as many
+/// back-to-back runs as the untimed round says last at least that long, and
+/// reads in ms per run: a leg shorter than a scheduler slice is then not
+/// timed by a single preemption. Every run must return `rows`.
 std::vector<benchutil::TimingStats> TimeLegs(const std::string& claim,
                                              const std::vector<Leg>& legs,
                                              int iterations,
-                                             const std::vector<Row>& rows) {
+                                             const std::vector<Row>& rows,
+                                             double min_sample_ms = 0.0) {
   std::vector<std::vector<double>> times(legs.size());
+  std::vector<int> runs_per_sample(legs.size(), 1);
   size_t wrong = 0;
   for (int round = 0; round <= iterations; ++round) {
     for (size_t k = 0; k < legs.size(); ++k) {
       const size_t i = (static_cast<size_t>(round) + k) % legs.size();
       const auto start = std::chrono::steady_clock::now();
-      Result<QueryResult> result = legs[i].run();
-      const double ms = MillisSince(start);
-      if (!result.ok() || result->rows != rows) ++wrong;
-      if (round > 0) times[i].push_back(ms);
+      for (int run = 0; run < runs_per_sample[i]; ++run) {
+        Result<QueryResult> result = legs[i].run();
+        if (!result.ok() || result->rows != rows) ++wrong;
+      }
+      const double ms = MillisSince(start) / runs_per_sample[i];
+      if (round > 0) {
+        times[i].push_back(ms);
+      } else if (ms < min_sample_ms) {
+        runs_per_sample[i] = static_cast<int>(std::ceil(min_sample_ms / ms));
+      }
     }
   }
   Check(wrong == 0, claim + ": every timed run returns the reference rows");
@@ -843,6 +854,9 @@ void StorageFormats(bool smoke) {
   };
   const Sizes s = smoke ? Sizes{80000, 2, 4, 3} : Sizes{800000, 4, 8, 7};
   const std::string claim = "inv 12 columnar transparency";
+  // The encoded legs run in well under a millisecond with --smoke; each
+  // timed sample repeats a leg for at least this long.
+  constexpr double kMinSampleMs = 20.0;
 
   // fact(k, b, tag, qty, price): partitioned on b, hashed on k. tag cycles
   // through 64 strings (dictionary territory, unclustered so zone maps are
@@ -938,7 +952,8 @@ void StorageFormats(bool smoke) {
                  {{1, 2}}};
     const std::vector<QueryResult> out = CompareLegs(c);
     if (out.empty()) return 0.0;
-    const auto t = TimeLegs(c.claim, {c.legs[0], c.legs[1]}, s.iterations, out[0].rows);
+    const auto t = TimeLegs(c.claim, {c.legs[0], c.legs[1]}, s.iterations, out[0].rows,
+                            kMinSampleMs);
     const double speedup = t[0].median_ms / t[1].median_ms;
     std::printf("%-16s %8zu %8zu %10zu %8.2f %8.2f %6.2fx\n", name.c_str(),
                 out[0].rows.size(), out[1].stats.chunks_encoded_eval,

@@ -144,17 +144,6 @@ void JoinFilterSummaryBuilder::Add(const Row& row,
       continue;
     }
     if (!range.valid) continue;
-    // Two BIGINT bounds and a BIGINT key: Datum::Compare's int64 order, inline.
-    if (v.type() == TypeId::kInt64 && range.min.type() == TypeId::kInt64 &&
-        range.max.type() == TypeId::kInt64) {
-      const int64_t x = v.int64_value();
-      if (x < range.min.int64_value()) {
-        range.min = v;
-      } else if (x > range.max.int64_value()) {
-        range.max = v;
-      }
-      continue;
-    }
     if (!DatumsComparable(range.min, v)) {
       range.valid = false;  // mixed families: range untrustworthy
       continue;

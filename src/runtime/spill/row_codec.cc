@@ -84,19 +84,11 @@ char* PutDatum(const Datum& value, char* p) {
   return p;
 }
 
-// Rows fetched ahead of the sizing pass. A sort run's frame visits its rows
-// through a permutation, so each row's slot and datums are cache misses; the
-// pass fetches a slot 2 * kFetchAhead rows ahead and its datums kFetchAhead
-// rows ahead, once the slot has arrived.
-constexpr size_t kFetchAhead = 8;
-
 // One pass sizes the body, a second writes it through a cursor.
 template <typename RowAt>
 void EncodeRows(size_t count, RowAt row_at, std::string* out) {
   size_t bytes = 0;
   for (size_t i = 0; i < count; ++i) {
-    if (i + 2 * kFetchAhead < count) __builtin_prefetch(&row_at(i + 2 * kFetchAhead));
-    if (i + kFetchAhead < count) __builtin_prefetch(row_at(i + kFetchAhead).data());
     bytes += sizeof(uint32_t);
     for (const Datum& v : row_at(i)) bytes += EncodedBytes(v);
   }
